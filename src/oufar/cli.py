@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from pathlib import Path
 
@@ -93,7 +94,10 @@ def _build_parser() -> argparse.ArgumentParser:
     src.add_argument("--config", help="JSON config file (keys mirror ExperimentConfig)")
     src.add_argument("--profile", choices=("desk", "full"))
     p_exp.add_argument("--out", help="output directory (overrides the config out_dir)")
-    p_exp.add_argument("--threads", type=int, default=1)
+    p_exp.add_argument(
+        "--threads", type=int, default=1,
+        help="worker threads, capped at the replicate count and the CPU count",
+    )
     p_exp.add_argument("--master-seed", type=int, help="override the config master seed")
     p_exp.add_argument("--replicates", type=int, help="override the replicate count")
     p_exp.add_argument("--yes", action="store_true", help="confirm an expensive run")
@@ -268,11 +272,13 @@ def _cmd_experiment(args) -> int:
             print("this is expensive; re-run with --yes to confirm", file=sys.stderr)
             return EXIT_USAGE
 
-    report = _RUNNERS[args.kind](config, n_workers=max(args.threads, 1))
+    # more threads than replicates or cores would only wait
+    n_workers = max(min(args.threads, config.replicates, os.cpu_count() or 1), 1)
+    report = _RUNNERS[args.kind](config, n_workers=n_workers)
     try:
         paths = write_report(report, out_dir, formats=formats)
         if args.kind == "normality":
-            lil = lil_coverage(config, n_workers=max(args.threads, 1))
+            lil = lil_coverage(config, n_workers=n_workers)
             write_report(lil, out_dir, basename="lil_coverage", formats=formats)
             if "csv" in formats:
                 # the z CSV carries its spec name alongside normality.csv

@@ -3,8 +3,11 @@
 Replicates are independent work items.  Each one derives its own 64-bit seed
 from (master_seed, theta_index, horizon_index, replicate_index) through a
 splitmix64-based injective mixer, simulates a path, and estimates theta with
-the Ito-sum MLE.  Results are stored by replicate index and reduced in index
-order, so reports are byte-identical for any worker count.
+the Ito-sum MLE.  A path is drawn and reduced in chunks of at most 2^16
+steps, so a worker's memory does not grow with the horizon, and the result
+is bit-identical to drawing the whole path at once.  Results are stored by
+replicate index and reduced in index order, so reports are byte-identical
+for any worker count.
 
 Estimation failures (identically-zero paths) are excluded from the cell
 statistics but counted and reported; they are never resampled, which would
@@ -23,7 +26,7 @@ import numpy as np
 from scipy import stats
 
 from .errors import DomainError, ZeroDenominator
-from .mle import asymptotic_std, lil_envelope, theta_ito_from_values
+from .mle import asymptotic_std, lil_envelope, theta_ito_from_sums, theta_ito_from_values
 from .ou_process import SCHEMES, OuParams, TimeGrid, sample_euler, sample_exact
 from .predict import error_bound_b, error_bound_h
 
@@ -81,7 +84,9 @@ class ExperimentConfig:
     Every horizon T must be an integer multiple of both dt and the segment
     length h (1e-9 relative), and h a multiple of dt, so segment boundaries
     fall on grid nodes.  ``scheme`` picks the path sampler; the exact scheme
-    starts from the stationary law, the Euler scheme from xi_0 = 0.
+    starts from the stationary law, the Euler scheme from xi_0 = 0.  The
+    Euler recursion factor 1 - theta dt must lie strictly inside (-1, 1),
+    otherwise its paths grow without bound.
     """
 
     thetas: tuple[float, ...]
@@ -110,6 +115,13 @@ class ExperimentConfig:
             raise DomainError(f"need at least one replicate, got {self.replicates}")
         if self.scheme not in SCHEMES:
             raise DomainError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        if self.scheme == "euler":
+            unstable = [t for t in self.thetas if abs(1.0 - t * self.dt) >= 1.0]
+            if unstable:
+                raise DomainError(
+                    f"euler scheme diverges for theta={unstable} at dt={self.dt}: "
+                    "need |1 - theta*dt| < 1"
+                )
         if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= _MASK64:
             raise DomainError("master_seed must be an integer in [0, 2^64)")
         if not _is_multiple(self.h, self.dt):
@@ -155,25 +167,77 @@ class ExperimentReport:
     n_workers: int = 1  # volatile
 
 
+# numpy sums a float64 array pairwise: a run longer than 128 terms is split at
+# n2 = n//2 - (n//2) % 8 and the sums of its two halves are added.  Paths are
+# drawn in chunks that are the leaves of that tree over the path's steps,
+# hence at most this long (>= 128) and never held whole in memory.
+_CHUNK_STEPS = 1 << 16
+
+
+def _pairwise(n: int, leaf: Callable[[int], tuple[float, float]]) -> tuple[float, float]:
+    """Reduce n steps in numpy's pairwise order; ``leaf(m)`` sums the next m steps."""
+    if n <= _CHUNK_STEPS:
+        return leaf(n)
+    half = n // 2
+    half -= half % 8
+    first = _pairwise(half, leaf)
+    second = _pairwise(n - half, leaf)
+    return first[0] + second[0], first[1] + second[1]
+
+
+def _stream_path(
+    config: ExperimentConfig, params: OuParams, n_steps: int, boundary: int, rng: np.random.Generator
+) -> tuple[float, float]:
+    """(theta_hat, path value at step ``boundary``) of one path drawn chunk by chunk.
+
+    Each chunk starts from the last value of the one before; chunked normal
+    draws and the chained AR(1) recursion equal the one-shot path, and the
+    chunks' Ito sums merge in numpy's own order, so the result equals
+    sampling the whole path and calling ``theta_ito_from_values`` on it.
+    theta_hat is NaN when a chunk's estimate has a vanishing denominator,
+    which needs every squared value of the chunk (about 2^15 steps or more
+    unless the whole path is shorter) to be zero.
+    """
+    dt = config.dt
+    start, last, x_boundary = 0, 0.0, math.nan
+
+    def leaf(m: int) -> tuple[float, float]:
+        nonlocal start, last, x_boundary
+        grid = TimeGrid(t_end=m * dt, dt=dt)
+        if config.scheme == "euler":
+            path = sample_euler(params, grid, rng, x0=last)
+        else:
+            path = sample_exact(params, grid, rng, x0=last, stationary=start == 0)
+        values = path.values
+        if start <= boundary <= start + m:
+            x_boundary = float(values[boundary - start])
+        start += m
+        last = float(values[-1])
+        try:
+            est = theta_ito_from_values(values, dt)
+        except ZeroDenominator:
+            return math.nan, math.nan  # NaN sums make the merged theta_hat NaN
+        return est.numerator, est.sum_sq
+
+    try:
+        theta_hat = theta_ito_from_sums(*_pairwise(n_steps, leaf), n_steps, dt).theta_hat
+    except ZeroDenominator:
+        theta_hat = math.nan
+    return theta_hat, x_boundary
+
+
 def _replicate(config: ExperimentConfig, theta: float, t_end: float, seed: int):
     """Simulate one path, estimate theta, grab the last block-boundary value."""
-    rng = np.random.default_rng(seed)
-    params = OuParams(theta=theta)
-    grid = TimeGrid(t_end=t_end, dt=config.dt)
-    if config.scheme == "euler":
-        path = sample_euler(params, grid, rng, x0=0.0)
-    else:
-        path = sample_exact(params, grid, rng, stationary=True)
     # value at time (T/h - 1) * h, the boundary where the last block starts
     steps_per_block = int(round(config.h / config.dt))
     n_blocks = int(round(t_end / config.h))
-    boundary_index = (n_blocks - 1) * steps_per_block
-    x_prev_h = float(path.values[boundary_index])
-    try:
-        theta_hat = theta_ito_from_values(path.values, config.dt).theta_hat
-    except ZeroDenominator:
-        theta_hat = math.nan
-    return theta_hat, x_prev_h
+    return _stream_path(
+        config,
+        OuParams(theta=theta),
+        TimeGrid(t_end=t_end, dt=config.dt).n_steps,
+        (n_blocks - 1) * steps_per_block,
+        np.random.default_rng(seed),
+    )
 
 
 def collect_cells(config: ExperimentConfig, n_workers: int = 1) -> list[CellData]:
@@ -227,12 +291,8 @@ def predictor_cell(
     epsilon: float,
 ) -> tuple[float, float]:
     """(p_hat_H, p_hat_B): 1 - fraction of replicates whose bound exceeds epsilon."""
-    bound_h = np.array(
-        [error_bound_h(theta, th, x, h) for th, x in zip(theta_hats, x_prev_h)]
-    )
-    bound_b = np.array(
-        [error_bound_b(theta, th, x, h) for th, x in zip(theta_hats, x_prev_h)]
-    )
+    bound_h = error_bound_h(theta, theta_hats, x_prev_h, h)
+    bound_b = error_bound_b(theta, theta_hats, x_prev_h, h)
     p_h = 1.0 - float(np.mean(bound_h > epsilon))
     p_b = 1.0 - float(np.mean(bound_b > epsilon))
     return p_h, p_b

@@ -26,9 +26,12 @@ class ThetaEstimate:
     """MLE of theta with its building blocks for diagnostics.
 
     ``theta_hat = numerator / denominator`` for the ito_discrete form; the
-    endpoint form stores its own numerator/denominator pair.  A nonpositive
-    estimate is representable (flagged via ``nonpositive``); operator
-    constructions downstream reject it explicitly.
+    endpoint form stores its own numerator/denominator pair.  ``sum_sq`` is
+    the raw sum of squared left values, before the factor dt: the Ito
+    numerators and ``sum_sq`` of consecutive pieces of one path add up to
+    those of the whole path.  A nonpositive estimate is representable
+    (flagged via ``nonpositive``); operator constructions downstream reject
+    it explicitly.
     """
 
     theta_hat: float
@@ -37,6 +40,7 @@ class ThetaEstimate:
     numerator: float
     denominator: float
     form: str  # "ito_discrete" | "endpoint"
+    sum_sq: float
 
     @property
     def nonpositive(self) -> bool:
@@ -50,11 +54,21 @@ def theta_ito_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
         raise DomainError("need at least two path values")
     left = values[:-1]
     num = -float(np.sum(left * np.diff(values)))
-    den = float(np.sum(left * left) * dt)
+    return theta_ito_from_sums(num, float(np.sum(left * left)), values.size - 1, dt)
+
+
+def theta_ito_from_sums(numerator: float, sum_sq: float, n_steps: int, dt: float) -> ThetaEstimate:
+    """Ito-sum estimate from -sum xi_i (xi_{i+1} - xi_i) and sum xi_i^2 over n_steps steps.
+
+    Pieces of a path merge here: adding their ``numerator`` and ``sum_sq``
+    in the order numpy's pairwise sum would add them gives the one-shot
+    estimate bit for bit (negation is exact, so adding numerators is adding
+    the sums they negate).
+    """
+    den = sum_sq * dt
     if den == 0.0:
         raise ZeroDenominator("sum of squared path values vanishes")
-    t_end = (values.size - 1) * dt
-    return ThetaEstimate(num / den, t_end, dt, num, den, "ito_discrete")
+    return ThetaEstimate(numerator / den, n_steps * dt, dt, numerator, den, "ito_discrete", sum_sq)
 
 
 def theta_endpoint_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
@@ -64,12 +78,13 @@ def theta_endpoint_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
         raise DomainError("need at least two path values")
     t_end = (values.size - 1) * dt
     left = values[:-1]
-    riemann = float(np.sum(left * left) * dt)
+    sum_sq = float(np.sum(left * left))
+    riemann = sum_sq * dt
     if riemann == 0.0:
         raise ZeroDenominator("sum of squared path values vanishes")
     num = float(1.0 + values[0] ** 2 / t_end - values[-1] ** 2 / t_end)
     den = 2.0 / t_end * riemann
-    return ThetaEstimate(num / den, t_end, dt, num, den, "endpoint")
+    return ThetaEstimate(num / den, t_end, dt, num, den, "endpoint", sum_sq)
 
 
 def estimate_theta_ito(path: SamplePath) -> ThetaEstimate:

@@ -73,10 +73,13 @@ def prediction_error_b(theta: float, theta_hat: float, x_prev_h: float, h: float
 
 
 def error_bound_h(theta: float, theta_hat: float, x_prev_h: float, h: float) -> float:
-    """Bound |x(h)| |theta - theta_hat| h sqrt(h/3 + 1) >= prediction_error_h."""
+    """Bound |x(h)| |theta - theta_hat| h sqrt(h/3 + 1) >= prediction_error_h.
+
+    theta_hat and x_prev_h may be arrays: the bound is then elementwise.
+    """
     return abs(x_prev_h) * abs(theta - theta_hat) * h * np.sqrt(h / 3.0 + 1.0)
 
 
 def error_bound_b(theta: float, theta_hat: float, x_prev_h: float, h: float) -> float:
-    """Bound |x(h)| |theta - theta_hat| h >= prediction_error_b."""
+    """Bound |x(h)| |theta - theta_hat| h >= prediction_error_b, elementwise on arrays."""
     return abs(x_prev_h) * abs(theta - theta_hat) * h

@@ -1,20 +1,32 @@
+import functools
+import hashlib
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import oufar.experiments as exp
 from oufar import (
     DomainError,
     ExperimentConfig,
+    OuParams,
+    TimeGrid,
     ZeroDenominator,
     derive_replicate_seed,
     lil_coverage,
     run_band_coverage,
     run_emse,
     run_predictor_bound,
+    sample_euler,
+    sample_exact,
     standardized_errors,
+    theta_ito_from_values,
 )
 from oufar.experiments import (
+    _replicate,
+    _stream_path,
     collect_cells,
     coverage_cell,
     emse_cell,
@@ -91,6 +103,13 @@ class TestConfigValidation:
 
     def test_round_trip_dict(self):
         assert ExperimentConfig(**SMALL.to_dict()) == SMALL
+
+    def test_rejects_diverging_euler(self):
+        # theta*dt = 2 gives the Euler factor 1 - theta*dt = -1: no decay at all
+        with pytest.raises(DomainError, match="euler"):
+            ExperimentConfig(thetas=(1.0, 100.0), horizons=(500.0,), dt=0.02)
+        ExperimentConfig(thetas=(1.0, 99.0), horizons=(500.0,), dt=0.02)
+        ExperimentConfig(thetas=(200.0,), horizons=(500.0,), dt=0.02, scheme="exact")
 
 
 class TestDeterminism:
@@ -259,3 +278,91 @@ class TestFailureAccounting:
         assert cell["failures"] == 3
         assert cell["z_replicates"] == [0, 1, 3, 4, 6, 7]
         assert len(cell["z"]) == 6
+
+
+def _one_shot(config, theta, n_steps, boundary, seed, zero_noise=False):
+    """The whole path in one array, then the plain estimator: the streaming oracle."""
+    rng = np.random.default_rng(seed)
+    params, grid = OuParams(theta=theta), TimeGrid(t_end=n_steps * config.dt, dt=config.dt)
+    if config.scheme == "euler":
+        path = sample_euler(params, grid, rng, x0=0.0, _zero_noise=zero_noise)
+    else:
+        path = sample_exact(params, grid, rng, stationary=True)
+    try:
+        theta_hat = theta_ito_from_values(path.values, config.dt).theta_hat
+    except ZeroDenominator:
+        theta_hat = math.nan
+    return theta_hat, float(path.values[boundary])
+
+
+@st.composite
+def _stream_cases(draw):
+    cap = draw(st.sampled_from([128, 136]))
+    n = draw(
+        st.one_of(
+            st.integers(1, 6000),
+            st.builds(lambda k, d: k * cap + d, st.integers(1, 40), st.sampled_from([-1, 0, 1])),
+        )
+    )
+    boundary = draw(st.one_of(st.just(0), st.just(n), st.integers(0, n)))
+    theta = draw(st.floats(0.05, 20.0))
+    scheme = draw(st.sampled_from(["euler", "exact"]))
+    seed = draw(st.integers(0, 2**32 - 1))
+    return cap, n, boundary, theta, scheme, seed
+
+
+class TestStreamingOracle:
+    """Paths drawn and reduced chunk by chunk equal the one-shot path, bit for bit."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_stream_cases())
+    def test_matches_one_shot(self, case):
+        cap, n, boundary, theta, scheme, seed = case
+        dt = 0.02
+        config = ExperimentConfig(thetas=(theta,), horizons=(n * dt,), dt=dt, h=dt, scheme=scheme)
+        expected = _one_shot(config, theta, n, boundary, seed)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(exp, "_CHUNK_STEPS", cap)  # multi-level trees, odd leaf sizes
+            got = _stream_path(config, OuParams(theta=theta), n, boundary, np.random.default_rng(seed))
+        # NaN (a failed estimate, e.g. n = 1 from xi_0 = 0) must match NaN
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    @pytest.mark.parametrize("h", [1.0, 12.0])  # h = T puts the last boundary at index 0
+    def test_replicate_matches_one_shot(self, monkeypatch, scheme, h):
+        monkeypatch.setattr(exp, "_CHUNK_STEPS", 128)
+        config = ExperimentConfig(thetas=(0.7,), horizons=(12.0,), h=h, scheme=scheme)
+        boundary = round((12.0 - h) / config.dt)
+        assert _replicate(config, 0.7, 12.0, 61) == _one_shot(config, 0.7, 600, boundary, 61)
+
+    def test_zero_path_is_a_counted_failure(self, monkeypatch):
+        monkeypatch.setattr(exp, "_CHUNK_STEPS", 128)
+        monkeypatch.setattr(exp, "sample_euler", functools.partial(sample_euler, _zero_noise=True))
+        config = ExperimentConfig(thetas=(0.7,), horizons=(20.0,), replicates=4, master_seed=67)
+        theta_hat, x_prev = _replicate(config, 0.7, 20.0, 1)
+        expected_theta, expected_x = _one_shot(config, 0.7, 1000, 950, 1, zero_noise=True)
+        assert math.isnan(theta_hat) and math.isnan(expected_theta)
+        assert x_prev == expected_x == 0.0
+        (cell,) = collect_cells(config)
+        assert cell.failures == 4
+
+
+class TestGoldenBytes:
+    """Report sha256 pinned from the whole-path sampler; each 6e5-step path spans 16 chunks."""
+
+    PINS = {
+        ("euler", "predictor_bound"): "b4322c1d96ba7424cfe97334631fd2c84fe8be80df51f8b1484ae5eb834c4737",
+        ("euler", "normality"): "7671a1eeaf4ac964d468e20fde363781f02b4af8b42addaff786f9845d22281d",
+        ("exact", "predictor_bound"): "e3009ba763b62e884f0b51f047826eba0353ba9cb77e9d4ad489219a415db3b8",
+        ("exact", "normality"): "3094ce20a5429bdd2c96ffaf14c888289c50e2ea053173a2c8f66a38a6f6c16a",
+    }
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_report_sha256(self, scheme):
+        config = ExperimentConfig(
+            thetas=(0.4, 1.0), horizons=(12000.0,), replicates=3, scheme=scheme, master_seed=20260810
+        )
+        for run in (run_predictor_bound, standardized_errors):
+            report = run(config)
+            digest = hashlib.sha256(report_json_text(report).encode()).hexdigest()
+            assert digest == self.PINS[scheme, report.kind]

@@ -382,3 +382,35 @@ class TestExperimentCommand:
         cfg.write_text(json.dumps(SMALL | {"formats": ["xml"]}))
         assert main(["experiment", "band-coverage", "--config", str(cfg),
                      "--out", str(tmp_path / "r")]) == 2
+
+    def test_diverging_euler_config_exits_2(self, tmp_path, capsys):
+        # theta*dt = 4: the Euler factor 1 - theta*dt = -3 would blow the path up
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thetas": [200], "horizons": [100]}))
+        out = tmp_path / "r"
+        assert main(["experiment", "band-coverage", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "euler" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "threads, replicates, cpus, expected",
+        [(10**6, 10, 3, 3), (10**6, 2, 3, 2), (2, 10, 3, 2), (0, 10, 3, 1), (-4, 10, 3, 1),
+         (8, 10, None, 1)],
+    )
+    def test_worker_count_clamped(self, tmp_path, monkeypatch, threads, replicates, cpus, expected):
+        import oufar.cli as cli
+        from oufar import run_emse
+
+        seen = []
+
+        def recording_runner(config, n_workers):
+            seen.append(n_workers)
+            return run_emse(config, n_workers=1)
+
+        monkeypatch.setitem(cli._RUNNERS, "emse", recording_runner)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL | {"replicates": replicates}))
+        assert main(["experiment", "emse", "--config", str(cfg), "--out", str(tmp_path / "r"),
+                     "--threads", str(threads)]) == 0
+        assert seen == [expected]
