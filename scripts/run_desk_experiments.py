@@ -48,7 +48,7 @@ def main() -> int:
             f"{time.perf_counter() - start:.1f}s -> {paths['json']}"
         )
         if kind == "normality":
-            lil = lil_coverage(config, n_workers=args.threads)
+            lil = lil_coverage(config, n_workers=args.threads, cell_data=report.cell_data)
             write_report(lil, args.out, basename="lil_coverage")
     return 0
 

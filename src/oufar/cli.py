@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from pathlib import Path
@@ -21,6 +22,7 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, GridMismatch, ZeroDenominator
 from .experiments import (
+    check_lil_horizons,
     lil_coverage,
     run_band_coverage,
     run_emse,
@@ -104,6 +106,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _json_text(doc: dict) -> str:
+    """Strict JSON: a NaN or infinity raises ValueError instead of printing invalid JSON."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _all_finite(doc: dict) -> bool:
+    """True when every float in ``doc``, nested dicts included, is finite."""
+    return all(
+        _all_finite(v) if isinstance(v, dict) else math.isfinite(v)
+        for v in doc.values()
+        if isinstance(v, (dict, float))
+    )
+
+
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -164,22 +180,27 @@ def _cmd_estimate(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     try:
-        if args.form == "both":
-            ito = _estimate_doc(values, dt, "ito")
-            endpoint = _estimate_doc(values, dt, "endpoint")
-            doc = {
-                "ito": ito,
-                "endpoint": endpoint,
-                "difference": ito["theta_hat"] - endpoint["theta_hat"],
-            }
-        else:
-            doc = _estimate_doc(values, dt, args.form)
+        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+            if args.form == "both":
+                ito = _estimate_doc(values, dt, "ito")
+                endpoint = _estimate_doc(values, dt, "endpoint")
+                doc = {
+                    "ito": ito,
+                    "endpoint": endpoint,
+                    "difference": ito["theta_hat"] - endpoint["theta_hat"],
+                }
+            else:
+                doc = _estimate_doc(values, dt, args.form)
     except ZeroDenominator as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ZERO_DENOMINATOR
+    if not _all_finite(doc):
+        # finite values whose squares or products overflow
+        print(f"error: {args.input}: estimator sums are not finite", file=sys.stderr)
+        return EXIT_BAD_INPUT
     doc["schema_version"] = SCHEMA_VERSION
     try:
-        _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
+        _emit(_json_text(doc), args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
@@ -213,7 +234,7 @@ def _cmd_norms(args) -> int:
         doc["operator_distance_H"] = operator_distance_h(args.theta, args.theta_hat, args.h)
         doc["operator_distance_B"] = operator_distance_b(args.theta, args.theta_hat, args.h)
     if args.format == "json":
-        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+        text = _json_text(doc)
     else:
         lines = ["theta,h,k,k0,rho_norm_H,rho_norm_B"]
         lines.extend(
@@ -252,6 +273,8 @@ def _cmd_experiment(args) -> int:
         else:
             doc = {"profile": args.profile}
         config, out_dir, formats, profile = resolve_cli_config(args.kind, doc, overrides)
+        if args.kind == "normality":
+            check_lil_horizons(config)  # its lil_coverage report needs every T > e
     except (ValueError, DomainError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -278,7 +301,8 @@ def _cmd_experiment(args) -> int:
     try:
         paths = write_report(report, out_dir, formats=formats)
         if args.kind == "normality":
-            lil = lil_coverage(config, n_workers=n_workers)
+            # same grid and seeds: reduce the normality run's replicates again
+            lil = lil_coverage(config, n_workers=n_workers, cell_data=report.cell_data)
             write_report(lil, out_dir, basename="lil_coverage", formats=formats)
             if "csv" in formats:
                 # the z CSV carries its spec name alongside normality.csv

@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields
 from typing import Callable
 
 import numpy as np
@@ -165,6 +165,9 @@ class ExperimentReport:
     failures_total: int
     wall_time_s: float = 0.0  # volatile, kept out of the deterministic report bytes
     n_workers: int = 1  # volatile
+    # the per-replicate results the cells were reduced from; another report
+    # on the same grid can be built from them without redrawing the paths
+    cell_data: list[CellData] = field(default_factory=list, repr=False)
 
 
 # numpy sums a float64 array pairwise: a run longer than 128 terms is split at
@@ -311,17 +314,24 @@ def lil_cell(
     return float(np.mean(np.abs(theta_hats - theta) <= multiplier * envelope))
 
 
-def _run(config: ExperimentConfig, kind: str, build_cell: Callable, n_workers: int) -> ExperimentReport:
+def _run(
+    config: ExperimentConfig,
+    kind: str,
+    build_cell: Callable,
+    n_workers: int,
+    cell_data: list[CellData] | None = None,
+) -> ExperimentReport:
+    """Reduce ``cell_data`` (simulated here when None) to one report of this kind."""
     start = time.perf_counter()
-    data = collect_cells(config, n_workers=n_workers)
-    cells = [build_cell(cd) for cd in data]
+    data = collect_cells(config, n_workers=n_workers) if cell_data is None else cell_data
     return ExperimentReport(
         kind=kind,
         config=config,
-        cells=cells,
+        cells=[build_cell(cd) for cd in data],
         failures_total=sum(cd.failures for cd in data),
         wall_time_s=time.perf_counter() - start,
         n_workers=n_workers,
+        cell_data=data,
     )
 
 
@@ -411,8 +421,24 @@ def standardized_errors(config: ExperimentConfig, n_workers: int = 1) -> Experim
     return _run(config, "normality", cell, n_workers)
 
 
-def lil_coverage(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
-    """Diagnostic coverage of the iterated-logarithm envelope, scaled by lil_multiplier."""
+def check_lil_horizons(config: ExperimentConfig) -> None:
+    """Raise DomainError unless every cell has an iterated-logarithm envelope (T > e)."""
+    for theta in config.thetas:
+        for t_end in config.horizons:
+            lil_envelope(theta, t_end)
+
+
+def lil_coverage(
+    config: ExperimentConfig, n_workers: int = 1, cell_data: list[CellData] | None = None
+) -> ExperimentReport:
+    """Diagnostic coverage of the iterated-logarithm envelope, scaled by lil_multiplier.
+
+    ``cell_data`` are the results of an earlier run on the same config (for
+    example ``standardized_errors(config).cell_data``); the paths are drawn
+    afresh only when they are not given.  Horizons T <= e are rejected
+    before anything is simulated.
+    """
+    check_lil_horizons(config)
 
     def cell(cd: CellData) -> dict:
         ok = cd.ok_theta_hats
@@ -428,4 +454,4 @@ def lil_coverage(config: ExperimentConfig, n_workers: int = 1) -> ExperimentRepo
             "failures": cd.failures,
         }
 
-    return _run(config, "lil_coverage", cell, n_workers)
+    return _run(config, "lil_coverage", cell, n_workers, cell_data)

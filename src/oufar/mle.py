@@ -53,8 +53,11 @@ def theta_ito_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
     if values.size < 2:
         raise DomainError("need at least two path values")
     left = values[:-1]
-    num = -float(np.sum(left * np.diff(values)))
-    return theta_ito_from_sums(num, float(np.sum(left * left)), values.size - 1, dt)
+    # one scratch array: the same products numpy would build, summed in the same order
+    d = np.subtract(values[1:], left)
+    num = -float(np.sum(np.multiply(left, d, out=d)))
+    sum_sq = float(np.sum(np.multiply(left, left, out=d)))
+    return theta_ito_from_sums(num, sum_sq, values.size - 1, dt)
 
 
 def theta_ito_from_sums(numerator: float, sum_sq: float, n_steps: int, dt: float) -> ThetaEstimate:

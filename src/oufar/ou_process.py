@@ -89,7 +89,8 @@ class SamplePath:
             raise GridMismatch(
                 f"path needs {self.grid.n_steps + 1} values, got {self.values.shape}"
             )
-        if not np.all(np.isfinite(self.values)):
+        # min and max propagate NaN, so both are finite iff every value is
+        if not (math.isfinite(self.values.min()) and math.isfinite(self.values.max())):
             raise ValueError("path values must be finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
@@ -143,15 +144,29 @@ def gaussian_tail_bound(sigma: float, x):
     return out if out.ndim else float(out)
 
 
-def _ar1_path(x0: float, a: float, u: np.ndarray) -> np.ndarray:
-    """Values of xi_{i+1} = a xi_i + u_i, prepended with xi_0 = x0.
+def _ar1_path(x0: float, a: float, v: np.ndarray) -> np.ndarray:
+    """Values of xi_{i+1} = a xi_i + u_i from the buffer v = [x0, u_0, ..., u_{n-1}].
 
     lfilter with b=[1], a=[1, -a] runs exactly this recursion in C, one
     multiply and one add per step, so the result is bit-identical to the
-    plain Python loop.
+    plain Python loop.  From a zero initial state its first output is
+    0.0 + x0, which carries x0 into the recursion but turns -0.0 into +0.0,
+    so xi_0 is put back afterwards.
     """
-    driven = lfilter([1.0], [1.0, -a], u, zi=np.array([a * x0]))[0]
-    return np.concatenate(([x0], driven))
+    path = lfilter([1.0], [1.0, -a], v)
+    path[0] = x0
+    return path
+
+
+def _noise_buffer(n: int, x0: float, rng: np.random.Generator, zero_noise: bool) -> np.ndarray:
+    """One (n+1) buffer: x0, then n standard normals drawn in place (zeros if zero_noise)."""
+    v = np.empty(n + 1)
+    v[0] = x0
+    if zero_noise:
+        v[1:] = 0.0
+    else:
+        rng.standard_normal(out=v[1:])
+    return v
 
 
 def sample_euler(
@@ -166,16 +181,18 @@ def sample_euler(
     The increments dW_i are i.i.d. N(0, dt), drawn in one block from ``rng``;
     the same seed therefore reproduces the same path byte for byte.
     ``_zero_noise`` suppresses the increments to expose the drift skeleton
-    (testing only, not reachable from the CLI).
+    (testing only, not reachable from the CLI).  The innovations
+    u_i = theta mu dt + sigma (Z_i sqrt(dt)) are formed in place in the one
+    buffer the path is filtered from.
     """
     n, dt = grid.n_steps, grid.dt
-    if _zero_noise:
-        dw = np.zeros(n)
-    else:
-        dw = rng.standard_normal(n) * math.sqrt(dt)
+    v = _noise_buffer(n, x0, rng, _zero_noise)
+    u = v[1:]
+    np.multiply(u, math.sqrt(dt), out=u)
+    np.multiply(u, params.sigma, out=u)
+    np.add(u, params.theta * params.mu * dt, out=u)
     a = 1.0 - params.theta * dt
-    u = params.theta * params.mu * dt + params.sigma * dw
-    return SamplePath(grid=grid, values=_ar1_path(x0, a, u), params=params, scheme="euler")
+    return SamplePath(grid=grid, values=_ar1_path(x0, a, v), params=params, scheme="euler")
 
 
 def exact_transition(params: OuParams, dt: float) -> tuple[float, float]:
@@ -211,9 +228,9 @@ def sample_exact(
     decay, sd = exact_transition(params, grid.dt)
     if stationary:
         x0 = params.mu + params.stationary_std * rng.standard_normal()
-    if _zero_noise:
-        eta = np.zeros(n)
-    else:
-        eta = rng.standard_normal(n) * sd
-    u = params.mu * (1.0 - decay) + eta
-    return SamplePath(grid=grid, values=_ar1_path(float(x0), decay, u), params=params, scheme="exact")
+    x0 = float(x0)
+    v = _noise_buffer(n, x0, rng, _zero_noise)
+    u = v[1:]
+    np.multiply(u, sd, out=u)
+    np.add(u, params.mu * (1.0 - decay), out=u)
+    return SamplePath(grid=grid, values=_ar1_path(x0, decay, v), params=params, scheme="exact")

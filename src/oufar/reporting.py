@@ -94,7 +94,7 @@ def report_json_text(report: ExperimentReport) -> str:
         "failures_total": report.failures_total,
         "provenance": provenance(report.config),
     }
-    return json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
 def _csv_text(header: tuple[str, ...], rows) -> str:
@@ -146,7 +146,7 @@ def write_report(
         "n_workers": report.n_workers,
         "finished_unix": time.time(),
     }
-    paths["run"].write_text(json.dumps(run_doc, sort_keys=True, indent=2) + "\n")
+    paths["run"].write_text(json.dumps(run_doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
     return paths
 
 
@@ -185,7 +185,8 @@ def write_path_csv(path: SamplePath, outfile, seed: int, extra: dict | None = No
     outfile.parent.mkdir(parents=True, exist_ok=True)
     outfile.write_text(path_csv_text(path))
     sidecar = outfile.with_suffix(outfile.suffix + ".meta.json")
-    sidecar.write_text(json.dumps(path_sidecar(path, seed, extra), sort_keys=True, indent=2) + "\n")
+    doc = path_sidecar(path, seed, extra)
+    sidecar.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
 
 
 def read_path_csv(infile) -> tuple[np.ndarray, float]:
@@ -200,6 +201,8 @@ def read_path_csv(infile) -> tuple[np.ndarray, float]:
         raise GridMismatch(f"{infile}: malformed CSV row ({exc})") from exc
     if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
         raise GridMismatch(f"{infile}: need two columns and at least two rows")
+    if not np.all(np.isfinite(data)):
+        raise GridMismatch(f"{infile}: values must be finite")
     t, xi = data[:, 0], data[:, 1]
     steps = np.diff(t)
     dt = steps[0]

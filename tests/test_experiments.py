@@ -213,6 +213,23 @@ class TestRunners:
         assert cell["multiplier"] == 1.5
         assert 0.9 <= cell["lil_coverage"] <= 1.0
 
+    def test_lil_coverage_from_earlier_cells(self, monkeypatch):
+        config = ExperimentConfig(thetas=(0.7, 1.0), horizons=(100.0,), replicates=6, master_seed=47)
+        fresh = report_json_text(lil_coverage(config))
+        data = standardized_errors(config).cell_data
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("paths redrawn")
+
+        monkeypatch.setattr(exp, "collect_cells", no_simulation)
+        assert report_json_text(lil_coverage(config, cell_data=data)) == fresh
+
+    def test_lil_coverage_rejects_short_horizon_before_simulating(self, monkeypatch):
+        monkeypatch.setattr(exp, "collect_cells", lambda *a, **k: pytest.fail("paths drawn"))
+        config = ExperimentConfig(thetas=(1.0,), horizons=(2.0, 100.0), replicates=3)
+        with pytest.raises(DomainError, match="exceed e"):
+            lil_coverage(config)
+
     def test_no_failures_at_desk_scale(self):
         for theta in (0.1, 1.0):
             report = run_band_coverage(

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
@@ -189,3 +189,62 @@ class TestSamplers:
         g = TimeGrid(1.0, 0.25)
         path = sample_exact(p, g, np.random.default_rng(0), x0=1.0, _zero_noise=True)
         np.testing.assert_allclose(path.values, np.exp(-2.0 * g.times()), rtol=1e-12)
+
+
+def _loop_values(params, grid, seed, scheme, x0, stationary, zero_noise):
+    """xi_{i+1} = a xi_i + u_i in a plain Python loop, u_i in the whole-block operation order.
+
+    Euler: u_i = theta mu dt + sigma (Z_i sqrt(dt)); exact: u_i = mu (1 - decay) + Z_i sd,
+    with a zero in place of the noise term under zero_noise.
+    """
+    rng = np.random.default_rng(seed)
+    n, dt = grid.n_steps, grid.dt
+    if scheme == "euler":
+        a, shift, scale = 1.0 - params.theta * dt, params.theta * params.mu * dt, math.sqrt(dt)
+        noise = lambda z: params.sigma * (z * scale)  # noqa: E731
+    else:
+        a, sd = exact_transition(params, dt)
+        shift = params.mu * (1.0 - a)
+        noise = lambda z: z * sd  # noqa: E731
+        if stationary:
+            x0 = params.mu + params.stationary_std * rng.standard_normal()
+    x = float(x0)
+    out = [x]
+    draws = [0.0] * n if zero_noise else [float(z) for z in rng.standard_normal(n)]
+    for z in draws:
+        x = a * x + (shift + (0.0 if zero_noise else noise(z)))
+        out.append(x)
+    return np.array(out)
+
+
+@st.composite
+def _loop_cases(draw):
+    params = OuParams(
+        theta=draw(st.floats(0.05, 10.0)),
+        mu=draw(st.one_of(st.just(0.0), st.floats(-5.0, 5.0))),
+        sigma=draw(st.one_of(st.just(1.0), st.floats(0.1, 5.0))),
+    )
+    n = draw(st.integers(1, 300))
+    x0 = draw(st.one_of(st.just(0.0), st.just(-0.0), st.floats(-10.0, 10.0)))
+    scheme = draw(st.sampled_from(["euler", "exact"]))
+    stationary = scheme == "exact" and draw(st.booleans())
+    return params, n, x0, scheme, stationary, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+class TestLoopOracle:
+    """Both samplers equal the scalar recursion bit for bit, signed zeros included."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_loop_cases())
+    def test_sampler_matches_python_loop(self, case):
+        params, n, x0, scheme, stationary, zero_noise, seed = case
+        grid = TimeGrid(t_end=n * 0.02, dt=0.02)
+        rng = np.random.default_rng(seed)
+        if scheme == "euler":
+            path = sample_euler(params, grid, rng, x0=x0, _zero_noise=zero_noise)
+        else:
+            path = sample_exact(params, grid, rng, x0=x0, stationary=stationary, _zero_noise=zero_noise)
+        expected = _loop_values(params, grid, seed, scheme, x0, stationary, zero_noise)
+        assert path.values.tobytes() == expected.tobytes()
+        if not stationary:
+            assert math.copysign(1.0, path.values[0]) == math.copysign(1.0, x0)

@@ -12,10 +12,12 @@ from oufar import (
     OuParams,
     SegmentGrid,
     TimeGrid,
+    lil_coverage,
     predict_segment,
     run_band_coverage,
     sample_euler,
     segment_path,
+    standardized_errors,
 )
 from oufar.cli import main
 from oufar.errors import GridMismatch
@@ -112,6 +114,13 @@ class TestPathCsv:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,xi\n0,1\n0.02,1\n0.05,1\n")
         with pytest.raises(GridMismatch):
+            read_path_csv(bad)
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_rejects_nonfinite_values(self, tmp_path, value):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(f"t,xi\n0,1\n0.02,{value}\n0.04,1\n")
+        with pytest.raises(GridMismatch, match="finite"):
             read_path_csv(bad)
 
 
@@ -265,6 +274,29 @@ class TestEstimateCommand:
         csv.write_text("t,xi\n0,abc\n0.02,1\n")
         assert main(["estimate", "--input", str(csv)]) == 3
 
+    @pytest.mark.parametrize("form", ["ito", "endpoint", "both"])
+    def test_nan_value_exits_3(self, tmp_path, capsys, form):
+        csv = tmp_path / "p.csv"
+        main(["simulate", "--theta", "1", "--t-end", "2", "--dt", "0.02",
+              "--seed", "3", "--out", str(csv)])
+        lines = csv.read_text().splitlines()
+        t = lines[40].split(",")[0]
+        lines[40] = f"{t},nan"
+        csv.write_text("\n".join(lines) + "\n")
+        assert main(["estimate", "--input", str(csv), "--form", form]) == 3
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("form", ["ito", "endpoint", "both"])
+    def test_overflowing_sums_exit_3(self, tmp_path, capsys, form):
+        # finite values whose squares overflow: the denominator would be infinite
+        csv = tmp_path / "big.csv"
+        rows = "\n".join(f"{0.02 * i:.17g},{(-1) ** i * 1e308:.17g}" for i in range(101))
+        csv.write_text("t,xi\n" + rows + "\n")
+        assert main(["estimate", "--input", str(csv), "--form", form]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "not finite" in captured.err
+
 
 class TestNormsCommand:
     def test_norm_table_values(self, capsys):
@@ -331,6 +363,46 @@ class TestExperimentCommand:
         assert z_lines[0] == "theta,T,replicate,z"
         assert len(z_lines) == 1 + SMALL["replicates"]
         assert (out / "lil_coverage.json").exists()
+
+    def test_normality_simulates_its_grid_once(self, tmp_path, monkeypatch):
+        import oufar.experiments as exp
+
+        config = load_experiment_config(SMALL)
+        # each report on its own, each drawing the grid's paths itself
+        expected = {
+            "normality.json": report_json_text(standardized_errors(config)),
+            "lil_coverage.json": report_json_text(lil_coverage(config)),
+        }
+        calls = []
+        real = exp.collect_cells
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "collect_cells", counting)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL))
+        out = tmp_path / "results"
+        assert main(["experiment", "normality", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(calls) == 1
+        for name, text in expected.items():
+            assert (out / name).read_text() == text
+
+    def test_short_normality_horizon_exits_2_before_simulating(self, tmp_path, monkeypatch, capsys):
+        import oufar.experiments as exp
+
+        def no_simulation(*args, **kwargs):
+            raise AssertionError("paths drawn for a rejected config")
+
+        monkeypatch.setattr(exp, "collect_cells", no_simulation)
+        cfg = tmp_path / "cfg.json"
+        # T = 2 < e: the iterated-logarithm envelope of lil_coverage is undefined
+        cfg.write_text(json.dumps({"thetas": [1.0], "horizons": [2.0], "replicates": 3}))
+        out = tmp_path / "r"
+        assert main(["experiment", "normality", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "log log T" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
