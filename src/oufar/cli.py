@@ -31,9 +31,10 @@ from .experiments import (
 )
 from .functional import k0, operator_distance_b, operator_distance_h, rho_norm_b, rho_norm_h
 from .mle import theta_endpoint_from_values, theta_ito_from_values
-from .ou_process import OuParams, TimeGrid, sample_euler, sample_exact
+from .ou_process import OuParams, TimeGrid, positive_finite, sample_euler, sample_exact
 from .reporting import (
     SCHEMA_VERSION,
+    atomic_write,
     estimated_steps,
     fmt,
     read_path_csv,
@@ -111,12 +112,12 @@ def _json_text(doc: dict) -> str:
     return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
 
 
-def _all_finite(doc: dict) -> bool:
-    """True when every float in ``doc``, nested dicts included, is finite."""
+def _all_finite(doc: dict | list) -> bool:
+    """True when every float in ``doc``, nested dicts and lists included, is finite."""
     return all(
-        _all_finite(v) if isinstance(v, dict) else math.isfinite(v)
-        for v in doc.values()
-        if isinstance(v, (dict, float))
+        _all_finite(v) if isinstance(v, (dict, list)) else math.isfinite(v)
+        for v in (doc.values() if isinstance(doc, dict) else doc)
+        if isinstance(v, (dict, list, float))
     )
 
 
@@ -125,10 +126,15 @@ def _emit(text: str, out: str | None) -> None:
         sys.stdout.write(text)
     else:
         Path(out).parent.mkdir(parents=True, exist_ok=True)
-        Path(out).write_text(text)
+        atomic_write(out, [text])
 
 
 def _cmd_simulate(args) -> int:
+    flags = (args.theta, args.mu, args.sigma, args.t_end, args.dt, args.x0)
+    if not all(map(math.isfinite, flags)):
+        print("error: --theta, --mu, --sigma, --t-end, --dt and --x0 must be finite",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.stationary and args.scheme != "exact":
         print("error: --stationary requires --scheme exact", file=sys.stderr)
         return EXIT_USAGE
@@ -208,31 +214,38 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    if args.theta <= 0.0 or args.h <= 0.0 or args.k_max < 1:
-        print("error: need theta > 0, h > 0, k-max >= 1", file=sys.stderr)
+    if not (positive_finite(args.theta) and positive_finite(args.h)) or args.k_max < 1:
+        print("error: need finite theta > 0, finite h > 0, k-max >= 1", file=sys.stderr)
         return EXIT_USAGE
-    if args.theta_hat is not None and args.theta_hat <= 0.0:
-        print("error: theta-hat must be positive", file=sys.stderr)
+    if args.theta_hat is not None and not positive_finite(args.theta_hat):
+        print("error: theta-hat must be positive and finite", file=sys.stderr)
         return EXIT_USAGE
-    rows = [
-        {
-            "k": k,
-            "rho_norm_H": rho_norm_h(args.theta, k, args.h),
-            "rho_norm_B": rho_norm_b(args.theta, k, args.h),
+    try:
+        rows = [
+            {
+                "k": k,
+                "rho_norm_H": rho_norm_h(args.theta, k, args.h),
+                "rho_norm_B": rho_norm_b(args.theta, k, args.h),
+            }
+            for k in range(1, args.k_max + 1)
+        ]
+        doc = {
+            "theta": args.theta,
+            "h": args.h,
+            "k0": k0(args.theta),
+            "norms": rows,
+            "schema_version": SCHEMA_VERSION,
         }
-        for k in range(1, args.k_max + 1)
-    ]
-    doc = {
-        "theta": args.theta,
-        "h": args.h,
-        "k0": k0(args.theta),
-        "norms": rows,
-        "schema_version": SCHEMA_VERSION,
-    }
-    if args.theta_hat is not None:
-        doc["theta_hat"] = args.theta_hat
-        doc["operator_distance_H"] = operator_distance_h(args.theta, args.theta_hat, args.h)
-        doc["operator_distance_B"] = operator_distance_b(args.theta, args.theta_hat, args.h)
+        if args.theta_hat is not None:
+            doc["theta_hat"] = args.theta_hat
+            doc["operator_distance_H"] = operator_distance_h(args.theta, args.theta_hat, args.h)
+            doc["operator_distance_B"] = operator_distance_b(args.theta, args.theta_hat, args.h)
+    except OverflowError:  # e.g. k0 = ceil(1/theta + 1) of a subnormal theta
+        doc = None
+    if doc is None or not _all_finite(doc):
+        print("error: theta, h or theta-hat out of range: the norms are not finite",
+              file=sys.stderr)
+        return EXIT_USAGE
     if args.format == "json":
         text = _json_text(doc)
     else:
@@ -306,7 +319,7 @@ def _cmd_experiment(args) -> int:
             write_report(lil, out_dir, basename="lil_coverage", formats=formats)
             if "csv" in formats:
                 # the z CSV carries its spec name alongside normality.csv
-                (Path(out_dir) / "standardized_errors.csv").write_text(report_csv_text(report))
+                atomic_write(Path(out_dir) / "standardized_errors.csv", [report_csv_text(report)])
     except OSError as exc:
         print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE

@@ -27,7 +27,15 @@ from scipy import stats
 
 from .errors import DomainError, ZeroDenominator
 from .mle import asymptotic_std, lil_envelope, theta_ito_from_sums, theta_ito_from_values
-from .ou_process import SCHEMES, OuParams, TimeGrid, sample_euler, sample_exact
+from .ou_process import (
+    SCHEMES,
+    OuParams,
+    TimeGrid,
+    grid_multiple,
+    positive_finite,
+    sample_euler,
+    sample_exact,
+)
 from .predict import error_bound_b, error_bound_h
 
 _MASK64 = (1 << 64) - 1
@@ -72,9 +80,9 @@ def derive_replicate_seed(
     return _splitmix64(_splitmix64(master_seed & _MASK64) ^ packed)
 
 
-def _is_multiple(value: float, step: float) -> bool:
-    ratio = value / step
-    return abs(ratio - round(ratio)) <= 1e-9 * max(ratio, 1.0) and round(ratio) >= 1
+def _is_count(x) -> bool:
+    """A Python int that is not a bool (JSON true would otherwise pass as 1)."""
+    return isinstance(x, int) and not isinstance(x, bool)
 
 
 @dataclass(frozen=True)
@@ -103,16 +111,17 @@ class ExperimentConfig:
     def __post_init__(self):
         object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
         object.__setattr__(self, "horizons", tuple(float(t) for t in self.horizons))
-        if not self.thetas or any(t <= 0.0 for t in self.thetas):
-            raise DomainError(f"thetas must be positive: {self.thetas}")
-        if not self.horizons or any(t <= 0.0 for t in self.horizons):
-            raise DomainError(f"horizons must be positive: {self.horizons}")
-        if self.dt <= 0.0 or self.h <= 0.0 or self.epsilon <= 0.0:
-            raise DomainError("dt, h, and epsilon must be positive")
-        if self.band_k < 0.0 or self.lil_multiplier <= 0.0:
-            raise DomainError("band_k must be >= 0 and lil_multiplier > 0")
-        if self.replicates < 1:
-            raise DomainError(f"need at least one replicate, got {self.replicates}")
+        if not self.thetas or not all(map(positive_finite, self.thetas)):
+            raise DomainError(f"thetas must be positive and finite: {self.thetas}")
+        if not self.horizons or not all(map(positive_finite, self.horizons)):
+            raise DomainError(f"horizons must be positive and finite: {self.horizons}")
+        if not all(map(positive_finite, (self.dt, self.h, self.epsilon))):
+            raise DomainError("dt, h, and epsilon must be positive and finite")
+        band_k_ok = self.band_k >= 0.0 and math.isfinite(self.band_k)
+        if not (band_k_ok and positive_finite(self.lil_multiplier)):
+            raise DomainError("band_k must be finite and >= 0, lil_multiplier finite and > 0")
+        if not _is_count(self.replicates) or self.replicates < 1:
+            raise DomainError(f"replicates must be an integer >= 1, got {self.replicates!r}")
         if self.scheme not in SCHEMES:
             raise DomainError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.scheme == "euler":
@@ -122,14 +131,14 @@ class ExperimentConfig:
                     f"euler scheme diverges for theta={unstable} at dt={self.dt}: "
                     "need |1 - theta*dt| < 1"
                 )
-        if not isinstance(self.master_seed, int) or not 0 <= self.master_seed <= _MASK64:
+        if not _is_count(self.master_seed) or not 0 <= self.master_seed <= _MASK64:
             raise DomainError("master_seed must be an integer in [0, 2^64)")
-        if not _is_multiple(self.h, self.dt):
+        if grid_multiple(self.h, self.dt) is None:
             raise DomainError(f"h={self.h} must be an integer multiple of dt={self.dt}")
         for t_end in self.horizons:
-            if not _is_multiple(t_end, self.dt):
+            if grid_multiple(t_end, self.dt) is None:
                 raise DomainError(f"T={t_end} is not a multiple of dt={self.dt}")
-            if not _is_multiple(t_end, self.h):
+            if grid_multiple(t_end, self.h) is None:
                 raise DomainError(f"T={t_end} is not a multiple of h={self.h}")
 
     def to_dict(self) -> dict:

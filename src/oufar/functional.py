@@ -22,7 +22,7 @@ import numpy as np
 from scipy.special import gammainc
 
 from .errors import DomainError, GridMismatch
-from .ou_process import SamplePath
+from .ou_process import SamplePath, grid_multiple
 
 
 @dataclass(frozen=True)
@@ -304,9 +304,8 @@ def segment_path(path: SamplePath, h: float) -> list[FunctionalSegment]:
     X_n(0) == X_{n-1}(h) bit-exactly.
     """
     dt = path.grid.dt
-    ratio = h / dt
-    m = int(round(ratio))
-    if m < 1 or abs(ratio - m) > 1e-9 * max(ratio, 1.0):
+    m = grid_multiple(h, dt)
+    if m is None:
         raise GridMismatch(f"segment length {h} is not a multiple of path step {dt}")
     n_segments = path.grid.n_steps // m
     if n_segments < 1:

@@ -23,6 +23,11 @@ from .errors import DomainError, GridMismatch
 SCHEMES = ("euler", "exact")
 
 
+def positive_finite(x: float) -> bool:
+    """x > 0 and finite; false for NaN, which fails every comparison."""
+    return x > 0.0 and math.isfinite(x)
+
+
 @dataclass(frozen=True)
 class OuParams:
     """Drift/scale parameters (theta, mu, sigma), theta and sigma positive."""
@@ -32,9 +37,9 @@ class OuParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not (self.theta > 0.0) or not math.isfinite(self.theta):
+        if not positive_finite(self.theta):
             raise DomainError(f"theta must be positive, got {self.theta}")
-        if not (self.sigma > 0.0) or not math.isfinite(self.sigma):
+        if not positive_finite(self.sigma):
             raise DomainError(f"sigma must be positive, got {self.sigma}")
         if not math.isfinite(self.mu):
             raise DomainError(f"mu must be finite, got {self.mu}")
@@ -46,6 +51,19 @@ class OuParams:
     @property
     def stationary_std(self) -> float:
         return math.sqrt(self.stationary_variance)
+
+
+def grid_multiple(value: float, step: float) -> int | None:
+    """n >= 1 when ``value`` is n times ``step`` within 1e-9 relative, else None.
+
+    The one test of "integer multiple" for grids, segment lengths and
+    experiment horizons.
+    """
+    ratio = value / step
+    n = int(round(ratio))
+    if n < 1 or abs(ratio - n) > 1e-9 * max(ratio, 1.0):
+        return None
+    return n
 
 
 @dataclass(frozen=True)
@@ -64,9 +82,8 @@ class TimeGrid:
     def __post_init__(self):
         if not (self.t_end > 0.0) or not (self.dt > 0.0):
             raise GridMismatch(f"t_end and dt must be positive, got {self.t_end}, {self.dt}")
-        ratio = self.t_end / self.dt
-        n = int(round(ratio))
-        if n < 1 or abs(ratio - n) > 1e-9 * max(ratio, 1.0):
+        n = grid_multiple(self.t_end, self.dt)
+        if n is None:
             raise GridMismatch(f"t_end={self.t_end} is not an integer multiple of dt={self.dt}")
         object.__setattr__(self, "n_steps", n)
 

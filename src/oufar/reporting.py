@@ -6,6 +6,9 @@ CSVs) never contain volatile data; wall time and worker count go to a
 separate ``*.run.json`` so re-running with the same master seed produces
 byte-identical reports.
 
+Every file is written atomically: into a temporary file beside the target,
+then renamed over it, so an interrupted run leaves the old file or none.
+
 CSV schemas (header line included, LF line endings):
 
 * path:                ``t,xi``
@@ -24,8 +27,10 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import time
 from dataclasses import fields
+from itertools import chain, dropwhile, islice
 from pathlib import Path
 
 import numpy as np
@@ -53,6 +58,34 @@ def fmt(x) -> str:
     if isinstance(x, (int, np.integer)) and not isinstance(x, bool):
         return str(int(x))
     return format(float(x), ".17g")
+
+
+def atomic_write(target, chunks) -> None:
+    """Write the text ``chunks`` to ``target`` through a temporary file beside it.
+
+    The temporary file is renamed over ``target`` only after every chunk is
+    written, and removed if writing fails, so ``target`` is either complete
+    or left as it was.  A target that exists and is not a regular file (a
+    terminal or pipe such as /dev/stdout) cannot be replaced and is written
+    in place.
+    """
+    target = Path(target)
+    if target.exists() and not target.is_file():
+        with target.open("w") as f:
+            f.writelines(chunks)
+        return
+    target = Path(os.path.realpath(target))  # replace a symlink's target, not the link
+    tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
+    # O_EXCL: never write through a file or link already there; 0o666 lets the
+    # umask set the mode a plain open() would give the target
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+    try:
+        with os.fdopen(fd, "w") as f:
+            f.writelines(chunks)
+        os.replace(tmp, target)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def config_hash(config: ExperimentConfig) -> str:
@@ -137,22 +170,43 @@ def write_report(
     paths = {"run": out_dir / f"{basename}.run.json"}
     if "json" in formats:
         paths["json"] = out_dir / f"{basename}.json"
-        paths["json"].write_text(report_json_text(report))
+        atomic_write(paths["json"], [report_json_text(report)])
     if "csv" in formats:
         paths["csv"] = out_dir / f"{basename}.csv"
-        paths["csv"].write_text(report_csv_text(report))
+        atomic_write(paths["csv"], [report_csv_text(report)])
     run_doc = {
         "wall_time_s": report.wall_time_s,
         "n_workers": report.n_workers,
         "finished_unix": time.time(),
     }
-    paths["run"].write_text(json.dumps(run_doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    run_text = json.dumps(run_doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    atomic_write(paths["run"], [run_text])
     return paths
 
 
+# rows per block of the path CSV writer and reader: besides the path's own
+# values they hold one block of text and row objects, never a string or a
+# Python list for the whole path
+_BLOCK_ROWS = 1 << 14
+
+_PATH_ROW = "{:.17g},{:.17g}\n".format  # the same digits as fmt()
+
+
+def _path_csv_blocks(path: SamplePath):
+    """The ``t,xi`` CSV text of ``path``: the header, then one string per row block.
+
+    The time column of rows i..j-1 is ``np.arange(i, j) * dt``, the same
+    doubles as ``path.grid.times()[i:j]``.
+    """
+    yield "t,xi\n"
+    values, dt = path.values, path.grid.dt
+    for i in range(0, values.size, _BLOCK_ROWS):
+        j = min(i + _BLOCK_ROWS, values.size)
+        yield "".join(map(_PATH_ROW, (np.arange(i, j) * dt).tolist(), values[i:j].tolist()))
+
+
 def path_csv_text(path: SamplePath) -> str:
-    t = path.grid.times()
-    return _csv_text(("t", "xi"), zip(t, path.values))
+    return "".join(_path_csv_blocks(path))
 
 
 def path_sidecar(path: SamplePath, seed: int, extra: dict | None = None) -> dict:
@@ -183,32 +237,81 @@ def write_path_csv(path: SamplePath, outfile, seed: int, extra: dict | None = No
     """Write the ``t,xi`` CSV plus a ``.meta.json`` sidecar with full provenance."""
     outfile = Path(outfile)
     outfile.parent.mkdir(parents=True, exist_ok=True)
-    outfile.write_text(path_csv_text(path))
+    atomic_write(outfile, _path_csv_blocks(path))
     sidecar = outfile.with_suffix(outfile.suffix + ".meta.json")
     doc = path_sidecar(path, seed, extra)
-    sidecar.write_text(json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    atomic_write(sidecar, [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"])
+
+
+def _line_blocks(f):
+    """Lines of the text file ``f`` in blocks of up to _BLOCK_ROWS file lines.
+
+    Each block is split with str.splitlines and ends at a newline, so the
+    blocks hold the same lines as splitlines() of the whole text.
+    """
+    while lines := list(islice(f, _BLOCK_ROWS)):
+        yield "".join(lines).splitlines()
+
+
+def _parse_rows(infile, lines: list[str]) -> np.ndarray:
+    """(m, 2) float64 array of m ``t,xi`` rows, each field parsed by float()."""
+    rows = [line.split(",") for line in lines]
+    if set(map(len, rows)) != {2}:
+        raise GridMismatch(f"{infile}: need exactly two fields per row")
+    try:
+        data = np.fromiter(map(float, chain.from_iterable(rows)), np.float64, 2 * len(rows))
+    except ValueError as exc:
+        raise GridMismatch(f"{infile}: malformed CSV row ({exc})") from exc
+    return data.reshape(-1, 2)
 
 
 def read_path_csv(infile) -> tuple[np.ndarray, float]:
-    """Load a ``t,xi`` CSV; returns (values, dt) after checking uniform spacing."""
+    """Load a ``t,xi`` CSV; returns (values, dt) after checking uniform spacing.
+
+    The file is parsed in blocks of rows, so memory holds the values (8
+    bytes a row, twice while the blocks are joined) plus one block.  Blank
+    lines before the header and after the last row are ignored, as are
+    leading and trailing spaces; a blank line between rows is rejected.
+    Checks, in order: the header, two fields per row, each value a float,
+    every value finite, and a uniform positive time step (1e-9 relative).
+    """
     infile = Path(infile)
-    raw = infile.read_text().strip().splitlines()
-    if not raw or raw[0].strip() != "t,xi":
+    header = False
+    blank = False  # whitespace-only lines since the last row
+    xi_blocks, t_last, dt = [], None, None
+    with infile.open() as f:  # universal newlines, as Path.read_text
+        for lines in _line_blocks(f):
+            if not header:
+                lines = list(dropwhile(lambda line: not line.strip(), lines))
+                if not lines:
+                    continue
+                if lines[0].strip() != "t,xi":
+                    break
+                header, lines = True, lines[1:]
+            n_rows = len(lines)  # up to the last line that is not blank
+            while n_rows and not lines[n_rows - 1].strip():
+                n_rows -= 1
+            if n_rows and blank:
+                raise GridMismatch(f"{infile}: blank line between rows")
+            blank = blank or n_rows < len(lines)
+            if not n_rows:
+                continue
+            data = _parse_rows(infile, lines[:n_rows])
+            if not np.isfinite(data).all():
+                raise GridMismatch(f"{infile}: values must be finite")
+            t = data[:, 0]
+            steps = np.diff(t) if t_last is None else np.diff(t, prepend=t_last)
+            if dt is None and steps.size:
+                dt = steps[0]
+            if dt is not None and (dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0))):
+                raise GridMismatch(f"{infile}: time column is not uniformly spaced")
+            t_last = t[-1]
+            xi_blocks.append(data[:, 1].copy())
+    if not header:
         raise GridMismatch(f"{infile}: expected header 't,xi'")
-    try:
-        data = np.array([[float(f) for f in line.split(",")] for line in raw[1:]])
-    except ValueError as exc:
-        raise GridMismatch(f"{infile}: malformed CSV row ({exc})") from exc
-    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
-        raise GridMismatch(f"{infile}: need two columns and at least two rows")
-    if not np.all(np.isfinite(data)):
-        raise GridMismatch(f"{infile}: values must be finite")
-    t, xi = data[:, 0], data[:, 1]
-    steps = np.diff(t)
-    dt = steps[0]
-    if dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0)):
-        raise GridMismatch(f"{infile}: time column is not uniformly spaced")
-    return xi, float(dt)
+    if dt is None:
+        raise GridMismatch(f"{infile}: need at least two rows")
+    return np.concatenate(xi_blocks), float(dt)
 
 
 def segments_csv_text(segments: list[FunctionalSegment]) -> str:
@@ -220,7 +323,7 @@ def segments_csv_text(segments: list[FunctionalSegment]) -> str:
 
 
 def write_segments_csv(segments: list[FunctionalSegment], outfile) -> None:
-    Path(outfile).write_text(segments_csv_text(segments))
+    atomic_write(outfile, [segments_csv_text(segments)])
 
 
 def predictions_csv_text(records: list[tuple[int, PredictionRecord, FunctionalSegment | None]]) -> str:
@@ -237,7 +340,7 @@ def predictions_csv_text(records: list[tuple[int, PredictionRecord, FunctionalSe
 
 
 def write_predictions_csv(records, outfile) -> None:
-    Path(outfile).write_text(predictions_csv_text(records))
+    atomic_write(outfile, [predictions_csv_text(records)])
 
 
 # experiment profiles: "desk" finishes on a laptop in minutes, "full" mirrors

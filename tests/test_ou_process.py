@@ -19,6 +19,7 @@ from oufar import (
     sample_exact,
     stationary_density,
 )
+from oufar.ou_process import grid_multiple
 
 params_st = st.builds(
     OuParams,
@@ -49,6 +50,17 @@ class TestTimeGrid:
     def test_rejects_misaligned(self):
         with pytest.raises(GridMismatch):
             TimeGrid(t_end=1.0, dt=0.3)
+
+    @given(
+        st.one_of(st.floats(1e-6, 1e6), st.integers(1, 10**6).map(lambda n: n * 0.02)),
+        st.sampled_from([0.02, 0.1, 0.3, 1.0, 7.0, 1e-3]),
+    )
+    def test_grid_multiple_matches_former_checks(self, value, step):
+        # the rule TimeGrid, segment_path and the experiment config each spelled out before
+        ratio = value / step
+        n = int(round(ratio))
+        expected = n if n >= 1 and abs(ratio - n) <= 1e-9 * max(ratio, 1.0) else None
+        assert grid_multiple(value, step) == expected
 
     def test_path_length_validated(self):
         from oufar import SamplePath

@@ -1,10 +1,15 @@
+import hashlib
 import json
 import math
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
+
+import oufar.reporting as reporting
 
 from oufar import (
     ExperimentConfig,
@@ -21,6 +26,7 @@ from oufar import (
 )
 from oufar.cli import main
 from oufar.errors import GridMismatch
+from oufar.ou_process import SamplePath
 from oufar.reporting import (
     config_hash,
     estimated_steps,
@@ -122,6 +128,154 @@ class TestPathCsv:
         bad.write_text(f"t,xi\n0,1\n0.02,{value}\n0.04,1\n")
         with pytest.raises(GridMismatch, match="finite"):
             read_path_csv(bad)
+
+
+def _reference_read_path_csv(infile) -> tuple[np.ndarray, float]:
+    """The whole-text reader that the block reader replaced, kept verbatim as its oracle."""
+    infile = Path(infile)
+    raw = infile.read_text().strip().splitlines()
+    if not raw or raw[0].strip() != "t,xi":
+        raise GridMismatch(f"{infile}: expected header 't,xi'")
+    try:
+        data = np.array([[float(f) for f in line.split(",")] for line in raw[1:]])
+    except ValueError as exc:
+        raise GridMismatch(f"{infile}: malformed CSV row ({exc})") from exc
+    if data.ndim != 2 or data.shape[1] != 2 or data.shape[0] < 2:
+        raise GridMismatch(f"{infile}: need two columns and at least two rows")
+    if not np.all(np.isfinite(data)):
+        raise GridMismatch(f"{infile}: values must be finite")
+    t, xi = data[:, 0], data[:, 1]
+    steps = np.diff(t)
+    dt = steps[0]
+    if dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0)):
+        raise GridMismatch(f"{infile}: time column is not uniformly spaced")
+    return xi, float(dt)
+
+
+def _read_outcome(read, infile):
+    """(xi bytes, dt bytes) of a read, or None when it raises GridMismatch."""
+    try:
+        xi, dt = read(infile)
+    except GridMismatch:
+        return None
+    return np.ascontiguousarray(xi).tobytes(), np.float64(dt).tobytes()
+
+
+_BLANK = st.sampled_from(["", " ", "\t", "  \t "])
+_VALUE = st.one_of(
+    st.floats(width=64).map("{:.17g}".format),  # nan, inf, -0, subnormals included
+    st.floats(-1e3, 1e3).map(repr),
+    st.sampled_from(["nan", "inf", "-inf", "", "abc", " 1.5 ", "1_0", "1e400", "-0"]),
+)
+
+
+@st.composite
+def _path_csv_files(draw):
+    """Text of a path CSV, mostly valid, with the defects the reader must reject or accept."""
+    dt = draw(st.sampled_from([0.02, 0.5, 1.0, 3e-7]))
+    n_rows = draw(st.sampled_from([0, 1, 2, 3, 7, 8, 9, 15, 16, 17, 40]))
+    header = "t,xi" if draw(st.integers(0, 9)) else draw(st.sampled_from(["t,x", "time,xi", "xi,t"]))
+    lines = [" " * draw(st.integers(0, 1)) + header]
+    for i in range(n_rows):
+        t = "{:.17g}".format(i * dt)
+        if draw(st.integers(0, 63)) == 0:
+            t = draw(st.one_of(_VALUE, st.just("{:.17g}".format((i + 0.5) * dt))))
+        x = draw(_VALUE) if draw(st.integers(0, 31)) == 0 else "{:.17g}".format(draw(st.floats(-1e6, 1e6)))
+        fields = [t, x]
+        n_fields = 2 if draw(st.integers(0, 63)) else draw(st.sampled_from([1, 3]))
+        lines.append(",".join((fields + [x])[:n_fields]))
+        if draw(st.integers(0, 127)) == 0:
+            lines.append(draw(_BLANK))  # a blank line between rows
+    lead = draw(st.lists(_BLANK, max_size=3))
+    trail = draw(st.lists(_BLANK, max_size=3))
+    eol = draw(st.sampled_from(["\n", "\r\n", "\r"]))
+    final = draw(st.sampled_from([eol, ""]))
+    return eol.join(lead + lines + trail) + final
+
+
+class TestPathCsvOracle:
+    """The block reader accepts and rejects exactly what the whole-text reader did."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(text=_path_csv_files(), block=st.sampled_from([1, 2, 3, 8, 16]))
+    def test_matches_whole_text_reader(self, text, block):
+        with tempfile.TemporaryDirectory() as tmp:
+            csv = Path(tmp) / "p.csv"
+            csv.write_bytes(text.encode())
+            expected = _read_outcome(_reference_read_path_csv, csv)
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(reporting, "_BLOCK_ROWS", block)  # rows straddle block ends
+                assert _read_outcome(read_path_csv, csv) == expected
+
+    @pytest.mark.parametrize("extra", [-1, 0, 1])
+    @pytest.mark.parametrize("blank_at", [None, "boundary", "end"])
+    def test_rows_at_block_multiples(self, tmp_path, extra, blank_at):
+        n = 2 * reporting._BLOCK_ROWS + extra
+        rng = np.random.default_rng(n)
+        lines = ["t,xi"] + [f"{0.02 * i:.17g},{x:.17g}" for i, x in enumerate(rng.standard_normal(n))]
+        if blank_at == "boundary":
+            lines.insert(reporting._BLOCK_ROWS, "")  # the last line of the first block
+        elif blank_at == "end":
+            lines += ["", "  "]
+        csv = tmp_path / "p.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        expected = _read_outcome(_reference_read_path_csv, csv)
+        assert _read_outcome(read_path_csv, csv) == expected
+        assert (expected is None) == (blank_at == "boundary")
+
+
+class TestPathCsvStreaming:
+    # sha256 of `oufar simulate --theta 0.7 --t-end 200 --dt 0.02 --seed 1` CSV bytes,
+    # computed with the whole-text writer before the block writer replaced it
+    GOLDEN = {
+        "euler": "48673391a9f30491ab92e8c89ad4a57bfd839eab0c8de4fa05fbc3ae3e990909",
+        "exact": "8eb31f83a432b30b18cea59b100760efb2638d3b1644a183e61a270214fbebf1",
+    }
+
+    @pytest.mark.parametrize("block", [None, 999])  # 10001 rows: one block, or eleven
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_simulate_golden_bytes(self, tmp_path, monkeypatch, scheme, block):
+        if block is not None:
+            monkeypatch.setattr(reporting, "_BLOCK_ROWS", block)
+        out = tmp_path / "p.csv"
+        assert main(["simulate", "--theta", "0.7", "--t-end", "200", "--dt", "0.02",
+                     "--scheme", scheme, "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[scheme]
+
+    def test_extreme_values_round_trip(self, tmp_path):
+        tiny = np.nextafter(0.0, 1.0)
+        values = np.array([-0.0, 0.0, tiny, -tiny, 2.2250738585072009e-308, 1e308, -1e308,
+                           np.finfo(float).max, -np.finfo(float).max, 1.0])
+        path = SamplePath(grid=TimeGrid(0.5 * (values.size - 1), 0.5), values=values,
+                          params=None, scheme="euler")
+        out = tmp_path / "p.csv"
+        write_path_csv(path, out, seed=0)
+        assert out.read_text() == path_csv_text(path)
+        got, dt = read_path_csv(out)
+        assert got.tobytes() == values.tobytes()  # the sign of -0.0 included
+        assert dt == 0.5
+
+    @pytest.mark.parametrize("existed", [False, True])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, existed):
+        monkeypatch.setattr(reporting, "_BLOCK_ROWS", 16)
+        calls = []
+
+        def failing_row(t, x):
+            calls.append(t)
+            if len(calls) > 16:
+                raise RuntimeError("formatter fails after the first block")
+            return f"{t!r},{x!r}\n"
+
+        monkeypatch.setattr(reporting, "_PATH_ROW", failing_row)
+        out = tmp_path / "p.csv"
+        if existed:
+            out.write_text("old contents\n")
+        with pytest.raises(RuntimeError):
+            write_path_csv(_make_path(), out, seed=1)
+        assert len(calls) == 17
+        assert sorted(p.name for p in tmp_path.iterdir()) == (["p.csv"] if existed else [])
+        if existed:
+            assert out.read_text() == "old contents\n"
 
 
 class TestFunctionalCsv:
@@ -329,6 +483,27 @@ class TestNormsCommand:
     def test_nonpositive_theta_exits_2(self):
         assert main(["norms", "--theta", "-1", "--h", "1"]) == 2
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["norms", "--theta", "nan", "--h", "1"],
+            ["norms", "--theta", "1e-320", "--h", "1"],  # k0 = ceil(1/theta + 1) overflows
+            ["norms", "--theta", "inf", "--h", "1"],
+            ["norms", "--theta", "inf", "--h", "1", "--format", "csv"],
+            ["norms", "--theta", "1e308", "--h", "1e308"],  # finite flags, NaN norms
+            ["norms", "--theta", "1e308", "--h", "1e308", "--format", "csv"],
+            ["norms", "--theta", "0.7", "--h", "1", "--theta-hat", "nan"],
+            ["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02", "--x0", "nan",
+             "--seed", "1"],
+            ["simulate", "--theta", "1", "--t-end", "inf", "--dt", "0.02", "--seed", "1"],
+        ],
+    )
+    def test_nonfinite_or_overflowing_flags_exit_2(self, tmp_path, capsys, argv):
+        out = tmp_path / "out"
+        assert main(argv + ["--out", str(out)]) == 2  # an exception would fail the test
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
 
 class TestExperimentCommand:
     def test_config_file_run(self, tmp_path):
@@ -454,6 +629,26 @@ class TestExperimentCommand:
         cfg.write_text(json.dumps(SMALL | {"formats": ["xml"]}))
         assert main(["experiment", "band-coverage", "--config", str(cfg),
                      "--out", str(tmp_path / "r")]) == 2
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            '{"thetas":[NaN],"horizons":[100.0],"replicates":2}',
+            '{"thetas":[0.7],"horizons":[Infinity],"replicates":2}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"dt":NaN}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"band_k":Infinity}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2.5}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":true}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"master_seed":true}',
+        ],
+    )
+    def test_nonfinite_or_untyped_config_exits_2(self, tmp_path, capsys, text):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(text)
+        out = tmp_path / "r"
+        assert main(["experiment", "emse", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "bad config" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_diverging_euler_config_exits_2(self, tmp_path, capsys):
         # theta*dt = 4: the Euler factor 1 - theta*dt = -3 would blow the path up
