@@ -2,7 +2,8 @@
 
 Subcommands: ``simulate`` (write a path CSV + provenance sidecar),
 ``estimate`` (MLE of theta from a path CSV), ``norms`` (operator norm /
-distance tables), and ``experiment`` (Monte Carlo reports).
+distance tables), and ``experiment`` (Monte Carlo reports of one experiment
+kind, or of ``all`` kinds in turn).
 
 Exit codes: 0 success; 2 invalid flags or configuration; 3 grid mismatch or
 unreadable input; 4 estimator denominator vanished; 5 unwritable output.
@@ -11,6 +12,7 @@ unreadable input; 4 estimator denominator vanished; 5 unwritable output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import os
@@ -22,12 +24,12 @@ import numpy as np
 from . import __version__
 from .errors import DomainError, GridMismatch, ZeroDenominator
 from .experiments import (
-    check_lil_horizons,
-    lil_coverage,
-    run_band_coverage,
-    run_emse,
-    run_predictor_bound,
-    standardized_errors,
+    EXPERIMENTS,
+    PROFILES,
+    check_report,
+    lil_coverage,  # noqa: F401  unused here; perfbench/run.py wraps cli.lil_coverage
+    run_report,
+    simulation_grid,
 )
 from .functional import k0, operator_distance_b, operator_distance_h, rho_norm_b, rho_norm_h
 from .mle import theta_endpoint_from_values, theta_ito_from_values
@@ -38,7 +40,6 @@ from .reporting import (
     estimated_steps,
     fmt,
     read_path_csv,
-    report_csv_text,
     resolve_cli_config,
     write_path_csv,
     write_report,
@@ -91,11 +92,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
     p_exp.add_argument(
-        "kind", choices=("band-coverage", "emse", "predictor-bound", "normality")
+        "kind", choices=(*EXPERIMENTS, "all"),
+        help="an experiment kind, or all of them in turn (each distinct grid simulated once)",
     )
     src = p_exp.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="JSON config file (keys mirror ExperimentConfig)")
-    src.add_argument("--profile", choices=("desk", "full"))
+    src.add_argument("--profile", choices=PROFILES)
     p_exp.add_argument("--out", help="output directory (overrides the config out_dir)")
     p_exp.add_argument(
         "--threads", type=int, default=1,
@@ -266,15 +268,15 @@ def _cmd_norms(args) -> int:
     return EXIT_OK
 
 
+# each kind's main report, reduced from a fresh simulation of its grid
 _RUNNERS = {
-    "band-coverage": run_band_coverage,
-    "emse": run_emse,
-    "predictor-bound": run_predictor_bound,
-    "normality": standardized_errors,
+    kind: functools.partial(run_report, next(iter(experiment.reports)))
+    for kind, experiment in EXPERIMENTS.items()
 }
 
 
 def _cmd_experiment(args) -> int:
+    kinds = tuple(EXPERIMENTS) if args.kind == "all" else (args.kind,)
     overrides = {"master_seed": args.master_seed, "replicates": args.replicates}
     try:
         if args.config is not None:
@@ -285,9 +287,12 @@ def _cmd_experiment(args) -> int:
                 return EXIT_USAGE
         else:
             doc = {"profile": args.profile}
-        config, out_dir, formats, profile = resolve_cli_config(args.kind, doc, overrides)
-        if args.kind == "normality":
-            check_lil_horizons(config)  # its lil_coverage report needs every T > e
+        plan = []  # every config is resolved and checked before the first path is drawn
+        for kind in kinds:
+            config, out_dir, formats, profile = resolve_cli_config(kind, doc, overrides)
+            for name in EXPERIMENTS[kind].reports:
+                check_report(name, config)  # lil_coverage needs every T > e
+            plan.append((kind, config))
     except (ValueError, DomainError) as exc:
         print(f"error: bad config: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -296,39 +301,37 @@ def _cmd_experiment(args) -> int:
         print("error: no output directory (set --out or out_dir in the config)", file=sys.stderr)
         return EXIT_USAGE
 
-    steps = estimated_steps(config)
+    grids = {simulation_grid(config): config for _, config in plan}
+    steps = sum(map(estimated_steps, grids.values()))
     if profile == "full" or steps > _COST_GUARD_STEPS:
-        print(
-            f"planned work: {steps:.3e} simulation steps "
-            f"({len(config.thetas)} thetas x {len(config.horizons)} horizons "
-            f"x {config.replicates} replicates)",
-            file=sys.stderr,
-        )
+        print(f"planned work: {steps:.3e} simulation steps on {len(grids)} grid(s)",
+              file=sys.stderr)
         if not args.yes:
             print("this is expensive; re-run with --yes to confirm", file=sys.stderr)
             return EXIT_USAGE
 
-    # more threads than replicates or cores would only wait
-    n_workers = max(min(args.threads, config.replicates, os.cpu_count() or 1), 1)
-    report = _RUNNERS[args.kind](config, n_workers=n_workers)
-    try:
-        paths = write_report(report, out_dir, formats=formats)
-        if args.kind == "normality":
-            # same grid and seeds: reduce the normality run's replicates again
-            lil = lil_coverage(config, n_workers=n_workers, cell_data=report.cell_data)
-            write_report(lil, out_dir, basename="lil_coverage", formats=formats)
-            if "csv" in formats:
-                # the z CSV carries its spec name alongside normality.csv
-                atomic_write(Path(out_dir) / "standardized_errors.csv", [report_csv_text(report)])
-    except OSError as exc:
-        print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
-    written = paths.get("json") or paths.get("csv")
-    print(
-        f"wrote {written} ({report.failures_total} failed replicates, "
-        f"{report.wall_time_s:.2f}s)",
-        file=sys.stderr,
-    )
+    cell_data = {}  # simulation grid -> its replicates: kinds on one grid share them
+    for kind, config in plan:
+        # more threads than replicates or cores would only wait
+        n_workers = max(min(args.threads, config.replicates, os.cpu_count() or 1), 1)
+        first, *rest = EXPERIMENTS[kind].reports
+        grid = simulation_grid(config)
+        if grid in cell_data:
+            report = run_report(first, config, n_workers, cell_data[grid])
+        else:
+            report = _RUNNERS[kind](config, n_workers=n_workers)
+            cell_data[grid] = report.cell_data
+        reports = [report, *(run_report(name, config, n_workers, report.cell_data) for name in rest)]
+        try:
+            paths = [write_report(r, out_dir, formats=formats) for r in reports]
+        except OSError as exc:
+            print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
+            return EXIT_UNWRITABLE
+        print(
+            f"wrote {paths[0].get('json') or paths[0].get('csv')} "
+            f"({report.failures_total} failed replicates, {report.wall_time_s:.2f}s)",
+            file=sys.stderr,
+        )
     return EXIT_OK
 
 

@@ -1,4 +1,4 @@
-"""Monte Carlo harness: band coverage, EMSE, predictor-bound exceedance.
+"""Monte Carlo harness: band coverage, EMSE, predictor-bound exceedance, normality.
 
 Replicates are independent work items.  Each one derives its own 64-bit seed
 from (master_seed, theta_index, horizon_index, replicate_index) through a
@@ -12,11 +12,18 @@ for any worker count.
 Estimation failures (identically-zero paths) are excluded from the cell
 statistics but counted and reported; they are never resampled, which would
 bias coverage.
+
+``EXPERIMENTS`` is the one table of experiment kinds: each kind simulates
+one grid of replicates and reduces it to one or more reports, and each
+report entry holds its cell fields and CSV columns.  The CLI's kinds, the
+reports and CSV schemas of ``reporting`` and the desk/full profiles all
+come from it.
 """
 
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
@@ -85,6 +92,11 @@ def _is_count(x) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+def _is_number(x) -> bool:
+    """A real number that is not a bool (nor a string such as JSON "0.02")."""
+    return isinstance(x, numbers.Real) and not isinstance(x, bool)
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Grid and budget of one Monte Carlo experiment.
@@ -109,8 +121,14 @@ class ExperimentConfig:
     lil_multiplier: float = 1.5
 
     def __post_init__(self):
-        object.__setattr__(self, "thetas", tuple(float(t) for t in self.thetas))
-        object.__setattr__(self, "horizons", tuple(float(t) for t in self.horizons))
+        for name in ("thetas", "horizons"):
+            grid = getattr(self, name)
+            if not isinstance(grid, (list, tuple, np.ndarray)) or not all(map(_is_number, grid)):
+                raise DomainError(f"{name} must be a list of numbers, got {grid!r}")
+            object.__setattr__(self, name, tuple(float(t) for t in grid))
+        floats = (self.dt, self.h, self.epsilon, self.band_k, self.lil_multiplier)
+        if not all(map(_is_number, floats)):
+            raise DomainError("dt, h, epsilon, band_k and lil_multiplier must be numbers")
         if not self.thetas or not all(map(positive_finite, self.thetas)):
             raise DomainError(f"thetas must be positive and finite: {self.thetas}")
         if not self.horizons or not all(map(positive_finite, self.horizons)):
@@ -323,20 +341,184 @@ def lil_cell(
     return float(np.mean(np.abs(theta_hats - theta) <= multiplier * envelope))
 
 
-def _run(
+def _z_summary(config: ExperimentConfig, cd: CellData) -> tuple[float, float, float]:
+    """Mean, variance and Kolmogorov-Smirnov distance of the standardized errors."""
+    z = z_scores(cd.theta, cd.t_end, cd.ok_theta_hats)
+    z_var = float(np.var(z, ddof=1)) if z.size > 1 else math.nan
+    return float(np.mean(z)), z_var, float(stats.kstest(z, "norm").statistic)
+
+
+@dataclass(frozen=True)
+class Report:
+    """How one report reduces a cell of (theta, T) replicates.
+
+    Every cell holds theta, T, N and failures, plus ``fields(config, cd)``,
+    which must be defined even when no replicate completed, plus the
+    ``stats`` that ``reduce(config, cd)`` computes from the completed
+    replicates and that are NaN when none completed.  ``columns`` are the CSV
+    columns between ``theta,T,N`` and ``failures``; None marks the
+    per-replicate z table.
+    """
+
+    columns: tuple[str, ...] | None
+    fields: Callable[[ExperimentConfig, CellData], dict]
+    stats: tuple[str, ...]
+    reduce: Callable[[ExperimentConfig, CellData], tuple]
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One experiment kind: the reports reduced from its one simulation pass, its profiles."""
+
+    reports: dict[str, Report]  # by report name; the first is the kind's main report
+    profiles: dict[str, dict]  # profile name -> ExperimentConfig fields
+
+
+PROFILES = ("desk", "full")
+
+# one grid for two kinds: ``oufar experiment all --profile full`` simulates it once
+_FULL_COVERAGE = dict(thetas=(0.1, 0.4, 0.7, 1.0, 2.0, 5.0),
+                      horizons=tuple(12000.0 + 1000.0 * l for l in range(7)), replicates=1000)
+
+# The experiment kinds, in the order ``oufar experiment all`` runs them.
+# Profiles: "desk" finishes on a laptop in minutes, "full" mirrors the
+# published tables (days of CPU; the CLI asks for confirmation first).
+EXPERIMENTS = {
+    "band-coverage": Experiment(
+        reports={
+            "band_coverage": Report(
+                columns=("k", "coverage"),
+                fields=lambda c, cd: {"k": c.band_k},
+                stats=("coverage",),
+                reduce=lambda c, cd: (coverage_cell(cd.theta, cd.t_end, cd.ok_theta_hats, c.band_k),),
+            ),
+        },
+        profiles={
+            "desk": dict(thetas=(0.4, 0.7, 1.0), horizons=(1000.0, 2000.0, 4000.0),
+                         replicates=200, epsilon=0.05),
+            "full": _FULL_COVERAGE,
+        },
+    ),
+    "emse": Experiment(
+        reports={
+            "emse": Report(
+                columns=("emse", "two_theta_over_T"),
+                fields=lambda c, cd: {"two_theta_over_T": 2.0 * cd.theta / cd.t_end},
+                stats=("emse",),
+                reduce=lambda c, cd: (emse_cell(cd.theta, cd.ok_theta_hats),),
+            ),
+        },
+        profiles={
+            "desk": dict(thetas=(0.4, 0.7, 1.0), horizons=(500.0, 1000.0, 2000.0, 4000.0),
+                         replicates=200, epsilon=0.05),
+            "full": dict(thetas=(0.1, 0.4, 0.7, 1.0, 2.0),
+                         horizons=tuple(50.0 + 250.0 * l for l in range(25)), replicates=1000),
+        },
+    ),
+    "predictor-bound": Experiment(
+        reports={
+            "predictor_bound": Report(
+                columns=("epsilon", "p_hat_H", "p_hat_B"),
+                fields=lambda c, cd: {"epsilon": c.epsilon},
+                stats=("p_hat_H", "p_hat_B"),
+                reduce=lambda c, cd: predictor_cell(
+                    cd.theta, cd.ok_theta_hats, cd.x_prev_h[cd.completed], c.h, c.epsilon
+                ),
+            ),
+        },
+        profiles={
+            "desk": dict(thetas=(0.4, 0.7, 1.0), horizons=(2000.0, 4000.0, 8000.0),
+                         replicates=200, epsilon=0.05),
+            "full": dict(thetas=(0.4, 0.7, 1.0),
+                         horizons=tuple(200000.0 * l for l in range(1, 6)), replicates=1000,
+                         epsilon=0.008),
+        },
+    ),
+    "normality": Experiment(
+        reports={
+            "normality": Report(
+                columns=None,
+                # original replicate indices; failed replicates simply have no z
+                fields=lambda c, cd: {
+                    "z_replicates": [int(i) for i in np.nonzero(cd.completed)[0]],
+                    "z": [float(v) for v in z_scores(cd.theta, cd.t_end, cd.ok_theta_hats)],
+                },
+                stats=("z_mean", "z_var", "z_ks"),
+                reduce=_z_summary,
+            ),
+            "lil_coverage": Report(
+                columns=("multiplier", "lil_coverage"),
+                # lil_envelope raises DomainError for T <= e
+                fields=lambda c, cd: {
+                    "multiplier": c.lil_multiplier,
+                    "envelope": lil_envelope(cd.theta, cd.t_end),
+                },
+                stats=("lil_coverage",),
+                reduce=lambda c, cd: (
+                    lil_cell(cd.theta, cd.t_end, cd.ok_theta_hats, c.lil_multiplier),
+                ),
+            ),
+        },
+        profiles={
+            "desk": dict(thetas=(1.0,), horizons=(2000.0, 4000.0), replicates=200, epsilon=0.05),
+            "full": _FULL_COVERAGE,
+        },
+    ),
+}
+
+REPORTS = {name: r for e in EXPERIMENTS.values() for name, r in e.reports.items()}
+
+
+def simulation_grid(config: ExperimentConfig) -> tuple:
+    """The config fields that fix ``collect_cells(config)``: equal grids, equal replicates."""
+    return (config.thetas, config.horizons, config.dt, config.replicates, config.h,
+            config.scheme, config.master_seed)
+
+
+def _cell(report: Report, config: ExperimentConfig, cd: CellData) -> dict:
+    values = report.reduce(config, cd) if cd.completed.any() else (math.nan,) * len(report.stats)
+    return {
+        "theta": cd.theta,
+        "T": cd.t_end,
+        "N": config.replicates,
+        **report.fields(config, cd),
+        **dict(zip(report.stats, values)),
+        "failures": cd.failures,
+    }
+
+
+def check_report(name: str, config: ExperimentConfig) -> None:
+    """Raise DomainError unless report ``name`` is defined on every cell of the grid.
+
+    Each cell is built from zero replicates, which needs no simulation; the
+    iterated-logarithm envelope of ``lil_coverage``, for one, needs T > e.
+    """
+    empty = np.array([])
+    for theta in config.thetas:
+        for t_end in config.horizons:
+            _cell(REPORTS[name], config, CellData(theta, t_end, empty, empty, 0))
+
+
+def run_report(
+    name: str,
     config: ExperimentConfig,
-    kind: str,
-    build_cell: Callable,
-    n_workers: int,
+    n_workers: int = 1,
     cell_data: list[CellData] | None = None,
 ) -> ExperimentReport:
-    """Reduce ``cell_data`` (simulated here when None) to one report of this kind."""
+    """Reduce ``cell_data`` to report ``name`` of the table.
+
+    ``cell_data`` are the results of an earlier run on the same simulation
+    grid (for example ``standardized_errors(config).cell_data``); the paths
+    are drawn here only when they are not given, and only once
+    ``check_report`` has passed.
+    """
+    check_report(name, config)
     start = time.perf_counter()
     data = collect_cells(config, n_workers=n_workers) if cell_data is None else cell_data
     return ExperimentReport(
-        kind=kind,
+        kind=name,
         config=config,
-        cells=[build_cell(cd) for cd in data],
+        cells=[_cell(REPORTS[name], config, cd) for cd in data],
         failures_total=sum(cd.failures for cd in data),
         wall_time_s=time.perf_counter() - start,
         n_workers=n_workers,
@@ -346,36 +528,12 @@ def _run(
 
 def run_band_coverage(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
     """Empirical probability of |theta_hat - theta| <= band_k sqrt(2 theta/T) per cell."""
-
-    def cell(cd: CellData) -> dict:
-        ok = cd.ok_theta_hats
-        return {
-            "theta": cd.theta,
-            "T": cd.t_end,
-            "N": config.replicates,
-            "k": config.band_k,
-            "coverage": coverage_cell(cd.theta, cd.t_end, ok, config.band_k) if ok.size else math.nan,
-            "failures": cd.failures,
-        }
-
-    return _run(config, "band_coverage", cell, n_workers)
+    return run_report("band_coverage", config, n_workers)
 
 
 def run_emse(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
     """Empirical mean square error of theta_hat per cell, with the 2 theta/T reference."""
-
-    def cell(cd: CellData) -> dict:
-        ok = cd.ok_theta_hats
-        return {
-            "theta": cd.theta,
-            "T": cd.t_end,
-            "N": config.replicates,
-            "emse": emse_cell(cd.theta, ok) if ok.size else math.nan,
-            "two_theta_over_T": 2.0 * cd.theta / cd.t_end,
-            "failures": cd.failures,
-        }
-
-    return _run(config, "emse", cell, n_workers)
+    return run_report("emse", config, n_workers)
 
 
 def run_predictor_bound(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
@@ -385,82 +543,19 @@ def run_predictor_bound(config: ExperimentConfig, n_workers: int = 1) -> Experim
     and |X(h)| |theta - theta_hat| h (sup norm); sqrt(h/3 + 1) > 1, so the
     sup-norm bound never exceeds the other and p_hat_B >= p_hat_H cell by cell.
     """
-
-    def cell(cd: CellData) -> dict:
-        ok = cd.completed
-        if ok.any():
-            p_h, p_b = predictor_cell(
-                cd.theta, cd.theta_hats[ok], cd.x_prev_h[ok], config.h, config.epsilon
-            )
-        else:
-            p_h = p_b = math.nan
-        return {
-            "theta": cd.theta,
-            "T": cd.t_end,
-            "N": config.replicates,
-            "epsilon": config.epsilon,
-            "p_hat_H": p_h,
-            "p_hat_B": p_b,
-            "failures": cd.failures,
-        }
-
-    return _run(config, "predictor_bound", cell, n_workers)
+    return run_report("predictor_bound", config, n_workers)
 
 
 def standardized_errors(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
     """Per-replicate standardized errors plus mean/variance/KS summary per cell."""
-
-    def cell(cd: CellData) -> dict:
-        ok = cd.completed
-        z = z_scores(cd.theta, cd.t_end, cd.theta_hats[ok]) if ok.any() else np.array([])
-        ks = float(stats.kstest(z, "norm").statistic) if z.size else math.nan
-        return {
-            "theta": cd.theta,
-            "T": cd.t_end,
-            "N": config.replicates,
-            "z_mean": float(np.mean(z)) if z.size else math.nan,
-            "z_var": float(np.var(z, ddof=1)) if z.size > 1 else math.nan,
-            "z_ks": ks,
-            "failures": cd.failures,
-            # original replicate indices; failed replicates simply have no row
-            "z_replicates": [int(i) for i in np.nonzero(ok)[0]],
-            "z": [float(v) for v in z],
-        }
-
-    return _run(config, "normality", cell, n_workers)
+    return run_report("normality", config, n_workers)
 
 
-def check_lil_horizons(config: ExperimentConfig) -> None:
-    """Raise DomainError unless every cell has an iterated-logarithm envelope (T > e)."""
-    for theta in config.thetas:
-        for t_end in config.horizons:
-            lil_envelope(theta, t_end)
-
-
-def lil_coverage(
-    config: ExperimentConfig, n_workers: int = 1, cell_data: list[CellData] | None = None
-) -> ExperimentReport:
+def lil_coverage(config: ExperimentConfig, n_workers: int = 1,
+                 cell_data: list[CellData] | None = None) -> ExperimentReport:
     """Diagnostic coverage of the iterated-logarithm envelope, scaled by lil_multiplier.
 
-    ``cell_data`` are the results of an earlier run on the same config (for
-    example ``standardized_errors(config).cell_data``); the paths are drawn
-    afresh only when they are not given.  Horizons T <= e are rejected
-    before anything is simulated.
+    Reduces ``cell_data`` as ``run_report`` does; horizons T <= e are
+    rejected before anything is simulated.
     """
-    check_lil_horizons(config)
-
-    def cell(cd: CellData) -> dict:
-        ok = cd.ok_theta_hats
-        return {
-            "theta": cd.theta,
-            "T": cd.t_end,
-            "N": config.replicates,
-            "multiplier": config.lil_multiplier,
-            "envelope": lil_envelope(cd.theta, cd.t_end),
-            "lil_coverage": lil_cell(cd.theta, cd.t_end, ok, config.lil_multiplier)
-            if ok.size
-            else math.nan,
-            "failures": cd.failures,
-        }
-
-    return _run(config, "lil_coverage", cell, n_workers, cell_data)
+    return run_report("lil_coverage", config, n_workers, cell_data)

@@ -60,6 +60,8 @@ def grid_multiple(value: float, step: float) -> int | None:
     experiment horizons.
     """
     ratio = value / step
+    if not math.isfinite(ratio):  # e.g. 1e300 / 1e-10 overflows
+        return None
     n = int(round(ratio))
     if n < 1 or abs(ratio - n) > 1e-9 * max(ratio, 1.0):
         return None

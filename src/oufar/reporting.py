@@ -15,9 +15,12 @@ CSV schemas (header line included, LF line endings):
 * segments:            ``segment_index,node_index,t,value``
 * predictions:         ``segment_index,node_index,t,predicted_value,actual_value``
 * band_coverage:       ``theta,T,N,k,coverage,failures``
-* emse:                ``theta,T,N,emse,two_theta_over_T``
-* predictor_bound:     ``theta,T,N,epsilon,p_hat_H,p_hat_B``
-* standardized_errors: ``theta,T,replicate,z``
+* emse:                ``theta,T,N,emse,two_theta_over_T,failures``
+* predictor_bound:     ``theta,T,N,epsilon,p_hat_H,p_hat_B,failures``
+* lil_coverage:        ``theta,T,N,multiplier,lil_coverage,failures``
+* standardized_errors: ``theta,T,replicate,z`` (``normality.csv`` too)
+
+The report tables take their columns from ``experiments.REPORTS``.
 
 Experiment configuration files are JSON objects whose keys mirror
 ExperimentConfig exactly (lists for the grids); unknown keys are rejected.
@@ -36,21 +39,12 @@ from pathlib import Path
 import numpy as np
 
 from .errors import GridMismatch
-from .experiments import ExperimentConfig, ExperimentReport
+from .experiments import EXPERIMENTS, PROFILES, REPORTS, ExperimentConfig, ExperimentReport
 from .functional import FunctionalSegment
 from .ou_process import SamplePath
 from .predict import PredictionRecord
 
 SCHEMA_VERSION = 1
-
-_EXPERIMENT_KINDS = ("band-coverage", "emse", "predictor-bound", "normality")
-
-_CSV_COLUMNS = {
-    "band_coverage": ("theta", "T", "N", "k", "coverage", "failures"),
-    "emse": ("theta", "T", "N", "emse", "two_theta_over_T"),
-    "predictor_bound": ("theta", "T", "N", "epsilon", "p_hat_H", "p_hat_B"),
-    "lil_coverage": ("theta", "T", "N", "multiplier", "lil_coverage", "failures"),
-}
 
 
 def fmt(x) -> str:
@@ -137,8 +131,9 @@ def _csv_text(header: tuple[str, ...], rows) -> str:
 
 
 def report_csv_text(report: ExperimentReport) -> str:
-    """Per-kind CSV table of the report cells."""
-    if report.kind == "normality":
+    """CSV table of the report cells, with the columns its table entry names."""
+    columns = REPORTS[report.kind].columns
+    if columns is None:  # one row per completed replicate
         rows = []
         for cell in report.cells:
             rows.extend(
@@ -146,34 +141,34 @@ def report_csv_text(report: ExperimentReport) -> str:
                 for r, z in zip(cell["z_replicates"], cell["z"])
             )
         return _csv_text(("theta", "T", "replicate", "z"), rows)
-    columns = _CSV_COLUMNS.get(report.kind)
-    if columns is None:
-        raise ValueError(f"no CSV schema for report kind {report.kind!r}")
+    columns = ("theta", "T", "N", *columns, "failures")
     rows = [tuple(cell[c] for c in columns) for cell in report.cells]
     return _csv_text(columns, rows)
 
 
 def write_report(
-    report: ExperimentReport,
-    out_dir,
-    basename: str | None = None,
-    formats: tuple[str, ...] = ("json", "csv"),
+    report: ExperimentReport, out_dir, formats: tuple[str, ...] = ("json", "csv")
 ) -> dict:
-    """Write ``<basename>.json``, ``<basename>.csv`` and the volatile ``.run.json``.
+    """Write ``<kind>.json``, ``<kind>.csv`` and the volatile ``<kind>.run.json``.
 
-    Returns the paths written.  The run file records wall time and worker
-    count and is the only file allowed to differ between reruns.
+    The z table of a normality report is also written as
+    ``standardized_errors.csv``.  Returns the paths written.  The run file
+    records wall time and worker count and is the only file allowed to
+    differ between reruns.
     """
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    basename = basename or report.kind
-    paths = {"run": out_dir / f"{basename}.run.json"}
+    paths = {"run": out_dir / f"{report.kind}.run.json"}
     if "json" in formats:
-        paths["json"] = out_dir / f"{basename}.json"
+        paths["json"] = out_dir / f"{report.kind}.json"
         atomic_write(paths["json"], [report_json_text(report)])
     if "csv" in formats:
-        paths["csv"] = out_dir / f"{basename}.csv"
-        atomic_write(paths["csv"], [report_csv_text(report)])
+        csv_text = report_csv_text(report)
+        paths["csv"] = out_dir / f"{report.kind}.csv"
+        atomic_write(paths["csv"], [csv_text])
+        if REPORTS[report.kind].columns is None:
+            paths["z_csv"] = out_dir / "standardized_errors.csv"  # its schema name
+            atomic_write(paths["z_csv"], [csv_text])
     run_doc = {
         "wall_time_s": report.wall_time_s,
         "n_workers": report.n_workers,
@@ -249,8 +244,11 @@ def _line_blocks(f):
     Each block is split with str.splitlines and ends at a newline, so the
     blocks hold the same lines as splitlines() of the whole text.
     """
-    while lines := list(islice(f, _BLOCK_ROWS)):
-        yield "".join(lines).splitlines()
+    try:
+        while lines := list(islice(f, _BLOCK_ROWS)):
+            yield "".join(lines).splitlines()
+    except UnicodeDecodeError as exc:
+        raise GridMismatch(f"{f.name}: not UTF-8 text ({exc})") from exc
 
 
 def _parse_rows(infile, lines: list[str]) -> np.ndarray:
@@ -272,14 +270,15 @@ def read_path_csv(infile) -> tuple[np.ndarray, float]:
     bytes a row, twice while the blocks are joined) plus one block.  Blank
     lines before the header and after the last row are ignored, as are
     leading and trailing spaces; a blank line between rows is rejected.
-    Checks, in order: the header, two fields per row, each value a float,
-    every value finite, and a uniform positive time step (1e-9 relative).
+    Checks, in order: UTF-8 text, the header, two fields per row, each
+    value a float, every value finite, and a uniform positive time step
+    (1e-9 relative).
     """
     infile = Path(infile)
     header = False
     blank = False  # whitespace-only lines since the last row
     xi_blocks, t_last, dt = [], None, None
-    with infile.open() as f:  # universal newlines, as Path.read_text
+    with infile.open(encoding="utf-8") as f:  # universal newlines, as Path.read_text
         for lines in _line_blocks(f):
             if not header:
                 lines = list(dropwhile(lambda line: not line.strip(), lines))
@@ -343,72 +342,16 @@ def write_predictions_csv(records, outfile) -> None:
     atomic_write(outfile, [predictions_csv_text(records)])
 
 
-# experiment profiles: "desk" finishes on a laptop in minutes, "full" mirrors
-# the published tables (days of CPU; the CLI asks for confirmation first)
-
 _DESK_SEED = 20260810
-
-_DESK = {
-    "band-coverage": dict(
-        thetas=(0.4, 0.7, 1.0),
-        horizons=(1000.0, 2000.0, 4000.0),
-        replicates=200,
-        epsilon=0.05,
-    ),
-    "emse": dict(
-        thetas=(0.4, 0.7, 1.0),
-        horizons=(500.0, 1000.0, 2000.0, 4000.0),
-        replicates=200,
-        epsilon=0.05,
-    ),
-    "predictor-bound": dict(
-        thetas=(0.4, 0.7, 1.0),
-        horizons=(2000.0, 4000.0, 8000.0),
-        replicates=200,
-        epsilon=0.05,
-    ),
-    "normality": dict(
-        thetas=(1.0,),
-        horizons=(2000.0, 4000.0),
-        replicates=200,
-        epsilon=0.05,
-    ),
-}
-
-_FULL = {
-    "band-coverage": dict(
-        thetas=(0.1, 0.4, 0.7, 1.0, 2.0, 5.0),
-        horizons=tuple(12000.0 + 1000.0 * l for l in range(7)),
-        replicates=1000,
-    ),
-    "emse": dict(
-        thetas=(0.1, 0.4, 0.7, 1.0, 2.0),
-        horizons=tuple(50.0 + 250.0 * l for l in range(25)),
-        replicates=1000,
-    ),
-    "predictor-bound": dict(
-        thetas=(0.4, 0.7, 1.0),
-        horizons=tuple(200000.0 * l for l in range(1, 6)),
-        replicates=1000,
-        epsilon=0.008,
-    ),
-    "normality": dict(
-        thetas=(0.1, 0.4, 0.7, 1.0, 2.0, 5.0),
-        horizons=tuple(12000.0 + 1000.0 * l for l in range(7)),
-        replicates=1000,
-    ),
-}
-
-PROFILES = {"desk": _DESK, "full": _FULL}
 
 
 def profile_config(kind: str, profile: str) -> ExperimentConfig:
     """Pre-filled ExperimentConfig for an experiment kind under a named profile."""
-    if kind not in _EXPERIMENT_KINDS:
-        raise ValueError(f"unknown experiment kind {kind!r}; expected one of {_EXPERIMENT_KINDS}")
+    if kind not in EXPERIMENTS:
+        raise ValueError(f"unknown experiment kind {kind!r}; expected one of {tuple(EXPERIMENTS)}")
     if profile not in PROFILES:
-        raise ValueError(f"unknown profile {profile!r}; expected 'desk' or 'full'")
-    return ExperimentConfig(master_seed=_DESK_SEED, **PROFILES[profile][kind])
+        raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
+    return ExperimentConfig(master_seed=_DESK_SEED, **EXPERIMENTS[kind].profiles[profile])
 
 
 def load_experiment_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -427,8 +370,6 @@ def load_experiment_config(doc: dict, overrides: dict | None = None) -> Experime
     missing = {"thetas", "horizons"} - set(merged)
     if missing:
         raise ValueError(f"config must set {sorted(missing)}")
-    merged["thetas"] = tuple(merged["thetas"])
-    merged["horizons"] = tuple(merged["horizons"])
     return ExperimentConfig(**merged)
 
 
@@ -443,13 +384,18 @@ def resolve_cli_config(kind: str, doc: dict, overrides: dict | None = None):
     override them), ``out_dir``, and ``formats`` (subset of ["json", "csv"]).
     Returns ``(config, out_dir, formats, profile)``.
     """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - {f.name for f in fields(ExperimentConfig)} - set(_DOC_ONLY_KEYS)
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     profile = doc.get("profile", "custom")
     out_dir = doc.get("out_dir")
     formats = doc.get("formats", ["json", "csv"])
-    if not isinstance(formats, (list, tuple)) or not formats or set(formats) - {"json", "csv"}:
+    if not isinstance(profile, str) or not isinstance(out_dir, (str, type(None))):
+        raise ValueError(f"profile and out_dir must be strings: {profile!r}, {out_dir!r}")
+    if not (isinstance(formats, (list, tuple)) and formats
+            and all(f in ("json", "csv") for f in formats)):
         raise ValueError(f"formats must be a nonempty subset of ['json', 'csv']: {formats!r}")
     body = {k: v for k, v in doc.items() if k not in _DOC_ONLY_KEYS}
     if profile in PROFILES:

@@ -275,6 +275,27 @@ class TestFailureAccounting:
         doc = _json.loads(report_json_text(report))
         assert doc["cells"][0]["coverage"] is None
 
+    @pytest.mark.parametrize(
+        "run", [run_band_coverage, run_emse, run_predictor_bound, standardized_errors, lil_coverage]
+    )
+    def test_all_failed_cell_has_nan_stats(self, monkeypatch, run):
+        import json as _json
+        import warnings
+
+        def always_zero(values, dt):
+            raise ZeroDenominator("forced failure")
+
+        monkeypatch.setattr(exp, "theta_ito_from_values", always_zero)
+        config = ExperimentConfig(thetas=(0.7,), horizons=(200.0,), replicates=4, master_seed=53)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no statistic of an empty array is taken
+            report = run(config)
+        (cell,) = _json.loads(report_json_text(report))["cells"]
+        stats = exp.REPORTS[report.kind].stats
+        assert stats and all(cell[name] is None for name in stats)
+        assert cell["failures"] == cell["N"] == 4
+        assert cell.get("z", []) == cell.get("z_replicates", []) == []
+
     def test_partial_failures_keep_replicate_indices(self, monkeypatch):
         import oufar.experiments as exp
 
@@ -365,13 +386,23 @@ class TestStreamingOracle:
 
 
 class TestGoldenBytes:
-    """Report sha256 pinned from the whole-path sampler; each 6e5-step path spans 16 chunks."""
+    """Report sha256 pinned from the whole-path sampler; each 6e5-step path spans 16 chunks.
+
+    The band_coverage, emse and lil_coverage pins were taken from the per-report
+    reducers that the shared table reducer replaced.
+    """
 
     PINS = {
+        ("euler", "band_coverage"): "726614d0d13573c522d5f26874f9edad8860436335c5b314e258a3a0e16e7159",
+        ("euler", "emse"): "88fb86279d6f9017a9f326a91b5d2c6e677dfa5963be77fb0e987dd4be0fea34",
         ("euler", "predictor_bound"): "b4322c1d96ba7424cfe97334631fd2c84fe8be80df51f8b1484ae5eb834c4737",
         ("euler", "normality"): "7671a1eeaf4ac964d468e20fde363781f02b4af8b42addaff786f9845d22281d",
+        ("euler", "lil_coverage"): "d2b0cedbae652150edf36b3a947038049dce66847f838ac373e4a91dde705060",
+        ("exact", "band_coverage"): "66091602fde5f3f5522c10c6832687bab34ed8a209515ab3a35a6fa1868b4127",
+        ("exact", "emse"): "6354e4b18a25b7363d9a2ed6e158bde1a74fd4e5a9f932cc209d57709a02f941",
         ("exact", "predictor_bound"): "e3009ba763b62e884f0b51f047826eba0353ba9cb77e9d4ad489219a415db3b8",
         ("exact", "normality"): "3094ce20a5429bdd2c96ffaf14c888289c50e2ea053173a2c8f66a38a6f6c16a",
+        ("exact", "lil_coverage"): "6756f29342b833d775e543d6e3b3f62e6a738fbbe494c9b387ae23a289045185",
     }
 
     @pytest.mark.parametrize("scheme", ["euler", "exact"])
@@ -379,7 +410,11 @@ class TestGoldenBytes:
         config = ExperimentConfig(
             thetas=(0.4, 1.0), horizons=(12000.0,), replicates=3, scheme=scheme, master_seed=20260810
         )
-        for run in (run_predictor_bound, standardized_errors):
+        runs = (run_band_coverage, run_emse, run_predictor_bound, standardized_errors, lil_coverage)
+        kinds = []
+        for run in runs:
             report = run(config)
+            kinds.append(report.kind)
             digest = hashlib.sha256(report_json_text(report).encode()).hexdigest()
             assert digest == self.PINS[scheme, report.kind]
+        assert sorted(kinds) == sorted(k for s, k in self.PINS if s == scheme)

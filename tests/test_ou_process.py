@@ -62,6 +62,13 @@ class TestTimeGrid:
         expected = n if n >= 1 and abs(ratio - n) <= 1e-9 * max(ratio, 1.0) else None
         assert grid_multiple(value, step) == expected
 
+    @pytest.mark.parametrize("value, step", [(1e300, 1e-10), (1e308, 1e-308), (1.0, 5e-324)])
+    def test_grid_multiple_of_an_infinite_ratio_is_none(self, value, step):
+        assert math.isinf(value / step)
+        assert grid_multiple(value, step) is None
+        with pytest.raises(GridMismatch):
+            TimeGrid(t_end=value, dt=step)
+
     def test_path_length_validated(self):
         from oufar import SamplePath
 

@@ -20,6 +20,8 @@ from oufar import (
     lil_coverage,
     predict_segment,
     run_band_coverage,
+    run_emse,
+    run_predictor_bound,
     sample_euler,
     segment_path,
     standardized_errors,
@@ -92,6 +94,17 @@ class TestReportSerialization:
         assert lines[0] == "theta,T,N,k,coverage,failures"
         assert len(lines) == 2
         assert float(lines[1].split(",")[0]) == 0.7
+
+    def test_every_table_report_ends_in_failures(self):
+        config = ExperimentConfig(**SMALL | {"thetas": (0.7,), "horizons": (200.0,)})
+        headers = {
+            run(config).kind: report_csv_text(run(config)).splitlines()[0]
+            for run in (run_emse, run_predictor_bound)
+        }
+        assert headers == {
+            "emse": "theta,T,N,emse,two_theta_over_T,failures",
+            "predictor_bound": "theta,T,N,epsilon,p_hat_H,p_hat_B,failures",
+        }
 
     def test_json_round_trips_cells(self, report):
         doc = json.loads(report_json_text(report))
@@ -363,6 +376,13 @@ class TestSimulateCommand:
                      "--seed", "1", "--out", str(tmp_path / "x.csv")])
         assert code == 3
 
+    def test_overflowing_grid_ratio_exits_3(self, tmp_path):
+        out = tmp_path / "p.csv"
+        argv = ["simulate", "--theta", "1", "--t-end", "1e300", "--dt", "1e-10",
+                "--seed", "1", "--out", str(out)]
+        assert main(argv) == 3
+        assert not out.exists()
+
     def test_stationary_requires_exact(self, tmp_path):
         code = main(["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02",
                      "--stationary", "--seed", "1", "--out", str(tmp_path / "x.csv")])
@@ -422,6 +442,13 @@ class TestEstimateCommand:
 
     def test_unreadable_exits_3(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "missing.csv")]) == 3
+
+    def test_non_utf8_input_exits_3(self, tmp_path, capsys):
+        csv = tmp_path / "binary.csv"
+        csv.write_bytes(b"t,xi\n0,\xff\xfe\x80\n")
+        assert main(["estimate", "--input", str(csv)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and "UTF-8" in captured.err
 
     def test_malformed_exits_3(self, tmp_path):
         csv = tmp_path / "bad.csv"
@@ -579,6 +606,86 @@ class TestExperimentCommand:
         assert "log log T" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_all_simulates_a_shared_grid_once(self, tmp_path, monkeypatch):
+        import oufar.experiments as exp
+
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL))
+        each = tmp_path / "each"
+        for kind in exp.EXPERIMENTS:
+            assert main(["experiment", kind, "--config", str(cfg), "--out", str(each)]) == 0
+        calls = []
+        real = exp.collect_cells
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "collect_cells", counting)
+        out = tmp_path / "all"
+        assert main(["experiment", "all", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(calls) == 1  # every kind runs on the one grid of SMALL
+        written = sorted(f.name for f in out.iterdir() if not f.name.endswith(".run.json"))
+        expected = [f"{name}.{ext}" for name in exp.REPORTS for ext in ("json", "csv")]
+        assert written == sorted(expected + ["standardized_errors.csv"])
+        for name in written:
+            assert (out / name).read_bytes() == (each / name).read_bytes(), name
+
+    @pytest.mark.parametrize("profile, grids", [("desk", 4), ("full", 3)])
+    def test_all_simulates_each_distinct_profile_grid_once(
+        self, tmp_path, monkeypatch, capsys, profile, grids
+    ):
+        import oufar.experiments as exp
+
+        def exact_estimates(config, n_workers=1):
+            # no paths: every replicate estimates theta exactly
+            r = config.replicates
+            return [
+                exp.CellData(theta, t_end, np.full(r, theta), np.zeros(r), 0)
+                for theta in config.thetas
+                for t_end in config.horizons
+            ]
+
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return exact_estimates(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "collect_cells", counting)
+        out = tmp_path / "r"
+        assert main(["experiment", "all", "--profile", profile, "--out", str(out), "--yes"]) == 0
+        # the full band-coverage and normality grids are identical
+        assert len(calls) == grids
+        distinct = {exp.simulation_grid(profile_config(k, profile)) for k in exp.EXPERIMENTS}
+        assert len(distinct) == grids
+        assert len(list(out.glob("*.run.json"))) == len(exp.REPORTS)
+        if profile == "full":
+            kinds = ("band-coverage", "emse", "predictor-bound")
+            steps = sum(estimated_steps(profile_config(k, "full")) for k in kinds)
+            assert f"planned work: {steps:.3e} simulation steps" in capsys.readouterr().err
+
+    def test_all_rejects_a_config_any_kind_rejects(self, tmp_path, monkeypatch, capsys):
+        import oufar.experiments as exp
+
+        monkeypatch.setattr(exp, "collect_cells", lambda *a, **k: pytest.fail("paths drawn"))
+        cfg = tmp_path / "cfg.json"
+        # T = 2 < e: fine for three kinds, but lil_coverage of normality is undefined
+        cfg.write_text(json.dumps({"thetas": [1.0], "horizons": [2.0], "replicates": 3}))
+        out = tmp_path / "r"
+        assert main(["experiment", "all", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "log log T" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_all_full_profile_requires_confirmation(self, tmp_path, monkeypatch, capsys):
+        import oufar.experiments as exp
+
+        monkeypatch.setattr(exp, "collect_cells", lambda *a, **k: pytest.fail("paths drawn"))
+        out = tmp_path / "r"
+        assert main(["experiment", "all", "--profile", "full", "--out", str(out)]) == 2
+        assert "--yes" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exits_2(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMALL | {"bogus": 1}))
@@ -640,6 +747,20 @@ class TestExperimentCommand:
             '{"thetas":[0.7],"horizons":[100.0],"replicates":2.5}',
             '{"thetas":[0.7],"horizons":[100.0],"replicates":true}',
             '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"master_seed":true}',
+            "5",
+            '["thetas"]',
+            '{"thetas":5,"horizons":[100.0],"replicates":2}',
+            '{"thetas":"1","horizons":"5","replicates":2}',
+            '{"thetas":[true],"horizons":[100.0],"replicates":2}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"dt":"0.02"}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"dt":true}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"lil_multiplier":null}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"scheme":["euler"]}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"out_dir":5}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"profile":["desk"]}',
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"formats":[["json"]]}',
+            # T / dt overflows to infinity
+            '{"thetas":[0.7],"horizons":[1e300],"replicates":2,"dt":1e-10,"h":1e-10}',
         ],
     )
     def test_nonfinite_or_untyped_config_exits_2(self, tmp_path, capsys, text):
