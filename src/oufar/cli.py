@@ -33,12 +33,13 @@ from .experiments import (
 )
 from .functional import k0, operator_distance_b, operator_distance_h, rho_norm_b, rho_norm_h
 from .mle import theta_endpoint_from_values, theta_ito_from_values
-from .ou_process import OuParams, TimeGrid, positive_finite, sample_euler, sample_exact
+from .ou_process import SCHEMES, OuParams, TimeGrid, positive_finite, sample_euler, sample_exact
 from .reporting import (
     SCHEMA_VERSION,
     atomic_write,
+    csv_text,
     estimated_steps,
-    fmt,
+    json_text,
     read_path_csv,
     resolve_cli_config,
     write_path_csv,
@@ -54,6 +55,8 @@ EXIT_UNWRITABLE = 5
 # beyond this many simulation steps the experiment command requires --yes
 _COST_GUARD_STEPS = 5 * 10**9
 
+_K_MAX = 10**5  # norms rows are held in memory; enough for k0 of any theta >= 2e-5
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="oufar", description=__doc__)
@@ -66,7 +69,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--sigma", type=float, default=1.0)
     p_sim.add_argument("--t-end", type=float, required=True)
     p_sim.add_argument("--dt", type=float, required=True)
-    p_sim.add_argument("--scheme", choices=("euler", "exact"), default="euler")
+    p_sim.add_argument("--scheme", choices=SCHEMES, default="euler")
     init = p_sim.add_mutually_exclusive_group()
     init.add_argument("--x0", type=float, default=0.0)
     init.add_argument(
@@ -109,11 +112,6 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _json_text(doc: dict) -> str:
-    """Strict JSON: a NaN or infinity raises ValueError instead of printing invalid JSON."""
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
 def _all_finite(doc: dict | list) -> bool:
     """True when every float in ``doc``, nested dicts and lists included, is finite."""
     return all(
@@ -127,7 +125,6 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        Path(out).parent.mkdir(parents=True, exist_ok=True)
         atomic_write(out, [text])
 
 
@@ -136,6 +133,9 @@ def _cmd_simulate(args) -> int:
     if not all(map(math.isfinite, flags)):
         print("error: --theta, --mu, --sigma, --t-end, --dt and --x0 must be finite",
               file=sys.stderr)
+        return EXIT_USAGE
+    if args.seed < 0:
+        print("error: --seed must be a non-negative integer", file=sys.stderr)
         return EXIT_USAGE
     if args.stationary and args.scheme != "exact":
         print("error: --stationary requires --scheme exact", file=sys.stderr)
@@ -208,7 +208,7 @@ def _cmd_estimate(args) -> int:
         return EXIT_BAD_INPUT
     doc["schema_version"] = SCHEMA_VERSION
     try:
-        _emit(_json_text(doc), args.out)
+        _emit(json_text(doc), args.out)
     except OSError as exc:
         print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_UNWRITABLE
@@ -216,8 +216,8 @@ def _cmd_estimate(args) -> int:
 
 
 def _cmd_norms(args) -> int:
-    if not (positive_finite(args.theta) and positive_finite(args.h)) or args.k_max < 1:
-        print("error: need finite theta > 0, finite h > 0, k-max >= 1", file=sys.stderr)
+    if not (positive_finite(args.theta) and positive_finite(args.h) and 1 <= args.k_max <= _K_MAX):
+        print(f"error: need finite theta > 0 and h > 0, k-max in [1, {_K_MAX}]", file=sys.stderr)
         return EXIT_USAGE
     if args.theta_hat is not None and not positive_finite(args.theta_hat):
         print("error: theta-hat must be positive and finite", file=sys.stderr)
@@ -249,17 +249,13 @@ def _cmd_norms(args) -> int:
               file=sys.stderr)
         return EXIT_USAGE
     if args.format == "json":
-        text = _json_text(doc)
+        text = json_text(doc)
     else:
-        lines = ["theta,h,k,k0,rho_norm_H,rho_norm_B"]
-        lines.extend(
-            ",".join(
-                (fmt(args.theta), fmt(args.h), str(row["k"]), str(doc["k0"]),
-                 fmt(row["rho_norm_H"]), fmt(row["rho_norm_B"]))
-            )
-            for row in rows
+        text = csv_text(
+            ("theta", "h", "k", "k0", "rho_norm_H", "rho_norm_B"),
+            ((args.theta, args.h, row["k"], doc["k0"], row["rho_norm_H"], row["rho_norm_B"])
+             for row in rows),
         )
-        text = "\n".join(lines) + "\n"
     try:
         _emit(text, args.out)
     except OSError as exc:

@@ -1,10 +1,11 @@
 """Serialization, configuration files, and experiment profiles.
 
-All numeric output is written with 17 significant digits so every double
-round-trips exactly.  Deterministic artifacts (report JSON, CSV tables, path
-CSVs) never contain volatile data; wall time and worker count go to a
-separate ``*.run.json`` so re-running with the same master seed produces
-byte-identical reports.
+Every JSON and CSV text oufar writes is made here: strict, sorted, indent-2
+JSON (``json_text``) and CSV whose numbers have 17 significant digits, so
+every double round-trips exactly.  Deterministic artifacts (report JSON, CSV
+tables, path CSVs) never contain volatile data; wall time and worker count
+go to a separate ``*.run.json`` so re-running with the same master seed
+produces byte-identical reports.
 
 Every file is written atomically: into a temporary file beside the target,
 then renamed over it, so an interrupted run leaves the old file or none.
@@ -12,8 +13,6 @@ then renamed over it, so an interrupted run leaves the old file or none.
 CSV schemas (header line included, LF line endings):
 
 * path:                ``t,xi``
-* segments:            ``segment_index,node_index,t,value``
-* predictions:         ``segment_index,node_index,t,predicted_value,actual_value``
 * band_coverage:       ``theta,T,N,k,coverage,failures``
 * emse:                ``theta,T,N,emse,two_theta_over_T,failures``
 * predictor_bound:     ``theta,T,N,epsilon,p_hat_H,p_hat_B,failures``
@@ -38,11 +37,17 @@ from pathlib import Path
 
 import numpy as np
 
+from . import __version__
 from .errors import GridMismatch
-from .experiments import EXPERIMENTS, PROFILES, REPORTS, ExperimentConfig, ExperimentReport
-from .functional import FunctionalSegment
+from .experiments import (
+    EXPERIMENTS,
+    PROFILES,
+    REPORTS,
+    RNG_ALGORITHM,
+    ExperimentConfig,
+    ExperimentReport,
+)
 from .ou_process import SamplePath
-from .predict import PredictionRecord
 
 SCHEMA_VERSION = 1
 
@@ -54,14 +59,32 @@ def fmt(x) -> str:
     return format(float(x), ".17g")
 
 
+def json_text(doc) -> str:
+    """Strict, sorted, indent-2 JSON plus a newline: NaN or infinity raises ValueError."""
+    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+
+
+def _sha256(doc) -> str:
+    """sha256 of the canonical (sorted, compact) JSON encoding of ``doc``."""
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    return hashlib.sha256(canonical.encode()).hexdigest()
+
+
+def csv_text(header: tuple[str, ...], rows) -> str:
+    """A header line, then one line per row of ``fmt`` values, each ending in LF."""
+    lines = [",".join(header)]
+    lines.extend(",".join(fmt(v) for v in row) for row in rows)
+    return "\n".join(lines) + "\n"
+
+
 def atomic_write(target, chunks) -> None:
     """Write the text ``chunks`` to ``target`` through a temporary file beside it.
 
-    The temporary file is renamed over ``target`` only after every chunk is
-    written, and removed if writing fails, so ``target`` is either complete
-    or left as it was.  A target that exists and is not a regular file (a
-    terminal or pipe such as /dev/stdout) cannot be replaced and is written
-    in place.
+    Missing parent directories are created.  The temporary file is renamed
+    over ``target`` only after every chunk is written, and removed if
+    writing fails, so ``target`` is either complete or left as it was.  A
+    target that exists and is not a regular file (a terminal or pipe such as
+    /dev/stdout) cannot be replaced and is written in place.
     """
     target = Path(target)
     if target.exists() and not target.is_file():
@@ -69,6 +92,7 @@ def atomic_write(target, chunks) -> None:
             f.writelines(chunks)
         return
     target = Path(os.path.realpath(target))  # replace a symlink's target, not the link
+    target.parent.mkdir(parents=True, exist_ok=True)
     tmp = target.with_name(f".{target.name}.{os.urandom(4).hex()}.tmp")
     # O_EXCL: never write through a file or link already there; 0o666 lets the
     # umask set the mode a plain open() would give the target
@@ -83,15 +107,11 @@ def atomic_write(target, chunks) -> None:
 
 
 def config_hash(config: ExperimentConfig) -> str:
-    """sha256 of the canonical (sorted, compact) JSON encoding of the config."""
-    canonical = json.dumps(config.to_dict(), sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
+    """sha256 of the canonical JSON encoding of the config."""
+    return _sha256(config.to_dict())
 
 
 def provenance(config: ExperimentConfig) -> dict:
-    from . import __version__
-    from .experiments import RNG_ALGORITHM
-
     return {
         "master_seed": config.master_seed,
         "config_hash": config_hash(config),
@@ -121,13 +141,7 @@ def report_json_text(report: ExperimentReport) -> str:
         "failures_total": report.failures_total,
         "provenance": provenance(report.config),
     }
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _csv_text(header: tuple[str, ...], rows) -> str:
-    lines = [",".join(header)]
-    lines.extend(",".join(fmt(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
+    return json_text(doc)
 
 
 def report_csv_text(report: ExperimentReport) -> str:
@@ -140,10 +154,10 @@ def report_csv_text(report: ExperimentReport) -> str:
                 (cell["theta"], cell["T"], r, z)
                 for r, z in zip(cell["z_replicates"], cell["z"])
             )
-        return _csv_text(("theta", "T", "replicate", "z"), rows)
+        return csv_text(("theta", "T", "replicate", "z"), rows)
     columns = ("theta", "T", "N", *columns, "failures")
     rows = [tuple(cell[c] for c in columns) for cell in report.cells]
-    return _csv_text(columns, rows)
+    return csv_text(columns, rows)
 
 
 def write_report(
@@ -157,25 +171,23 @@ def write_report(
     differ between reruns.
     """
     out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     paths = {"run": out_dir / f"{report.kind}.run.json"}
     if "json" in formats:
         paths["json"] = out_dir / f"{report.kind}.json"
         atomic_write(paths["json"], [report_json_text(report)])
     if "csv" in formats:
-        csv_text = report_csv_text(report)
+        table = report_csv_text(report)
         paths["csv"] = out_dir / f"{report.kind}.csv"
-        atomic_write(paths["csv"], [csv_text])
+        atomic_write(paths["csv"], [table])
         if REPORTS[report.kind].columns is None:
             paths["z_csv"] = out_dir / "standardized_errors.csv"  # its schema name
-            atomic_write(paths["z_csv"], [csv_text])
+            atomic_write(paths["z_csv"], [table])
     run_doc = {
         "wall_time_s": report.wall_time_s,
         "n_workers": report.n_workers,
         "finished_unix": time.time(),
     }
-    run_text = json.dumps(run_doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-    atomic_write(paths["run"], [run_text])
+    atomic_write(paths["run"], [json_text(run_doc)])
     return paths
 
 
@@ -205,9 +217,6 @@ def path_csv_text(path: SamplePath) -> str:
 
 
 def path_sidecar(path: SamplePath, seed: int, extra: dict | None = None) -> dict:
-    from . import __version__
-    from .experiments import RNG_ALGORITHM
-
     doc = {
         "seed": seed,
         "scheme": path.scheme,
@@ -223,19 +232,16 @@ def path_sidecar(path: SamplePath, seed: int, extra: dict | None = None) -> dict
     }
     if extra:
         doc.update(extra)
-    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
-    doc["config_hash"] = hashlib.sha256(canonical.encode()).hexdigest()
+    doc["config_hash"] = _sha256(doc)
     return doc
 
 
 def write_path_csv(path: SamplePath, outfile, seed: int, extra: dict | None = None) -> None:
     """Write the ``t,xi`` CSV plus a ``.meta.json`` sidecar with full provenance."""
     outfile = Path(outfile)
-    outfile.parent.mkdir(parents=True, exist_ok=True)
     atomic_write(outfile, _path_csv_blocks(path))
     sidecar = outfile.with_suffix(outfile.suffix + ".meta.json")
-    doc = path_sidecar(path, seed, extra)
-    atomic_write(sidecar, [json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"])
+    atomic_write(sidecar, [json_text(path_sidecar(path, seed, extra))])
 
 
 def _line_blocks(f):
@@ -313,45 +319,13 @@ def read_path_csv(infile) -> tuple[np.ndarray, float]:
     return np.concatenate(xi_blocks), float(dt)
 
 
-def segments_csv_text(segments: list[FunctionalSegment]) -> str:
-    rows = []
-    for n, seg in enumerate(segments):
-        t = seg.grid.times()
-        rows.extend((n, j, t[j], seg.values[j]) for j in range(seg.values.size))
-    return _csv_text(("segment_index", "node_index", "t", "value"), rows)
-
-
-def write_segments_csv(segments: list[FunctionalSegment], outfile) -> None:
-    atomic_write(outfile, [segments_csv_text(segments)])
-
-
-def predictions_csv_text(records: list[tuple[int, PredictionRecord, FunctionalSegment | None]]) -> str:
-    """Rows (segment_index, node_index, t, predicted, actual); actual may be absent."""
-    rows = []
-    for n, record, actual in records:
-        t = record.predicted.grid.times()
-        for j in range(record.predicted.values.size):
-            actual_value = "" if actual is None else fmt(actual.values[j])
-            rows.append((n, j, fmt(t[j]), fmt(record.predicted.values[j]), actual_value))
-    lines = [",".join(("segment_index", "node_index", "t", "predicted_value", "actual_value"))]
-    lines.extend(",".join(str(v) for v in row) for row in rows)
-    return "\n".join(lines) + "\n"
-
-
-def write_predictions_csv(records, outfile) -> None:
-    atomic_write(outfile, [predictions_csv_text(records)])
-
-
-_DESK_SEED = 20260810
-
-
 def profile_config(kind: str, profile: str) -> ExperimentConfig:
     """Pre-filled ExperimentConfig for an experiment kind under a named profile."""
     if kind not in EXPERIMENTS:
         raise ValueError(f"unknown experiment kind {kind!r}; expected one of {tuple(EXPERIMENTS)}")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
-    return ExperimentConfig(master_seed=_DESK_SEED, **EXPERIMENTS[kind].profiles[profile])
+    return ExperimentConfig(**EXPERIMENTS[kind].profiles[profile])
 
 
 def load_experiment_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
@@ -386,9 +360,6 @@ def resolve_cli_config(kind: str, doc: dict, overrides: dict | None = None):
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
-    unknown = set(doc) - {f.name for f in fields(ExperimentConfig)} - set(_DOC_ONLY_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
     profile = doc.get("profile", "custom")
     out_dir = doc.get("out_dir")
     formats = doc.get("formats", ["json", "csv"])

@@ -13,17 +13,13 @@ import oufar.reporting as reporting
 
 from oufar import (
     ExperimentConfig,
-    FunctionalSegment,
     OuParams,
-    SegmentGrid,
     TimeGrid,
     lil_coverage,
-    predict_segment,
     run_band_coverage,
     run_emse,
     run_predictor_bound,
     sample_euler,
-    segment_path,
     standardized_errors,
 )
 from oufar.cli import main
@@ -35,12 +31,10 @@ from oufar.reporting import (
     fmt,
     load_experiment_config,
     path_csv_text,
-    predictions_csv_text,
     profile_config,
     read_path_csv,
     report_csv_text,
     report_json_text,
-    segments_csv_text,
     write_path_csv,
 )
 
@@ -291,27 +285,6 @@ class TestPathCsvStreaming:
             assert out.read_text() == "old contents\n"
 
 
-class TestFunctionalCsv:
-    def test_segments_schema(self):
-        segs = segment_path(_make_path(), 1.0)
-        lines = segments_csv_text(segs).splitlines()
-        assert lines[0] == "segment_index,node_index,t,value"
-        assert len(lines) == 1 + 5 * 51
-        first = lines[1].split(",")
-        assert first[0] == "0" and first[1] == "0" and float(first[2]) == 0.0
-
-    def test_predictions_schema(self):
-        segs = segment_path(_make_path(), 1.0)
-        rec = predict_segment(0.9, segs[0], theta_true=1.0)
-        text = predictions_csv_text([(1, rec, segs[1]), (2, rec, None)])
-        lines = text.splitlines()
-        assert lines[0] == "segment_index,node_index,t,predicted_value,actual_value"
-        with_actual = lines[1].split(",")
-        assert len(with_actual) == 5 and with_actual[4] != ""
-        without_actual = lines[1 + 51].split(",")
-        assert without_actual[4] == ""
-
-
 class TestProfilesAndConfigLoading:
     def test_desk_profiles_are_valid(self):
         for kind in ("band-coverage", "emse", "predictor-bound", "normality"):
@@ -346,6 +319,16 @@ class TestProfilesAndConfigLoading:
 
 
 class TestSimulateCommand:
+    # sha256 of the .meta.json sidecar of the Euler CSV pinned in TestPathCsvStreaming
+    SIDECAR_GOLDEN = "42a9ce2a417a3a36162740a2acd290f6a72a91cb86ebe9ef2b4192cd996f8c33"
+
+    def test_sidecar_golden_bytes(self, tmp_path):
+        out = tmp_path / "a" / "b" / "p.csv"  # missing directories are created
+        assert main(["simulate", "--theta", "0.7", "--t-end", "200", "--dt", "0.02",
+                     "--seed", "1", "--out", str(out)]) == 0
+        sidecar = out.with_suffix(".csv.meta.json").read_bytes()
+        assert hashlib.sha256(sidecar).hexdigest() == self.SIDECAR_GOLDEN
+
     def test_writes_rows_and_sidecar(self, tmp_path):
         out = tmp_path / "path.csv"
         code = main(
@@ -397,6 +380,16 @@ class TestSimulateCommand:
 
 
 class TestEstimateCommand:
+    # sha256 of `estimate --form both` stdout on the Euler CSV pinned in TestPathCsvStreaming
+    GOLDEN = "46dcd50995b57261d36e5a61f7b878fd1a026530689289c038be09264464c428"
+
+    def test_golden_bytes(self, tmp_path, capsys):
+        csv = tmp_path / "p.csv"
+        assert main(["simulate", "--theta", "0.7", "--t-end", "200", "--dt", "0.02",
+                     "--seed", "1", "--out", str(csv)]) == 0
+        assert main(["estimate", "--input", str(csv), "--form", "both"]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.GOLDEN
+
     def test_round_trip_recovers_theta(self, tmp_path, capsys):
         csv = tmp_path / "p.csv"
         main(["simulate", "--theta", "1", "--t-end", "200", "--dt", "0.02",
@@ -480,6 +473,24 @@ class TestEstimateCommand:
 
 
 class TestNormsCommand:
+    # sha256 of `norms --theta 0.7 --h 1.5 --k-max 7` stdout with these extra flags
+    GOLDEN = {
+        ("--theta-hat", "0.9"): "062ac0409662f3d7da638244839322036cbb8716505efaad42d1da48ca2d0dad",
+        ("--format", "csv"): "4612ce0f60e79f47f92380ca0e08154c70b51beb393171d0161378a2e8e44fbd",
+    }
+
+    @pytest.mark.parametrize("extra", list(GOLDEN), ids=["theta-hat", "csv"])
+    def test_golden_bytes(self, capsys, extra):
+        assert main(["norms", "--theta", "0.7", "--h", "1.5", "--k-max", "7", *extra]) == 0
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.GOLDEN[extra]
+
+    def test_out_creates_missing_directories(self, tmp_path, capsys):
+        out = tmp_path / "a" / "b" / "norms.csv"
+        assert main(["norms", "--theta", "1", "--h", "1", "--format", "csv",
+                     "--out", str(out)]) == 0
+        assert capsys.readouterr().out == ""
+        assert out.read_text().startswith("theta,h,k,k0,rho_norm_H,rho_norm_B\n")
+
     def test_norm_table_values(self, capsys):
         assert main(["norms", "--theta", "0.5", "--h", "1", "--k-max", "1"]) == 0
         doc = json.loads(capsys.readouterr().out)
@@ -523,6 +534,8 @@ class TestNormsCommand:
             ["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02", "--x0", "nan",
              "--seed", "1"],
             ["simulate", "--theta", "1", "--t-end", "inf", "--dt", "0.02", "--seed", "1"],
+            ["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02", "--seed", "-1"],
+            ["norms", "--theta", "1", "--h", "1", "--k-max", "100001"],  # rows are held in memory
         ],
     )
     def test_nonfinite_or_overflowing_flags_exit_2(self, tmp_path, capsys, argv):
