@@ -104,12 +104,19 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", help="output directory (overrides the config out_dir)")
     p_exp.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads, capped at the replicate count and the CPU count",
+        help="worker threads, capped at the replicate count and the CPUs this process may use",
     )
     p_exp.add_argument("--master-seed", type=int, help="override the config master seed")
     p_exp.add_argument("--replicates", type=int, help="override the replicate count")
     p_exp.add_argument("--yes", action="store_true", help="confirm an expensive run")
     return parser
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _all_finite(doc: dict | list) -> bool:
@@ -309,7 +316,7 @@ def _cmd_experiment(args) -> int:
     cell_data = {}  # simulation grid -> its replicates: kinds on one grid share them
     for kind, config in plan:
         # more threads than replicates or cores would only wait
-        n_workers = max(min(args.threads, config.replicates, os.cpu_count() or 1), 1)
+        n_workers = max(min(args.threads, config.replicates, _usable_cpus()), 1)
         first, *rest = EXPERIMENTS[kind].reports
         grid = simulation_grid(config)
         if grid in cell_data:

@@ -11,6 +11,8 @@ rank-one operator (rho_theta x)(t) = exp(-theta t) x(h).  Two norms are used:
 
 Closed-form operator norms and operator distances come with brute-force
 discrete oracles so every formula is checked by an independent route.
+Only ``operator_distance_h`` at nearly equal rates needs scipy
+(``scipy.special.gammainc``), and imports it on that first use.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import gammainc
 
 from .errors import DomainError, GridMismatch
 from .ou_process import SamplePath, grid_multiple
@@ -202,6 +203,8 @@ def k0(theta: float) -> int:
 
 def _exp_moment(k: int, c: float, h: float) -> float:
     """int_0^h t^k exp(-c t) dt = k! P(k+1, c h) / c^(k+1), stable for any c h."""
+    from scipy.special import gammainc  # 0.3 s to import, so not at module import
+
     return math.factorial(k) * float(gammainc(k + 1, c * h)) / c ** (k + 1)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, ZeroDenominator
-from .ou_process import SamplePath
+from .ou_process import SamplePath, scratch
 
 _E = math.e
 
@@ -54,7 +54,7 @@ def theta_ito_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
         raise DomainError("need at least two path values")
     left = values[:-1]
     # one scratch array: the same products numpy would build, summed in the same order
-    d = np.subtract(values[1:], left)
+    d = np.subtract(values[1:], left, out=scratch(values.size - 1))
     num = -float(np.sum(np.multiply(left, d, out=d)))
     sum_sq = float(np.sum(np.multiply(left, left, out=d)))
     return theta_ito_from_sums(num, sum_sq, values.size - 1, dt)

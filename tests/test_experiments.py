@@ -1,6 +1,7 @@
 import functools
 import hashlib
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -30,6 +31,7 @@ from oufar.experiments import (
     collect_cells,
     coverage_cell,
     emse_cell,
+    ks_distance,
     lil_cell,
     predictor_cell,
     z_scores,
@@ -120,6 +122,21 @@ class TestDeterminism:
         serial = report_json_text(run_band_coverage(config, n_workers=1))
         threaded = report_json_text(run_band_coverage(config, n_workers=8))
         assert serial == threaded
+
+    def test_threads_do_not_share_scratch(self, monkeypatch):
+        # 128-step chunks: many scratch uses per path, with frequent thread switches between them
+        monkeypatch.setattr(exp, "_CHUNK_STEPS", 128)
+        config = ExperimentConfig(thetas=(0.7, 1.0), horizons=(40.0,), replicates=12, master_seed=7)
+        serial = collect_cells(config, n_workers=1)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threaded = collect_cells(config, n_workers=8)
+        finally:
+            sys.setswitchinterval(interval)
+        for a, b in zip(serial, threaded, strict=True):
+            assert a.theta_hats.tobytes() == b.theta_hats.tobytes()
+            assert a.x_prev_h.tobytes() == b.x_prev_h.tobytes()
 
     def test_rerun_is_identical(self):
         a = report_json_text(run_emse(SMALL))
@@ -383,6 +400,29 @@ class TestStreamingOracle:
         assert x_prev == expected_x == 0.0
         (cell,) = collect_cells(config)
         assert cell.failures == 4
+
+
+@st.composite
+def _ks_samples(draw):
+    n = draw(st.integers(1, 400))
+    z = np.random.default_rng(draw(st.integers(0, 2**32 - 1))).standard_normal(n)
+    z *= draw(st.sampled_from([1e-3, 1.0, 3.0, 40.0]))  # 40: ndtr saturates at 0 and 1
+    decimals = draw(st.sampled_from([None, 0, 1, 2]))  # rounding makes ties
+    if decimals is not None:
+        z = np.round(z, decimals)
+    if draw(st.booleans()):
+        z[: draw(st.integers(0, n))] = draw(st.sampled_from([0.0, -0.0]))
+    return z
+
+
+class TestKsDistance:
+    @settings(max_examples=300, deadline=None)
+    @given(_ks_samples())
+    def test_equals_kstest_statistic(self, z):
+        from scipy import stats
+
+        assert ks_distance(z) == float(stats.kstest(z, "norm").statistic)
+        assert isinstance(ks_distance(z), float)
 
 
 class TestGoldenBytes:

@@ -1,4 +1,10 @@
+import json
 import math
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -6,6 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, stats
 
+import oufar
+import oufar.ou_process as ou_process
 from oufar import (
     DomainError,
     GridMismatch,
@@ -19,7 +27,7 @@ from oufar import (
     sample_exact,
     stationary_density,
 )
-from oufar.ou_process import grid_multiple
+from oufar.ou_process import SCRATCH_VALUES, grid_multiple, scratch
 
 params_st = st.builds(
     OuParams,
@@ -267,3 +275,145 @@ class TestLoopOracle:
         assert path.values.tobytes() == expected.tobytes()
         if not stationary:
             assert math.copysign(1.0, path.values[0]) == math.copysign(1.0, x0)
+
+
+def _run_fresh(code: str):
+    """Run ``code`` in a fresh interpreter that imports oufar from this tree; its last stdout line as JSON."""
+    src = str(Path(oufar.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+_HEAVY = ("scipy.signal", "scipy.stats", "scipy.special")
+
+
+class TestLeanImports:
+    """Each command loads only the scipy code it runs."""
+
+    def test_cli_import_and_predictor_bound_load_no_scipy_subpackage(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"thetas": [1.0], "horizons": [10.0], "replicates": 2}))
+        loaded = _run_fresh(f"""
+import json, sys
+import oufar.cli
+def heavy():
+    return sorted(m for m in sys.modules if m.startswith({_HEAVY!r}))
+after_import = heavy()
+code = oufar.cli.main(["experiment", "predictor-bound", "--config", {str(tmp_path / "cfg.json")!r},
+                       "--out", {str(tmp_path / "out")!r}, "--threads", "2"])
+print(json.dumps([after_import, heavy(), code]))
+""")
+        # the experiment's one scipy module is the recursion's extension
+        assert loaded == [[], ["scipy.signal._sigtools"], 0]
+
+    def test_direct_filter_equals_public_lfilter_and_is_reused(self):
+        same, reused, public_loaded_first = _run_fresh("""
+import json, sys
+import numpy as np
+from oufar import ou_process
+x = np.random.default_rng(5).standard_normal(100001)
+x[::7] = -0.0
+x[::11] = 0.0
+b, a = [1.0], [1.0, -0.98]
+direct = ou_process.lfilter(b, a, x)
+zeros = ou_process.lfilter(b, a, np.full(9, -0.0))
+loaded = sys.modules["scipy.signal._sigtools"]
+public_loaded_first = "scipy.signal" in sys.modules
+import scipy.signal
+from scipy.signal import _sigtools
+same = (direct.tobytes() == scipy.signal.lfilter(b, a, x).tobytes()
+        and zeros.tobytes() == scipy.signal.lfilter(b, a, np.full(9, -0.0)).tobytes())
+print(json.dumps([same, _sigtools is loaded, public_loaded_first]))
+""")
+        assert same and reused and not public_loaded_first
+
+    def test_second_long_stream_barely_faults(self):
+        # 2^21 steps = 32 chunks; chunk temporaries freed to the top of the heap
+        # would be trimmed and faulted back in on every chunk
+        faults, heavy = _run_fresh(f"""
+import json, resource, sys
+import numpy as np
+from oufar.experiments import ExperimentConfig, _stream_path
+from oufar.ou_process import OuParams
+config = ExperimentConfig(thetas=(1.0,), horizons=(2.0**19,), dt=0.25)
+def stream():
+    return _stream_path(config, OuParams(theta=1.0), 2**21, 0, np.random.default_rng(3))
+stream()
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+stream()
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+print(json.dumps([faults, sorted(m for m in sys.modules if m.startswith({_HEAVY!r}))]))
+""")
+        assert heavy == ["scipy.signal._sigtools"]
+        assert faults < 500
+
+
+def _filter_cases():
+    values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
+    return st.tuples(
+        st.lists(values, min_size=1, max_size=200),
+        st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1.5, 1.5)),
+    )
+
+
+class TestRecursionRoutes:
+    """The directly loaded filter, the public fallback and scipy.signal.lfilter agree."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_filter_cases())
+    def test_routes_agree_byte_for_byte(self, case):
+        from scipy.signal import lfilter as public
+
+        values, a = case
+        x = np.array(values)
+        direct = ou_process._load_filter()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ou_process, "_SIGTOOLS", "scipy.signal._no_such_extension")
+            fallback = ou_process._load_filter()
+        assert fallback is public
+        expected = public([1.0], [1.0, -a], x).tobytes()
+        assert direct([1.0], [1.0, -a], x).tobytes() == expected
+        assert fallback([1.0], [1.0, -a], x).tobytes() == expected
+        assert ou_process.lfilter([1.0], [1.0, -a], x).tobytes() == expected
+
+
+class TestScratch:
+    """Chunk temporaries share one buffer per thread; nothing returned aliases it."""
+
+    @staticmethod
+    def _buffer():
+        scratch(1)
+        return ou_process._thread.buffer
+
+    @pytest.mark.parametrize("n_steps", [10, SCRATCH_VALUES - 1, SCRATCH_VALUES + 5])
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_paths_and_estimates_do_not_alias_scratch(self, n_steps, scheme):
+        from oufar import theta_ito_from_values
+
+        sampler = sample_euler if scheme == "euler" else sample_exact
+        grid = TimeGrid(t_end=n_steps * 0.02, dt=0.02)
+        first = sampler(OuParams(theta=1.0), grid, np.random.default_rng(1))
+        kept = first.values.copy()
+        est = theta_ito_from_values(first.values, grid.dt)
+        second = sampler(OuParams(theta=1.0), grid, np.random.default_rng(2))
+        buffer = self._buffer()
+        assert not np.shares_memory(first.values, buffer)
+        assert not np.shares_memory(second.values, buffer)
+        assert first.values.tobytes() == kept.tobytes()
+        assert est == theta_ito_from_values(kept, grid.dt)
+
+    def test_long_requests_allocate(self):
+        buffer = self._buffer()
+        assert np.shares_memory(scratch(SCRATCH_VALUES), buffer)
+        assert scratch(SCRATCH_VALUES).size == SCRATCH_VALUES
+        assert not np.shares_memory(scratch(SCRATCH_VALUES + 1), buffer)
+        assert scratch(SCRATCH_VALUES + 1).size == SCRATCH_VALUES + 1
+
+    def test_each_thread_has_its_own_buffer(self):
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(self._buffer()))
+        worker.start()
+        worker.join(timeout=10)
+        assert len(seen) == 1 and not np.shares_memory(seen[0], self._buffer())

@@ -793,12 +793,8 @@ class TestExperimentCommand:
         assert "euler" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize(
-        "threads, replicates, cpus, expected",
-        [(10**6, 10, 3, 3), (10**6, 2, 3, 2), (2, 10, 3, 2), (0, 10, 3, 1), (-4, 10, 3, 1),
-         (8, 10, None, 1)],
-    )
-    def test_worker_count_clamped(self, tmp_path, monkeypatch, threads, replicates, cpus, expected):
+    @staticmethod
+    def _workers_chosen(tmp_path, monkeypatch, threads, replicates):
         import oufar.cli as cli
         from oufar import run_emse
 
@@ -809,9 +805,30 @@ class TestExperimentCommand:
             return run_emse(config, n_workers=1)
 
         monkeypatch.setitem(cli._RUNNERS, "emse", recording_runner)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMALL | {"replicates": replicates}))
         assert main(["experiment", "emse", "--config", str(cfg), "--out", str(tmp_path / "r"),
                      "--threads", str(threads)]) == 0
-        assert seen == [expected]
+        return seen
+
+    @pytest.mark.parametrize(
+        "threads, replicates, cpus, expected",
+        [(10**6, 10, 3, 3), (10**6, 2, 3, 2), (2, 10, 3, 2), (0, 10, 3, 1), (-4, 10, 3, 1),
+         (8, 10, None, 1)],
+    )
+    def test_worker_count_clamped(self, tmp_path, monkeypatch, threads, replicates, cpus, expected):
+        import oufar.cli as cli
+
+        # an OS without affinity masks: the CPU count caps the workers
+        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        assert self._workers_chosen(tmp_path, monkeypatch, threads, replicates) == [expected]
+
+    @pytest.mark.parametrize("threads, affinity, expected", [(8, {0}, 1), (8, {0, 3, 5}, 3), (2, {0, 3, 5}, 2)])
+    def test_workers_capped_at_affinity(self, tmp_path, monkeypatch, threads, affinity, expected):
+        # ``taskset -c 0`` on a many-core host: one usable CPU, one worker
+        import oufar.cli as cli
+
+        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        assert self._workers_chosen(tmp_path, monkeypatch, threads, 10) == [expected]
