@@ -5,8 +5,20 @@ Subcommands: ``simulate`` (write a path CSV + provenance sidecar),
 distance tables), and ``experiment`` (Monte Carlo reports of one experiment
 kind, or of ``all`` kinds in turn).
 
-Exit codes: 0 success; 2 invalid flags or configuration; 3 grid mismatch or
-unreadable input; 4 estimator denominator vanished; 5 unwritable output.
+Exit codes.  A command returns nothing on success and raises one of the
+package's errors on failure; ``main`` alone turns it into an exit code and
+prints one ``error:`` line:
+
+    0  success
+    2  DomainError      invalid flags or configuration (argparse also
+                        exits with 2 on flags it cannot parse)
+    3  GridMismatch     grid mismatch or unreadable input
+    4  ZeroDenominator  the estimator denominator vanished
+    5  OSError          output could not be written
+
+Every read converts its own OSError first, so an OSError that reaches
+``main`` is a failed write.  Any other exception is a bug and keeps its
+traceback.
 """
 
 from __future__ import annotations
@@ -33,7 +45,15 @@ from .experiments import (
 )
 from .functional import k0, operator_distance_b, operator_distance_h, rho_norm_b, rho_norm_h
 from .mle import theta_endpoint_from_values, theta_ito_from_values
-from .ou_process import SCHEMES, OuParams, TimeGrid, positive_finite, sample_euler, sample_exact
+from .ou_process import (
+    SCHEMES,
+    OuParams,
+    TimeGrid,
+    check_euler_stable,
+    positive_finite,
+    sample_euler,
+    sample_exact,
+)
 from .reporting import (
     SCHEMA_VERSION,
     atomic_write,
@@ -46,11 +66,8 @@ from .reporting import (
     write_report,
 )
 
-EXIT_OK = 0
-EXIT_USAGE = 2
-EXIT_BAD_INPUT = 3
-EXIT_ZERO_DENOMINATOR = 4
-EXIT_UNWRITABLE = 5
+# the exit code each of the package's errors ends a run with
+_EXIT_CODES = {DomainError: 2, GridMismatch: 3, ZeroDenominator: 4, OSError: 5}
 
 # beyond this many simulation steps the experiment command requires --yes
 _COST_GUARD_STEPS = 5 * 10**9
@@ -59,7 +76,9 @@ _K_MAX = 10**5  # norms rows are held in memory; enough for k0 of any theta >= 2
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(prog="oufar", description=__doc__)
+    parser = argparse.ArgumentParser(
+        prog="oufar", description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter
+    )
     parser.add_argument("--version", action="version", version=f"oufar {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
 
@@ -79,11 +98,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_sim.add_argument("--seed", type=int, required=True)
     p_sim.add_argument("--out", required=True)
+    p_sim.set_defaults(run=_cmd_simulate)
 
     p_est = sub.add_parser("estimate", help="estimate theta from a path CSV")
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--form", choices=("ito", "endpoint", "both"), default="ito")
     p_est.add_argument("--out", help="write JSON here instead of stdout")
+    p_est.set_defaults(run=_cmd_estimate)
 
     p_norms = sub.add_parser("norms", help="operator norms, contraction power, distances")
     p_norms.add_argument("--theta", type=float, required=True)
@@ -92,6 +113,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_norms.add_argument("--theta-hat", type=float)
     p_norms.add_argument("--format", choices=("json", "csv"), default="json")
     p_norms.add_argument("--out", help="write here instead of stdout")
+    p_norms.set_defaults(run=_cmd_norms)
 
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
     p_exp.add_argument(
@@ -109,6 +131,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--master-seed", type=int, help="override the config master seed")
     p_exp.add_argument("--replicates", type=int, help="override the replicate count")
     p_exp.add_argument("--yes", action="store_true", help="confirm an expensive run")
+    p_exp.set_defaults(run=_cmd_experiment)
     return parser
 
 
@@ -135,44 +158,30 @@ def _emit(text: str, out: str | None) -> None:
         atomic_write(out, [text])
 
 
-def _cmd_simulate(args) -> int:
+def _cmd_simulate(args) -> None:
     flags = (args.theta, args.mu, args.sigma, args.t_end, args.dt, args.x0)
     if not all(map(math.isfinite, flags)):
-        print("error: --theta, --mu, --sigma, --t-end, --dt and --x0 must be finite",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("--theta, --mu, --sigma, --t-end, --dt and --x0 must be finite")
     if args.seed < 0:
-        print("error: --seed must be a non-negative integer", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("--seed must be a non-negative integer")
     if args.stationary and args.scheme != "exact":
-        print("error: --stationary requires --scheme exact", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        params = OuParams(theta=args.theta, mu=args.mu, sigma=args.sigma)
-    except DomainError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    try:
-        grid = TimeGrid(t_end=args.t_end, dt=args.dt)
-    except GridMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    rng = np.random.default_rng(args.seed)
+        raise DomainError("--stationary requires --scheme exact")
+    params = OuParams(theta=args.theta, mu=args.mu, sigma=args.sigma)
+    grid = TimeGrid(t_end=args.t_end, dt=args.dt)
     if args.scheme == "euler":
-        path = sample_euler(params, grid, rng, x0=args.x0)
-        init_doc = {"x0": args.x0}
-    elif args.stationary:
-        path = sample_exact(params, grid, rng, stationary=True)
-        init_doc = {"init": "stationary"}
-    else:
-        path = sample_exact(params, grid, rng, x0=args.x0)
-        init_doc = {"x0": args.x0}
-    try:
-        write_path_csv(path, args.out, seed=args.seed, extra=init_doc)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
-    return EXIT_OK
+        check_euler_stable((params.theta,), grid.dt)
+    rng = np.random.default_rng(args.seed)
+    with np.errstate(over="ignore", invalid="ignore"):  # SamplePath rejects a non-finite path
+        if args.scheme == "euler":
+            path = sample_euler(params, grid, rng, x0=args.x0)
+            init_doc = {"x0": args.x0}
+        elif args.stationary:
+            path = sample_exact(params, grid, rng, stationary=True)
+            init_doc = {"init": "stationary"}
+        else:
+            path = sample_exact(params, grid, rng, x0=args.x0)
+            init_doc = {"x0": args.x0}
+    write_path_csv(path, args.out, seed=args.seed, extra=init_doc)
 
 
 def _estimate_doc(values, dt, form: str) -> dict:
@@ -188,47 +197,34 @@ def _estimate_doc(values, dt, form: str) -> dict:
     }
 
 
-def _cmd_estimate(args) -> int:
+def _cmd_estimate(args) -> None:
     try:
         values, dt = read_path_csv(args.input)
-    except (OSError, GridMismatch) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-            if args.form == "both":
-                ito = _estimate_doc(values, dt, "ito")
-                endpoint = _estimate_doc(values, dt, "endpoint")
-                doc = {
-                    "ito": ito,
-                    "endpoint": endpoint,
-                    "difference": ito["theta_hat"] - endpoint["theta_hat"],
-                }
-            else:
-                doc = _estimate_doc(values, dt, args.form)
-    except ZeroDenominator as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ZERO_DENOMINATOR
+    except OSError as exc:  # unreadable input, not an unwritable output
+        raise GridMismatch(str(exc)) from exc
+    with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
+        if args.form == "both":
+            ito = _estimate_doc(values, dt, "ito")
+            endpoint = _estimate_doc(values, dt, "endpoint")
+            doc = {
+                "ito": ito,
+                "endpoint": endpoint,
+                "difference": ito["theta_hat"] - endpoint["theta_hat"],
+            }
+        else:
+            doc = _estimate_doc(values, dt, args.form)
     if not _all_finite(doc):
         # finite values whose squares or products overflow
-        print(f"error: {args.input}: estimator sums are not finite", file=sys.stderr)
-        return EXIT_BAD_INPUT
+        raise GridMismatch(f"{args.input}: estimator sums are not finite")
     doc["schema_version"] = SCHEMA_VERSION
-    try:
-        _emit(json_text(doc), args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
-    return EXIT_OK
+    _emit(json_text(doc), args.out)
 
 
-def _cmd_norms(args) -> int:
+def _cmd_norms(args) -> None:
     if not (positive_finite(args.theta) and positive_finite(args.h) and 1 <= args.k_max <= _K_MAX):
-        print(f"error: need finite theta > 0 and h > 0, k-max in [1, {_K_MAX}]", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError(f"need finite theta > 0 and h > 0, k-max in [1, {_K_MAX}]")
     if args.theta_hat is not None and not positive_finite(args.theta_hat):
-        print("error: theta-hat must be positive and finite", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("theta-hat must be positive and finite")
     try:
         rows = [
             {
@@ -252,9 +248,7 @@ def _cmd_norms(args) -> int:
     except OverflowError:  # e.g. k0 = ceil(1/theta + 1) of a subnormal theta
         doc = None
     if doc is None or not _all_finite(doc):
-        print("error: theta, h or theta-hat out of range: the norms are not finite",
-              file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError("theta, h or theta-hat out of range: the norms are not finite")
     if args.format == "json":
         text = json_text(doc)
     else:
@@ -263,12 +257,7 @@ def _cmd_norms(args) -> int:
             ((args.theta, args.h, row["k"], doc["k0"], row["rho_norm_H"], row["rho_norm_B"])
              for row in rows),
         )
-    try:
-        _emit(text, args.out)
-    except OSError as exc:
-        print(f"error: cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_UNWRITABLE
-    return EXIT_OK
+    _emit(text, args.out)
 
 
 # each kind's main report, reduced from a fresh simulation of its grid
@@ -278,31 +267,28 @@ _RUNNERS = {
 }
 
 
-def _cmd_experiment(args) -> int:
+def _cmd_experiment(args) -> None:
     kinds = tuple(EXPERIMENTS) if args.kind == "all" else (args.kind,)
     overrides = {"master_seed": args.master_seed, "replicates": args.replicates}
+    if args.config is None:
+        doc = {"profile": args.profile}
+    else:
+        try:
+            doc = json.loads(Path(args.config).read_text())
+        except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
+            raise DomainError(f"cannot read config {args.config}: {exc}") from exc
     try:
-        if args.config is not None:
-            try:
-                doc = json.loads(Path(args.config).read_text())
-            except (OSError, json.JSONDecodeError) as exc:
-                print(f"error: cannot read config {args.config}: {exc}", file=sys.stderr)
-                return EXIT_USAGE
-        else:
-            doc = {"profile": args.profile}
         plan = []  # every config is resolved and checked before the first path is drawn
         for kind in kinds:
             config, out_dir, formats, profile = resolve_cli_config(kind, doc, overrides)
             for name in EXPERIMENTS[kind].reports:
                 check_report(name, config)  # lil_coverage needs every T > e
             plan.append((kind, config))
-    except (ValueError, DomainError) as exc:
-        print(f"error: bad config: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    out_dir = args.out or out_dir
-    if out_dir is None:
-        print("error: no output directory (set --out or out_dir in the config)", file=sys.stderr)
-        return EXIT_USAGE
+    except ValueError as exc:  # DomainError included
+        raise DomainError(f"bad config: {exc}") from exc
+    args.out = args.out or out_dir  # main names it when a write fails
+    if args.out is None:
+        raise DomainError("no output directory (set --out or out_dir in the config)")
 
     grids = {simulation_grid(config): config for _, config in plan}
     steps = sum(map(estimated_steps, grids.values()))
@@ -310,8 +296,7 @@ def _cmd_experiment(args) -> int:
         print(f"planned work: {steps:.3e} simulation steps on {len(grids)} grid(s)",
               file=sys.stderr)
         if not args.yes:
-            print("this is expensive; re-run with --yes to confirm", file=sys.stderr)
-            return EXIT_USAGE
+            raise DomainError("this is expensive; re-run with --yes to confirm")
 
     cell_data = {}  # simulation grid -> its replicates: kinds on one grid share them
     for kind, config in plan:
@@ -325,28 +310,25 @@ def _cmd_experiment(args) -> int:
             report = _RUNNERS[kind](config, n_workers=n_workers)
             cell_data[grid] = report.cell_data
         reports = [report, *(run_report(name, config, n_workers, report.cell_data) for name in rest)]
-        try:
-            paths = [write_report(r, out_dir, formats=formats) for r in reports]
-        except OSError as exc:
-            print(f"error: cannot write to {out_dir}: {exc}", file=sys.stderr)
-            return EXIT_UNWRITABLE
+        paths = [write_report(r, args.out, formats=formats) for r in reports]
         print(
             f"wrote {paths[0].get('json') or paths[0].get('csv')} "
             f"({report.failures_total} failed replicates, {report.wall_time_s:.2f}s)",
             file=sys.stderr,
         )
-    return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    if args.command == "simulate":
-        return _cmd_simulate(args)
-    if args.command == "estimate":
-        return _cmd_estimate(args)
-    if args.command == "norms":
-        return _cmd_norms(args)
-    return _cmd_experiment(args)
+    try:
+        args.run(args)
+    except tuple(_EXIT_CODES) as exc:
+        code = next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
+        # an OSError here is a failed write (see the module docstring)
+        message = f"cannot write {args.out or 'stdout'}: {exc}" if isinstance(exc, OSError) else exc
+        print(f"error: {message}", file=sys.stderr)
+        return code
+    return 0
 
 
 if __name__ == "__main__":

@@ -44,6 +44,7 @@ from .ou_process import (
     SCRATCH_VALUES,
     OuParams,
     TimeGrid,
+    check_euler_stable,
     grid_multiple,
     positive_finite,
     sample_euler,
@@ -144,17 +145,21 @@ class ExperimentConfig:
         band_k_ok = self.band_k >= 0.0 and math.isfinite(self.band_k)
         if not (band_k_ok and positive_finite(self.lil_multiplier)):
             raise DomainError("band_k must be finite and >= 0, lil_multiplier finite and > 0")
-        if not _is_count(self.replicates) or self.replicates < 1:
-            raise DomainError(f"replicates must be an integer >= 1, got {self.replicates!r}")
+        # each replicate's seed packs its indices into 16 + 16 + 32 bits
+        if len(self.thetas) > _MAX_THETA_INDEX or len(self.horizons) > _MAX_T_INDEX:
+            raise DomainError(
+                f"at most {_MAX_THETA_INDEX} thetas and {_MAX_T_INDEX} horizons, got "
+                f"{len(self.thetas)} and {len(self.horizons)}"
+            )
+        if not _is_count(self.replicates) or not 1 <= self.replicates <= _MAX_REPLICATE_INDEX:
+            raise DomainError(
+                f"replicates must be an integer in [1, {_MAX_REPLICATE_INDEX}], "
+                f"got {self.replicates!r}"
+            )
         if self.scheme not in SCHEMES:
             raise DomainError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.scheme == "euler":
-            unstable = [t for t in self.thetas if abs(1.0 - t * self.dt) >= 1.0]
-            if unstable:
-                raise DomainError(
-                    f"euler scheme diverges for theta={unstable} at dt={self.dt}: "
-                    "need |1 - theta*dt| < 1"
-                )
+            check_euler_stable(self.thetas, self.dt)
         if not _is_count(self.master_seed) or not 0 <= self.master_seed <= _MASK64:
             raise DomainError("master_seed must be an integer in [0, 2^64)")
         if grid_multiple(self.h, self.dt) is None:

@@ -205,7 +205,13 @@ def _exp_moment(k: int, c: float, h: float) -> float:
     """int_0^h t^k exp(-c t) dt = k! P(k+1, c h) / c^(k+1), stable for any c h."""
     from scipy.special import gammainc  # 0.3 s to import, so not at module import
 
-    return math.factorial(k) * float(gammainc(k + 1, c * h)) / c ** (k + 1)
+    x = c * h
+    if c ** (k + 1) > 0.0:
+        return math.factorial(k) * float(gammainc(k + 1, x)) / c ** (k + 1)
+    # c^(k+1) underflows: the same integral as h^(k+1) int_0^1 s^k exp(-x s) ds
+    if x < 2.0**-53:  # exp(-x s) is 1 to rounding
+        return h ** (k + 1) / (k + 1)
+    return h ** (k + 1) * math.factorial(k) * float(gammainc(k + 1, x)) / x ** (k + 1)
 
 
 def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
@@ -273,7 +279,10 @@ def operator_distance_b(theta: float, theta_hat: float, h: float) -> float:
         return abs(math.exp(-theta * t) * math.expm1(-delta * t))
 
     candidates = [gap(h)]
-    t_star = math.log(theta_hat / theta) / delta
+    ratio = theta_hat / theta
+    # a ratio that underflows or overflows: the same logarithm as a difference
+    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(theta_hat) - math.log(theta)
+    t_star = log_ratio / delta
     if 0.0 < t_star < h:
         candidates.append(gap(t_star))
     return max(candidates)

@@ -141,6 +141,19 @@ class OuParams:
         return math.sqrt(self.stationary_variance)
 
 
+def check_euler_stable(thetas, dt: float) -> None:
+    """Raise DomainError unless the Euler factor 1 - theta dt lies strictly inside (-1, 1).
+
+    Outside it the Euler recursion does not contract and its paths grow
+    without bound; the one test for experiment configs and ``simulate``.
+    """
+    unstable = [t for t in thetas if abs(1.0 - t * dt) >= 1.0]
+    if unstable:
+        raise DomainError(
+            f"euler scheme diverges for theta={unstable} at dt={dt}: need |1 - theta*dt| < 1"
+        )
+
+
 def grid_multiple(value: float, step: float) -> int | None:
     """n >= 1 when ``value`` is n times ``step`` within 1e-9 relative, else None.
 
@@ -198,7 +211,7 @@ class SamplePath:
             )
         # min and max propagate NaN, so both are finite iff every value is
         if not (math.isfinite(self.values.min()) and math.isfinite(self.values.max())):
-            raise ValueError("path values must be finite")
+            raise DomainError("path values must be finite")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 
@@ -265,38 +278,29 @@ def _ar1_path(x0: float, a: float, v: np.ndarray) -> np.ndarray:
     return path
 
 
-def _noise_buffer(n: int, x0: float, rng: np.random.Generator, zero_noise: bool) -> np.ndarray:
-    """One (n+1) buffer: x0, then n standard normals drawn in place (zeros if zero_noise).
+def _noise_buffer(n: int, x0: float, rng: np.random.Generator) -> np.ndarray:
+    """One (n+1) buffer: x0, then n standard normals drawn in place.
 
     The buffer is this thread's ``scratch``; the filtered path is a new array.
     """
     v = scratch(n + 1)
     v[0] = x0
-    if zero_noise:
-        v[1:] = 0.0
-    else:
-        rng.standard_normal(out=v[1:])
+    rng.standard_normal(out=v[1:])
     return v
 
 
 def sample_euler(
-    params: OuParams,
-    grid: TimeGrid,
-    rng: np.random.Generator,
-    x0: float = 0.0,
-    _zero_noise: bool = False,
+    params: OuParams, grid: TimeGrid, rng: np.random.Generator, x0: float = 0.0
 ) -> SamplePath:
     """Euler-Maruyama path: xi_{i+1} = xi_i - theta (xi_i - mu) dt + sigma dW_i.
 
     The increments dW_i are i.i.d. N(0, dt), drawn in one block from ``rng``;
-    the same seed therefore reproduces the same path byte for byte.
-    ``_zero_noise`` suppresses the increments to expose the drift skeleton
-    (testing only, not reachable from the CLI).  The innovations
-    u_i = theta mu dt + sigma (Z_i sqrt(dt)) are formed in place in the one
-    buffer the path is filtered from.
+    the same seed therefore reproduces the same path byte for byte.  The
+    innovations u_i = theta mu dt + sigma (Z_i sqrt(dt)) are formed in place
+    in the one buffer the path is filtered from.
     """
     n, dt = grid.n_steps, grid.dt
-    v = _noise_buffer(n, x0, rng, _zero_noise)
+    v = _noise_buffer(n, x0, rng)
     u = v[1:]
     np.multiply(u, math.sqrt(dt), out=u)
     np.multiply(u, params.sigma, out=u)
@@ -315,7 +319,10 @@ def exact_transition(params: OuParams, dt: float) -> tuple[float, float]:
     if dt < 0.0:
         raise DomainError("step length must be nonnegative")
     decay = math.exp(-params.theta * dt)
-    var = params.sigma**2 * (1.0 - math.exp(-2.0 * params.theta * dt)) / (2.0 * params.theta)
+    try:
+        var = params.sigma**2 * (1.0 - math.exp(-2.0 * params.theta * dt)) / (2.0 * params.theta)
+    except OverflowError:  # float ** raises where * would give inf
+        raise DomainError(f"sigma={params.sigma}: sigma^2 overflows") from None
     return decay, math.sqrt(max(var, 0.0))
 
 
@@ -325,7 +332,6 @@ def sample_exact(
     rng: np.random.Generator,
     x0: float = 0.0,
     stationary: bool = False,
-    _zero_noise: bool = False,
 ) -> SamplePath:
     """Path drawn from the exact Gaussian transition of the process.
 
@@ -339,7 +345,7 @@ def sample_exact(
     if stationary:
         x0 = params.mu + params.stationary_std * rng.standard_normal()
     x0 = float(x0)
-    v = _noise_buffer(n, x0, rng, _zero_noise)
+    v = _noise_buffer(n, x0, rng)
     u = v[1:]
     np.multiply(u, sd, out=u)
     np.add(u, params.mu * (1.0 - decay), out=u)

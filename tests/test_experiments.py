@@ -1,4 +1,3 @@
-import functools
 import hashlib
 import math
 import sys
@@ -37,6 +36,7 @@ from oufar.experiments import (
     z_scores,
 )
 from oufar.reporting import report_json_text
+from zero_noise import ZeroNoise
 
 SMALL = ExperimentConfig(
     thetas=(0.7,), horizons=(500.0,), dt=0.02, replicates=100, epsilon=0.05, master_seed=99
@@ -340,7 +340,7 @@ def _one_shot(config, theta, n_steps, boundary, seed, zero_noise=False):
     rng = np.random.default_rng(seed)
     params, grid = OuParams(theta=theta), TimeGrid(t_end=n_steps * config.dt, dt=config.dt)
     if config.scheme == "euler":
-        path = sample_euler(params, grid, rng, x0=0.0, _zero_noise=zero_noise)
+        path = sample_euler(params, grid, ZeroNoise(rng) if zero_noise else rng, x0=0.0)
     else:
         path = sample_exact(params, grid, rng, stationary=True)
     try:
@@ -392,7 +392,8 @@ class TestStreamingOracle:
 
     def test_zero_path_is_a_counted_failure(self, monkeypatch):
         monkeypatch.setattr(exp, "_CHUNK_STEPS", 128)
-        monkeypatch.setattr(exp, "sample_euler", functools.partial(sample_euler, _zero_noise=True))
+        zero_euler = lambda p, g, rng, x0: sample_euler(p, g, ZeroNoise(rng), x0)  # noqa: E731
+        monkeypatch.setattr(exp, "sample_euler", zero_euler)
         config = ExperimentConfig(thetas=(0.7,), horizons=(20.0,), replicates=4, master_seed=67)
         theta_hat, x_prev = _replicate(config, 0.7, 20.0, 1)
         expected_theta, expected_x = _one_shot(config, 0.7, 1000, 950, 1, zero_noise=True)

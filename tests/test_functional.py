@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy import integrate
 
 from oufar import (
     DomainError,
@@ -31,6 +32,7 @@ from oufar import (
     segment_path,
     trapezoid_quad,
 )
+from oufar.functional import _exp_moment
 
 rates = st.floats(0.05, 5.0)
 lengths = st.floats(0.1, 5.0)
@@ -283,6 +285,20 @@ class TestOperatorDistanceH:
             theta, theta_hat, h
         )
 
+    def test_tiny_rates(self):
+        # (2 theta)^3 underflows to 0 in the Taylor moments; the distance tends to the bound
+        assert operator_distance_h(1e-120, 2e-120, 1.0) == pytest.approx(
+            operator_distance_h_bound(1e-120, 2e-120, 1.0), rel=1e-12
+        )
+
+    @pytest.mark.parametrize(
+        "k, c, h", [(2, 1.0, 1.0), (2, 1e-120, 1.0), (2, 1e-120, 1e100), (4, 1e-70, 1e60)]
+    )
+    def test_exp_moment_quadrature_oracle(self, k, c, h):
+        # int_0^h t^k e^{-c t} dt = h^(k+1) int_0^1 s^k e^{-c h s} ds, the latter by quadrature
+        scaled, _ = integrate.quad(lambda s: s**k * math.exp(-c * h * s), 0.0, 1.0, epsrel=1e-13)
+        assert _exp_moment(k, c, h) == pytest.approx(h ** (k + 1) * scaled, rel=1e-12)
+
     def test_bound_value(self):
         assert operator_distance_h_bound(1.0, 1.1, 1.0) == pytest.approx(0.11547005, rel=1e-7)
         assert operator_distance_h_bound(2.0, 2.0, 3.0) == 0.0
@@ -303,6 +319,12 @@ class TestOperatorDistanceB:
         analytic = operator_distance_b(theta, theta_hat, h)
         brute = operator_distance_b_grid(theta, theta_hat, h, nodes=10**5)
         assert abs(analytic - brute) <= 1e-12
+
+    def test_rate_ratio_underflows(self):
+        # theta_hat / theta rounds to 0, whose logarithm is undefined
+        analytic = operator_distance_b(1e300, 1e-30, 1e-298)
+        brute = operator_distance_b_grid(1e300, 1e-30, 1e-298, nodes=10**4)
+        assert analytic == pytest.approx(brute, abs=1e-12)
 
     @given(theta=rates, theta_hat=rates, h=lengths)
     def test_bounded_by_h_times_gap(self, theta, theta_hat, h):

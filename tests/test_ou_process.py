@@ -28,6 +28,7 @@ from oufar import (
     stationary_density,
 )
 from oufar.ou_process import SCRATCH_VALUES, grid_multiple, scratch
+from zero_noise import ZeroNoise
 
 params_st = st.builds(
     OuParams,
@@ -164,7 +165,7 @@ class TestSamplers:
         # with increments forced to zero the recursion is xi_i = x0 (1 - theta dt)^i
         p = OuParams(theta=0.5)
         g = TimeGrid(t_end=1.0, dt=0.1)
-        path = sample_euler(p, g, np.random.default_rng(0), x0=2.0, _zero_noise=True)
+        path = sample_euler(p, g, ZeroNoise(np.random.default_rng(0)), x0=2.0)
         expected = 2.0 * (1.0 - 0.5 * 0.1) ** np.arange(11)
         np.testing.assert_allclose(path.values, expected, rtol=1e-12)
 
@@ -214,7 +215,7 @@ class TestSamplers:
     def test_exact_zero_noise_decays_deterministically(self):
         p = OuParams(theta=2.0)
         g = TimeGrid(1.0, 0.25)
-        path = sample_exact(p, g, np.random.default_rng(0), x0=1.0, _zero_noise=True)
+        path = sample_exact(p, g, ZeroNoise(np.random.default_rng(0)), x0=1.0)
         np.testing.assert_allclose(path.values, np.exp(-2.0 * g.times()), rtol=1e-12)
 
 
@@ -267,10 +268,12 @@ class TestLoopOracle:
         params, n, x0, scheme, stationary, zero_noise, seed = case
         grid = TimeGrid(t_end=n * 0.02, dt=0.02)
         rng = np.random.default_rng(seed)
+        if zero_noise:
+            rng = ZeroNoise(rng)
         if scheme == "euler":
-            path = sample_euler(params, grid, rng, x0=x0, _zero_noise=zero_noise)
+            path = sample_euler(params, grid, rng, x0=x0)
         else:
-            path = sample_exact(params, grid, rng, x0=x0, stationary=stationary, _zero_noise=zero_noise)
+            path = sample_exact(params, grid, rng, x0=x0, stationary=stationary)
         expected = _loop_values(params, grid, seed, scheme, x0, stationary, zero_noise)
         assert path.values.tobytes() == expected.tobytes()
         if not stationary:

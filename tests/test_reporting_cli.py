@@ -1,4 +1,6 @@
+import contextlib
 import hashlib
+import io
 import json
 import math
 import tempfile
@@ -6,7 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 import oufar.reporting as reporting
@@ -24,7 +26,8 @@ from oufar import (
 )
 from oufar.cli import main
 from oufar.errors import GridMismatch
-from oufar.ou_process import SamplePath
+from oufar.experiments import EXPERIMENTS
+from oufar.ou_process import SamplePath, grid_multiple
 from oufar.reporting import (
     config_hash,
     estimated_steps,
@@ -536,6 +539,14 @@ class TestNormsCommand:
             ["simulate", "--theta", "1", "--t-end", "inf", "--dt", "0.02", "--seed", "1"],
             ["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02", "--seed", "-1"],
             ["norms", "--theta", "1", "--h", "1", "--k-max", "100001"],  # rows are held in memory
+            # theta*dt = 2e8: the Euler factor 1 - theta*dt diverges
+            ["simulate", "--theta", "1e10", "--t-end", "10", "--dt", "0.02", "--seed", "1"],
+            # finite flags, an overflowing path
+            ["simulate", "--theta", "1", "--sigma", "1e308", "--t-end", "10", "--dt", "0.02",
+             "--seed", "1"],
+            # sigma**2 overflows in the exact transition
+            ["simulate", "--theta", "1", "--sigma", "1e200", "--t-end", "10", "--dt", "0.02",
+             "--scheme", "exact", "--seed", "1"],
         ],
     )
     def test_nonfinite_or_overflowing_flags_exit_2(self, tmp_path, capsys, argv):
@@ -690,6 +701,17 @@ class TestExperimentCommand:
         assert "log log T" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_all_rejects_a_config_beyond_the_seed_address(self, tmp_path, monkeypatch, capsys):
+        import oufar.experiments as exp
+
+        monkeypatch.setattr(exp, "collect_cells", lambda *a, **k: pytest.fail("paths drawn"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thetas": [0.7] * 65537, "horizons": [100.0]}))
+        out = tmp_path / "r"
+        assert main(["experiment", "all", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "65537" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_full_profile_requires_confirmation(self, tmp_path, monkeypatch, capsys):
         import oufar.experiments as exp
 
@@ -774,6 +796,12 @@ class TestExperimentCommand:
             '{"thetas":[0.7],"horizons":[100.0],"replicates":2,"formats":[["json"]]}',
             # T / dt overflows to infinity
             '{"thetas":[0.7],"horizons":[1e300],"replicates":2,"dt":1e-10,"h":1e-10}',
+            # more than the 16 + 16 + 32 bits of a replicate's seed address
+            pytest.param(json.dumps({"thetas": [0.7] * 65537, "horizons": [100.0]}),
+                         id="65537-thetas"),
+            pytest.param(json.dumps({"thetas": [0.7], "horizons": [100.0] * 65537}),
+                         id="65537-horizons"),
+            '{"thetas":[0.7],"horizons":[100.0],"replicates":4294967297}',
         ],
     )
     def test_nonfinite_or_untyped_config_exits_2(self, tmp_path, capsys, text):
@@ -832,3 +860,166 @@ class TestExperimentCommand:
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity, raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         assert self._workers_chosen(tmp_path, monkeypatch, threads, 10) == [expected]
+
+
+class TestUnwritableOutput:
+    """Every command exits 5 when its output cannot be written."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["estimate", "--input", "{csv}"],
+            ["norms", "--theta", "1", "--h", "1"],
+            ["norms", "--theta", "1", "--h", "1", "--format", "csv"],
+            ["experiment", "emse", "--config", "{cfg}"],
+        ],
+        ids=["estimate", "norms-json", "norms-csv", "experiment"],
+    )
+    def test_out_below_a_regular_file_exits_5(self, tmp_path, capsys, argv):
+        csv, cfg, blocker = tmp_path / "p.csv", tmp_path / "cfg.json", tmp_path / "file"
+        assert main(["simulate", "--theta", "1", "--t-end", "2", "--dt", "0.02",
+                     "--seed", "1", "--out", str(csv)]) == 0
+        cfg.write_text(json.dumps(SMALL))
+        blocker.write_text("x")
+        argv = [a.format(csv=csv, cfg=cfg) for a in argv]
+        assert main(argv + ["--out", str(blocker / "out")]) == 5
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: cannot write {blocker / 'out'}: ")
+        assert blocker.read_text() == "x"
+
+
+# flag values: any double (NaN, infinities and subnormals included) or a typical one
+_FLAG = st.one_of(st.floats(), st.sampled_from([0.0, -1.0, 0.02, 0.5, 1.0, 5.0, 1e10, 1e308]))
+_RATE = st.one_of(st.sampled_from([0.5, 1.0, 5.0]), _FLAG)  # valid in half the draws
+# output targets below the example's directory; "file" is a regular file there
+_OUT = st.sampled_from(["{tmp}/o.out", "{tmp}/a/b/o.out", "{tmp}/file/o.out"])
+
+
+def _flag(name, value):
+    return f"--{name}={value!r}"  # "=" keeps a value such as -1e-05 from reading as a flag
+
+
+@st.composite
+def _simulate_case(draw):
+    dt = draw(st.one_of(st.sampled_from([0.02, 0.1, 1.0]), _FLAG))
+    t_end = draw(st.one_of(st.integers(-1, 10_000).map(lambda n: n * dt), _FLAG))
+    if dt > 0 and t_end > 0 and (grid_multiple(t_end, dt) or 0) > 10_000:
+        t_end = 10_000 * dt  # at most 1e4 steps
+    argv = ["simulate", _flag("t-end", t_end), _flag("dt", dt)]
+    argv += [_flag(name, draw(_RATE)) for name in ("theta", "mu", "sigma")]
+    argv += ["--scheme", draw(st.sampled_from(["euler", "exact"]))]
+    x0 = _flag("x0", draw(_FLAG))
+    argv += draw(st.sampled_from([[], ["--stationary"], [x0], ["--stationary", x0]]))
+    argv += [f"--seed={draw(st.integers(-3, 2**70))}", "--out", draw(_OUT)]
+    return argv, {}
+
+
+@st.composite
+def _estimate_case(draw):
+    zero_path = b"t,xi\n0,0\n0.02,0\n0.04,0\n"  # the estimator denominator vanishes
+    text = st.one_of(_path_csv_files().map(str.encode), st.binary(max_size=64), st.just(zero_path))
+    files = {"in.csv": draw(text)}
+    source = draw(st.sampled_from(["in.csv", "missing.csv", "", "file"]))  # "": a directory
+    argv = ["estimate", "--input", f"{{tmp}}/{source}"]
+    argv += ["--form", draw(st.sampled_from(["ito", "endpoint", "both"]))]
+    argv += draw(st.one_of(st.just([]), _OUT.map(lambda out: ["--out", out])))
+    return argv, files
+
+
+@st.composite
+def _norms_case(draw):
+    argv = ["norms", _flag("theta", draw(_RATE)), _flag("h", draw(_RATE))]
+    argv += [f"--k-max={draw(st.integers(-1, 100))}"]
+    argv += ["--format", draw(st.sampled_from(["json", "csv"]))]
+    argv += draw(st.one_of(st.just([]), _RATE.map(lambda v: [_flag("theta-hat", v)])))
+    argv += draw(st.one_of(st.just([]), _OUT.map(lambda out: ["--out", out])))
+    return argv, {}
+
+
+# config values: mostly valid ones, then the malformed ones a config must reject
+_WILD = st.one_of(_FLAG, st.sampled_from(["0.02", True, None, [1.0], -2]))
+_CONFIG = st.fixed_dictionaries(
+    {
+        "thetas": st.one_of(st.lists(st.one_of(st.sampled_from([0.1, 0.7, 5.0, 60.0]), _FLAG),
+                                     max_size=2), _WILD),
+        "horizons": st.one_of(st.lists(st.one_of(st.sampled_from([1.0, 4.0, 10.0, 50.0]),
+                                                 st.floats(max_value=50.0)), max_size=2), _WILD),
+        "replicates": st.one_of(st.integers(1, 3), st.integers(-1, 3), _WILD),
+    },
+    optional={
+        "dt": st.one_of(st.sampled_from([0.02, 0.1, 0.5]),
+                        st.sampled_from([0.0, -0.02, math.nan, math.inf, 1e-300, "0.02", True])),
+        "h": st.one_of(st.sampled_from([0.5, 1.0, 2.0]), _WILD),
+        "epsilon": st.one_of(st.just(0.05), _WILD),
+        "band_k": st.one_of(st.just(3.0), _WILD),
+        "lil_multiplier": st.one_of(st.just(1.5), _WILD),
+        "scheme": st.sampled_from(["euler", "exact", "milstein", 1]),
+        "master_seed": st.one_of(st.integers(-1, 2**65), _WILD),
+        "profile": st.sampled_from(["desk", "full", "custom", "bogus", 5]),
+        "out_dir": st.sampled_from(["{tmp}/from-config", 5]),
+        "formats": st.sampled_from([["json"], ["csv"], ["json", "csv"], [], ["xml"], "json"]),
+        "bogus": st.just(1),
+    },
+)
+
+
+@st.composite
+def _experiment_case(draw):
+    argv = ["experiment", draw(st.sampled_from([*EXPERIMENTS, "all"]))]
+    files = {}
+    source = draw(st.sampled_from(["profile", "config", "text", "missing"]))
+    if source == "profile":  # the desk grids, at most 3 replicates
+        argv += ["--profile", "desk", f"--replicates={draw(st.integers(1, 3))}"]
+    else:
+        argv += ["--config", "{tmp}/cfg.json"]
+        if source == "config":
+            files["cfg.json"] = json.dumps(draw(_CONFIG)).encode()
+        elif source == "text":
+            files["cfg.json"] = draw(st.binary(max_size=32))
+        argv += draw(st.sampled_from([[], [f"--replicates={draw(st.integers(-1, 3))}"]]))
+    argv += draw(st.one_of(st.just([]), _OUT.map(lambda out: ["--out", out])))
+    argv += [f"--threads={draw(st.integers(-1, 2))}"]
+    argv += draw(st.sampled_from([[], [f"--master-seed={draw(st.integers(-1, 2**65))}"]]))
+    return argv, files
+
+
+def _no_constants(name):
+    raise ValueError(f"{name} in JSON output")
+
+
+class TestExitCodeContract:
+    """Any argv of the four commands ends in 0, 2, 3, 4 or 5, and never in a traceback."""
+
+    SIMULATE = ["simulate", "--t-end=10.0", "--dt=0.02", "--seed=1", "--out", "{tmp}/o.out"]
+
+    # each example works in its own directory below tmp_path
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(case=st.one_of(_simulate_case(), _estimate_case(), _norms_case(), _experiment_case()))
+    @example(case=(SIMULATE + ["--theta=1e10"], {}))  # a diverging Euler factor
+    @example(case=(SIMULATE + ["--theta=1.0", "--sigma=1e308"], {}))  # an overflowing path
+    @example(case=(["experiment", "emse", "--config", "{tmp}/cfg.json", "--out", "{tmp}/r"],
+                   {"cfg.json": json.dumps({"thetas": [0.7] * 65537, "horizons": [10.0],
+                                            "replicates": 1}).encode()}))
+    def test_every_argv_ends_in_a_documented_exit_code(self, tmp_path, case):
+        argv, files = case
+        tmp = Path(tempfile.mkdtemp(dir=tmp_path))
+        (tmp / "file").write_text("x")
+        for name, data in files.items():
+            (tmp / name).write_bytes(data.replace(b"{tmp}", str(tmp).encode()))
+        argv = [a.replace("{tmp}", str(tmp)) for a in argv]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)  # any other exception fails the test
+            except SystemExit as exc:  # argparse rejects the flags
+                assert exc.code == 2
+                return
+        assert code in (0, 2, 3, 4, 5)
+        assert "Traceback" not in err.getvalue()
+        if code:
+            assert out.getvalue() == ""
+            assert err.getvalue().splitlines()[-1].startswith("error: ")
+        elif out.getvalue() and "csv" not in argv:
+            json.loads(out.getvalue(), parse_constant=_no_constants)
