@@ -38,9 +38,8 @@ from .errors import DomainError, GridMismatch, ZeroDenominator
 from .experiments import (
     EXPERIMENTS,
     PROFILES,
-    check_report,
     lil_coverage,  # noqa: F401  unused here; perfbench/run.py wraps cli.lil_coverage
-    run_report,
+    run_experiment,
     simulation_grid,
 )
 from .functional import k0, operator_distance_b, operator_distance_h, rho_norm_b, rho_norm_h
@@ -260,11 +259,8 @@ def _cmd_norms(args) -> None:
     _emit(text, args.out)
 
 
-# each kind's main report, reduced from a fresh simulation of its grid
-_RUNNERS = {
-    kind: functools.partial(run_report, next(iter(experiment.reports)))
-    for kind, experiment in EXPERIMENTS.items()
-}
+# every report of a kind, reduced from one simulation of its grid
+_RUNNERS = {kind: functools.partial(run_experiment, kind) for kind in EXPERIMENTS}
 
 
 def _cmd_experiment(args) -> None:
@@ -277,20 +273,15 @@ def _cmd_experiment(args) -> None:
             doc = json.loads(Path(args.config).read_text())
         except (OSError, ValueError) as exc:  # unreadable, not UTF-8, or not JSON
             raise DomainError(f"cannot read config {args.config}: {exc}") from exc
-    try:
-        plan = []  # every config is resolved and checked before the first path is drawn
-        for kind in kinds:
-            config, out_dir, formats, profile = resolve_cli_config(kind, doc, overrides)
-            for name in EXPERIMENTS[kind].reports:
-                check_report(name, config)  # lil_coverage needs every T > e
-            plan.append((kind, config))
+    try:  # every config is resolved and checked before the first path is drawn
+        configs, out_dir, formats, profile = resolve_cli_config(kinds, doc, overrides)
     except ValueError as exc:  # DomainError included
         raise DomainError(f"bad config: {exc}") from exc
     args.out = args.out or out_dir  # main names it when a write fails
     if args.out is None:
         raise DomainError("no output directory (set --out or out_dir in the config)")
 
-    grids = {simulation_grid(config): config for _, config in plan}
+    grids = {simulation_grid(config): config for config in configs.values()}
     steps = sum(map(estimated_steps, grids.values()))
     if profile == "full" or steps > _COST_GUARD_STEPS:
         print(f"planned work: {steps:.3e} simulation steps on {len(grids)} grid(s)",
@@ -298,22 +289,15 @@ def _cmd_experiment(args) -> None:
         if not args.yes:
             raise DomainError("this is expensive; re-run with --yes to confirm")
 
-    cell_data = {}  # simulation grid -> its replicates: kinds on one grid share them
-    for kind, config in plan:
+    simulated = {}  # simulation grid -> its replicates: kinds on one grid share them
+    for kind, config in configs.items():
         # more threads than replicates or cores would only wait
         n_workers = max(min(args.threads, config.replicates, _usable_cpus()), 1)
-        first, *rest = EXPERIMENTS[kind].reports
-        grid = simulation_grid(config)
-        if grid in cell_data:
-            report = run_report(first, config, n_workers, cell_data[grid])
-        else:
-            report = _RUNNERS[kind](config, n_workers=n_workers)
-            cell_data[grid] = report.cell_data
-        reports = [report, *(run_report(name, config, n_workers, report.cell_data) for name in rest)]
+        reports = _RUNNERS[kind](config, n_workers=n_workers, simulated=simulated)
         paths = [write_report(r, args.out, formats=formats) for r in reports]
         print(
             f"wrote {paths[0].get('json') or paths[0].get('csv')} "
-            f"({report.failures_total} failed replicates, {report.wall_time_s:.2f}s)",
+            f"({reports[0].failures_total} failed replicates, {reports[0].wall_time_s:.2f}s)",
             file=sys.stderr,
         )
 

@@ -23,7 +23,8 @@ bias coverage.
 one grid of replicates and reduces it to one or more reports, and each
 report entry holds its cell fields and CSV columns.  The CLI's kinds, the
 reports and CSV schemas of ``reporting`` and the desk/full profiles all
-come from it.
+come from it.  ``run_experiment``, the one caller of ``collect_cells``, runs a
+kind: one simulation of its grid, or none if an earlier kind drew it.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ import math
 import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import Callable
 
 import numpy as np
@@ -111,9 +112,9 @@ class ExperimentConfig:
     Every horizon T must be an integer multiple of both dt and the segment
     length h (1e-9 relative), and h a multiple of dt, so segment boundaries
     fall on grid nodes.  ``scheme`` picks the path sampler; the exact scheme
-    starts from the stationary law, the Euler scheme from xi_0 = 0.  The
-    Euler recursion factor 1 - theta dt must lie strictly inside (-1, 1),
-    otherwise its paths grow without bound.
+    starts from the stationary law, whose variance must be finite, the Euler
+    scheme from xi_0 = 0, and its recursion factor 1 - theta dt must lie
+    strictly inside (-1, 1), otherwise its paths grow without bound.
     """
 
     thetas: tuple[float, ...]
@@ -160,6 +161,9 @@ class ExperimentConfig:
             raise DomainError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
         if self.scheme == "euler":
             check_euler_stable(self.thetas, self.dt)
+        elif not all(math.isfinite(OuParams(theta=t).stationary_std) for t in self.thetas):
+            # the exact scheme starts every path from the stationary law
+            raise DomainError(f"the stationary variance overflows for a theta in {self.thetas}")
         if not _is_count(self.master_seed) or not 0 <= self.master_seed <= _MASK64:
             raise DomainError("master_seed must be an integer in [0, 2^64)")
         if grid_multiple(self.h, self.dt) is None:
@@ -203,9 +207,6 @@ class ExperimentReport:
     failures_total: int
     wall_time_s: float = 0.0  # volatile, kept out of the deterministic report bytes
     n_workers: int = 1  # volatile
-    # the per-replicate results the cells were reduced from; another report
-    # on the same grid can be built from them without redrawing the paths
-    cell_data: list[CellData] = field(default_factory=list, repr=False)
 
 
 # numpy sums a float64 array pairwise: a run longer than 128 terms is split at
@@ -535,41 +536,45 @@ def check_report(name: str, config: ExperimentConfig) -> None:
             _cell(REPORTS[name], config, CellData(theta, t_end, empty, empty, 0))
 
 
-def run_report(
-    name: str,
-    config: ExperimentConfig,
-    n_workers: int = 1,
-    cell_data: list[CellData] | None = None,
-) -> ExperimentReport:
-    """Reduce ``cell_data`` to report ``name`` of the table.
+def run_experiment(kind: str, config: ExperimentConfig, n_workers: int = 1,
+                   simulated: dict[tuple, list[CellData]] | None = None) -> list[ExperimentReport]:
+    """Every report of experiment ``kind``, in table order, from one simulation.
 
-    ``cell_data`` are the results of an earlier run on the same simulation
-    grid (for example ``standardized_errors(config).cell_data``); the paths
-    are drawn here only when they are not given, and only once
-    ``check_report`` has passed.
+    Each report is first checked on the grid (``check_report``), so a config
+    that one of them rejects draws no path.  ``simulated`` maps
+    ``simulation_grid`` of earlier configs to their replicates: a grid found
+    there is not drawn again, and a grid drawn here is added to it, so kinds
+    on one grid share one simulation.  The first report's wall time includes
+    the simulation when this call draws it; each other report's time is its
+    own reduction.
     """
-    check_report(name, config)
+    reports = EXPERIMENTS[kind].reports
+    for name in reports:
+        check_report(name, config)
+    simulated = {} if simulated is None else simulated
+    grid = simulation_grid(config)
     start = time.perf_counter()
-    data = collect_cells(config, n_workers=n_workers) if cell_data is None else cell_data
-    return ExperimentReport(
-        kind=name,
-        config=config,
-        cells=[_cell(REPORTS[name], config, cd) for cd in data],
-        failures_total=sum(cd.failures for cd in data),
-        wall_time_s=time.perf_counter() - start,
-        n_workers=n_workers,
-        cell_data=data,
-    )
+    if grid not in simulated:
+        simulated[grid] = collect_cells(config, n_workers=n_workers)
+    data = simulated[grid]
+    failures = sum(cd.failures for cd in data)
+    done = []
+    for name, report in reports.items():
+        cells = [_cell(report, config, cd) for cd in data]
+        end = time.perf_counter()
+        done.append(ExperimentReport(name, config, cells, failures, end - start, n_workers))
+        start = end
+    return done
 
 
 def run_band_coverage(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
     """Empirical probability of |theta_hat - theta| <= band_k sqrt(2 theta/T) per cell."""
-    return run_report("band_coverage", config, n_workers)
+    return run_experiment("band-coverage", config, n_workers)[0]
 
 
 def run_emse(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
     """Empirical mean square error of theta_hat per cell, with the 2 theta/T reference."""
-    return run_report("emse", config, n_workers)
+    return run_experiment("emse", config, n_workers)[0]
 
 
 def run_predictor_bound(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
@@ -579,19 +584,20 @@ def run_predictor_bound(config: ExperimentConfig, n_workers: int = 1) -> Experim
     and |X(h)| |theta - theta_hat| h (sup norm); sqrt(h/3 + 1) > 1, so the
     sup-norm bound never exceeds the other and p_hat_B >= p_hat_H cell by cell.
     """
-    return run_report("predictor_bound", config, n_workers)
+    return run_experiment("predictor-bound", config, n_workers)[0]
 
 
 def standardized_errors(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
-    """Per-replicate standardized errors plus mean/variance/KS summary per cell."""
-    return run_report("normality", config, n_workers)
+    """Per-replicate standardized errors plus mean/variance/KS summary per cell.
+
+    Reduced together with ``lil_coverage``, so horizons T <= e are rejected too.
+    """
+    return run_experiment("normality", config, n_workers)[0]
 
 
-def lil_coverage(config: ExperimentConfig, n_workers: int = 1,
-                 cell_data: list[CellData] | None = None) -> ExperimentReport:
+def lil_coverage(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
     """Diagnostic coverage of the iterated-logarithm envelope, scaled by lil_multiplier.
 
-    Reduces ``cell_data`` as ``run_report`` does; horizons T <= e are
-    rejected before anything is simulated.
+    Horizons T <= e are rejected before anything is simulated.
     """
-    return run_report("lil_coverage", config, n_workers, cell_data)
+    return run_experiment("normality", config, n_workers)[1]

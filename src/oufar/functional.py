@@ -214,6 +214,14 @@ def _exp_moment(k: int, c: float, h: float) -> float:
     return h ** (k + 1) * math.factorial(k) * float(gammainc(k + 1, x)) / x ** (k + 1)
 
 
+def _rate_gap(a: float, b: float, t: float) -> float:
+    """|exp(-a t) - exp(-b t)| to rounding; the smaller rate factored out where expm1 overflows."""
+    try:
+        return abs(math.exp(-a * t) * math.expm1((a - b) * t))
+    except OverflowError:
+        return math.exp(-b * t) * -math.expm1((b - a) * t)
+
+
 def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
     """Exact operator-norm distance between rho_theta and rho_theta_hat on H:
 
@@ -234,8 +242,7 @@ def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
         raise DomainError("rates and h must be positive")
     a, b = theta, theta_hat
     delta = b - a
-    # endpoint term e^{-a h} (1 - e^{-delta h}), exact to rounding at any gap
-    endpoint = (math.exp(-a * h) * -math.expm1(-delta * h)) ** 2
+    endpoint = _rate_gap(a, b, h) ** 2
     if abs(delta) * h <= 1e-3:
         # (1 - e^{-x})^2 = x^2 - x^3 + 7 x^4 / 12 - ... with x = delta t
         integral = (
@@ -266,25 +273,21 @@ def operator_distance_b(theta: float, theta_hat: float, h: float) -> float:
     For theta != theta_hat the only interior critical point of the difference
     is t* = ln(theta_hat/theta)/(theta_hat - theta); the sup is the larger of
     the values at t* (clipped to [0, h]) and at h (the value at 0 is 0).
-    The difference is evaluated as exp(-theta t) (1 - e^{-(theta_hat-theta) t})
-    so nearly-equal rates do not cancel.
+    The difference is evaluated by ``_rate_gap``, so nearly-equal rates do not
+    cancel and far-apart ones do not overflow.
     """
     if not (theta > 0.0 and theta_hat > 0.0 and h > 0.0):
         raise DomainError("rates and h must be positive")
     if theta == theta_hat:
         return 0.0
     delta = theta_hat - theta
-
-    def gap(t: float) -> float:
-        return abs(math.exp(-theta * t) * math.expm1(-delta * t))
-
-    candidates = [gap(h)]
+    candidates = [_rate_gap(theta, theta_hat, h)]
     ratio = theta_hat / theta
     # a ratio that underflows or overflows: the same logarithm as a difference
     log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(theta_hat) - math.log(theta)
     t_star = log_ratio / delta
     if 0.0 < t_star < h:
-        candidates.append(gap(t_star))
+        candidates.append(_rate_gap(theta, theta_hat, t_star))
     return max(candidates)
 
 

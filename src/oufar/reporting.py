@@ -23,6 +23,7 @@ The report tables take their columns from ``experiments.REPORTS``.
 
 Experiment configuration files are JSON objects whose keys mirror
 ExperimentConfig exactly (lists for the grids); unknown keys are rejected.
+``resolve_cli_config`` resolves one such document once for all of a command's kinds.
 """
 
 from __future__ import annotations
@@ -46,6 +47,7 @@ from .experiments import (
     RNG_ALGORITHM,
     ExperimentConfig,
     ExperimentReport,
+    check_report,
 )
 from .ou_process import SamplePath
 
@@ -347,33 +349,36 @@ def load_experiment_config(doc: dict, overrides: dict | None = None) -> Experime
     return ExperimentConfig(**merged)
 
 
-_DOC_ONLY_KEYS = ("profile", "out_dir", "formats")
-
-
-def resolve_cli_config(kind: str, doc: dict, overrides: dict | None = None):
-    """Resolve a full CLI configuration document.
+def resolve_cli_config(kinds, doc: dict, overrides: dict | None = None):
+    """Resolve a full CLI configuration document once for experiment ``kinds``.
 
     Beyond the ExperimentConfig fields the document may carry ``profile``
-    (desk | full | custom; desk/full pre-fill the grids, remaining keys then
-    override them), ``out_dir``, and ``formats`` (subset of ["json", "csv"]).
-    Returns ``(config, out_dir, formats, profile)``.
+    (desk | full | custom; desk/full pre-fill each kind's grids, remaining
+    keys then override them), ``out_dir``, and ``formats`` (subset of
+    ["json", "csv"]).  Every report of every kind is checked on its config,
+    so no path is drawn for a document that any kind rejects.
+    Returns ``({kind: config}, out_dir, formats, profile)``.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
-    profile = doc.get("profile", "custom")
-    out_dir = doc.get("out_dir")
-    formats = doc.get("formats", ["json", "csv"])
+    body = dict(doc)
+    profile = body.pop("profile", "custom")
+    out_dir = body.pop("out_dir", None)
+    formats = body.pop("formats", ["json", "csv"])
     if not isinstance(profile, str) or not isinstance(out_dir, (str, type(None))):
         raise ValueError(f"profile and out_dir must be strings: {profile!r}, {out_dir!r}")
     if not (isinstance(formats, (list, tuple)) and formats
             and all(f in ("json", "csv") for f in formats)):
         raise ValueError(f"formats must be a nonempty subset of ['json', 'csv']: {formats!r}")
-    body = {k: v for k, v in doc.items() if k not in _DOC_ONLY_KEYS}
-    if profile in PROFILES:
-        body = profile_config(kind, profile).to_dict() | body
-    elif profile != "custom":
+    if profile not in (*PROFILES, "custom"):
         raise ValueError(f"unknown profile {profile!r}; expected desk, full, or custom")
-    return load_experiment_config(body, overrides), out_dir, tuple(formats), profile
+    configs = {}
+    for kind in kinds:
+        defaults = EXPERIMENTS[kind].profiles.get(profile, {})
+        configs[kind] = load_experiment_config(defaults | body, overrides)
+        for name in EXPERIMENTS[kind].reports:
+            check_report(name, configs[kind])  # lil_coverage needs every T > e
+    return configs, out_dir, tuple(formats), profile
 
 
 def estimated_steps(config: ExperimentConfig) -> int:

@@ -113,6 +113,43 @@ class TestConfigValidation:
         ExperimentConfig(thetas=(1.0, 99.0), horizons=(500.0,), dt=0.02)
         ExperimentConfig(thetas=(200.0,), horizons=(500.0,), dt=0.02, scheme="exact")
 
+    def test_rejects_exact_scheme_with_infinite_stationary_variance(self):
+        # sigma^2 / (2 theta) overflows: the stationary start would not be finite
+        with pytest.raises(DomainError, match="stationary variance"):
+            ExperimentConfig(thetas=(1.0, 5e-324), horizons=(10.0,), scheme="exact")
+        ExperimentConfig(thetas=(1e-300,), horizons=(10.0,), scheme="exact")
+
+
+class TestRunExperiment:
+    def test_kinds_on_one_grid_share_one_simulation(self, monkeypatch):
+        config = ExperimentConfig(thetas=(0.7, 1.0), horizons=(100.0,), replicates=6, master_seed=53)
+        kinds = ("band-coverage", "normality")
+        fresh = {kind: [report_json_text(r) for r in exp.run_experiment(kind, config)]
+                 for kind in kinds}
+        calls = []
+        real = exp.collect_cells
+
+        def counting(*args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(exp, "collect_cells", counting)
+        simulated = {}
+        for kind in kinds:
+            reports = exp.run_experiment(kind, config, simulated=simulated)
+            assert [r.kind for r in reports] == list(exp.EXPERIMENTS[kind].reports)
+            assert [report_json_text(r) for r in reports] == fresh[kind]
+        assert len(calls) == 1
+        assert list(simulated) == [exp.simulation_grid(config)]
+
+    def test_rejected_report_draws_nothing(self, monkeypatch):
+        monkeypatch.setattr(exp, "collect_cells", lambda *a, **k: pytest.fail("paths drawn"))
+        config = ExperimentConfig(thetas=(1.0,), horizons=(2.0,), replicates=3)
+        simulated = {}
+        with pytest.raises(DomainError, match="exceed e"):
+            exp.run_experiment("normality", config, simulated=simulated)
+        assert simulated == {}
+
 
 class TestDeterminism:
     def test_worker_count_does_not_change_report(self):
@@ -233,13 +270,15 @@ class TestRunners:
     def test_lil_coverage_from_earlier_cells(self, monkeypatch):
         config = ExperimentConfig(thetas=(0.7, 1.0), horizons=(100.0,), replicates=6, master_seed=47)
         fresh = report_json_text(lil_coverage(config))
-        data = standardized_errors(config).cell_data
+        simulated = {}
+        exp.run_experiment("normality", config, simulated=simulated)
 
         def no_simulation(*args, **kwargs):
             raise AssertionError("paths redrawn")
 
         monkeypatch.setattr(exp, "collect_cells", no_simulation)
-        assert report_json_text(lil_coverage(config, cell_data=data)) == fresh
+        _, lil = exp.run_experiment("normality", config, simulated=simulated)
+        assert report_json_text(lil) == fresh
 
     def test_lil_coverage_rejects_short_horizon_before_simulating(self, monkeypatch):
         monkeypatch.setattr(exp, "collect_cells", lambda *a, **k: pytest.fail("paths drawn"))

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -329,6 +329,35 @@ class TestOperatorDistanceB:
     @given(theta=rates, theta_hat=rates, h=lengths)
     def test_bounded_by_h_times_gap(self, theta, theta_hat, h):
         assert operator_distance_b(theta, theta_hat, h) <= h * abs(theta - theta_hat)
+
+
+class TestFarApartRates:
+    """(theta - theta_hat) h beyond ~709.78, where e^{(theta - theta_hat) h} overflows."""
+
+    def test_h_quadrature_oracle(self):
+        theta, theta_hat, h = 800.0, 1.0, 1.0
+        integral, _ = integrate.quad(
+            lambda t: (math.exp(-theta * t) - math.exp(-theta_hat * t)) ** 2, 0.0, h,
+            points=[0.01], epsabs=0.0, epsrel=1e-13,
+        )
+        endpoint = (math.exp(-theta * h) - math.exp(-theta_hat * h)) ** 2
+        expected = math.sqrt(integral + endpoint)
+        assert operator_distance_h(theta, theta_hat, h) == pytest.approx(expected, rel=1e-10)
+
+    def test_b_grid_search_oracle(self):
+        # the sup sits at t* = ln 800 / 799, far inside [0, h]
+        analytic = operator_distance_b(800.0, 1.0, 1.0)
+        assert analytic == pytest.approx(operator_distance_b_grid(800.0, 1.0, 1.0), abs=1e-9)
+
+    @example(theta=800.0, theta_hat=1.0, h=1.0)
+    @given(theta=st.floats(0.05, 2000.0), theta_hat=st.floats(0.05, 2000.0), h=lengths)
+    def test_linear_bounds_dominate(self, theta, theta_hat, h):
+        # |theta - theta_hat| h up to 1e4; each distance also stays within its trivial bound
+        dist_h = operator_distance_h(theta, theta_hat, h)
+        dist_b = operator_distance_b(theta, theta_hat, h)
+        assert dist_h <= operator_distance_h_bound(theta, theta_hat, h)
+        assert dist_h <= math.sqrt(h + 1.0)
+        assert dist_b <= min(h * abs(theta - theta_hat), 1.0)
 
 
 class TestExponentialLipschitz:

@@ -26,7 +26,7 @@ from oufar import (
 )
 from oufar.cli import main
 from oufar.errors import GridMismatch
-from oufar.experiments import EXPERIMENTS
+from oufar.experiments import EXPERIMENTS, PROFILES, check_report
 from oufar.ou_process import SamplePath, grid_multiple
 from oufar.reporting import (
     config_hash,
@@ -38,6 +38,7 @@ from oufar.reporting import (
     read_path_csv,
     report_csv_text,
     report_json_text,
+    resolve_cli_config,
     write_path_csv,
 )
 
@@ -288,6 +289,100 @@ class TestPathCsvStreaming:
             assert out.read_text() == "old contents\n"
 
 
+_REFERENCE_DOC_ONLY_KEYS = ("profile", "out_dir", "formats")
+
+
+def _reference_resolve_cli_config(kind: str, doc: dict, overrides: dict | None = None):
+    """The per-kind resolver that the one-pass resolver replaced, kept verbatim as its oracle.
+
+    Only its key tuple is renamed, to _REFERENCE_DOC_ONLY_KEYS.
+    """
+    if not isinstance(doc, dict):
+        raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
+    profile = doc.get("profile", "custom")
+    out_dir = doc.get("out_dir")
+    formats = doc.get("formats", ["json", "csv"])
+    if not isinstance(profile, str) or not isinstance(out_dir, (str, type(None))):
+        raise ValueError(f"profile and out_dir must be strings: {profile!r}, {out_dir!r}")
+    if not (isinstance(formats, (list, tuple)) and formats
+            and all(f in ("json", "csv") for f in formats)):
+        raise ValueError(f"formats must be a nonempty subset of ['json', 'csv']: {formats!r}")
+    body = {k: v for k, v in doc.items() if k not in _REFERENCE_DOC_ONLY_KEYS}
+    if profile in PROFILES:
+        body = profile_config(kind, profile).to_dict() | body
+    elif profile != "custom":
+        raise ValueError(f"unknown profile {profile!r}; expected desk, full, or custom")
+    return load_experiment_config(body, overrides), out_dir, tuple(formats), profile
+
+
+def _reference_resolve(kinds, doc, overrides):
+    """The CLI's former loop: resolve each kind on its own, then check its reports."""
+    configs = {}
+    for kind in kinds:
+        config, out_dir, formats, profile = _reference_resolve_cli_config(kind, doc, overrides)
+        for name in EXPERIMENTS[kind].reports:
+            check_report(name, config)
+        configs[kind] = config
+    return configs, out_dir, formats, profile
+
+
+def _resolve_outcome(resolve, kinds, doc, overrides):
+    """The resolved tuple, or None when the document is rejected with ValueError."""
+    try:
+        return resolve(kinds, doc, overrides)
+    except ValueError:
+        return None
+
+
+# mostly valid values, and the ones a config or one of the kinds must reject
+_DOCUMENTS = st.fixed_dictionaries(
+    {},
+    optional={
+        "profile": st.sampled_from(["desk", "full", "custom", "custom", "bogus", 5]),
+        "out_dir": st.sampled_from(["results", None, 5]),
+        "formats": st.sampled_from([["json"], ["csv"], ["json", "csv"], [], ["xml"], "json"]),
+        "thetas": st.one_of(st.lists(st.sampled_from([0.4, 0.7, 200.0, 5e-324]), max_size=2),
+                            st.just([0.7]), st.just("0.7")),
+        # T = 2 leaves the iterated-logarithm envelope undefined; 3 is no multiple of h = 2
+        "horizons": st.lists(st.sampled_from([2.0, 3.0, 100.0, 4000.0, 4000.0]), max_size=2),
+        "dt": st.sampled_from([0.02, 0.02, 0.5, 0.0, "0.02"]),
+        "replicates": st.sampled_from([1, 200, 3, 0, 2.5, True]),
+        "h": st.sampled_from([1.0, 1.0, 2.0]),
+        "epsilon": st.sampled_from([0.05, 0.008, -1.0]),
+        "band_k": st.sampled_from([3.0, 0.0]),
+        "scheme": st.sampled_from(["euler", "euler", "exact", "milstein"]),
+        "master_seed": st.sampled_from([7, 7, -1]),
+        "lil_multiplier": st.sampled_from([1.5, 0.0]),
+    },
+).flatmap(lambda doc: st.sampled_from([doc] * 7 + [doc | {"bogus": 1}]))  # an unknown key
+
+
+class TestResolverOracle:
+    """One pass over the document resolves what the per-kind passes resolved."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        kinds=st.lists(st.sampled_from(list(EXPERIMENTS)), min_size=1, unique=True).map(
+            lambda chosen: tuple(k for k in EXPERIMENTS if k in chosen)
+        ),
+        doc=_DOCUMENTS,
+        overrides=st.fixed_dictionaries({
+            "master_seed": st.sampled_from([None, 11, -1]),
+            "replicates": st.sampled_from([None, 3, 0]),
+        }),
+    )
+    def test_matches_per_kind_resolver(self, kinds, doc, overrides):
+        expected = _resolve_outcome(_reference_resolve, kinds, doc, overrides)
+        assert _resolve_outcome(resolve_cli_config, kinds, doc, overrides) == expected
+
+    def test_rejects_what_the_per_kind_resolver_rejects(self):
+        doc = {"thetas": [1.0], "horizons": [2.0]}  # only normality rejects it
+        assert _resolve_outcome(_reference_resolve, ("emse",), doc, {}) is not None
+        for resolve in (_reference_resolve, resolve_cli_config):
+            with pytest.raises(ValueError, match="log log T"):
+                resolve(tuple(EXPERIMENTS), doc, {})
+
+
 class TestProfilesAndConfigLoading:
     def test_desk_profiles_are_valid(self):
         for kind in ("band-coverage", "emse", "predictor-bound", "normality"):
@@ -486,6 +581,13 @@ class TestNormsCommand:
     def test_golden_bytes(self, capsys, extra):
         assert main(["norms", "--theta", "0.7", "--h", "1.5", "--k-max", "7", *extra]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.GOLDEN[extra]
+
+    def test_far_apart_rates(self, capsys):
+        # (theta - theta_hat) h = 799: e^799 overflows a double; oracles in test_functional
+        assert main(["norms", "--theta", "800", "--h", "1", "--theta-hat", "1", "--k-max", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["operator_distance_B"] == pytest.approx(0.9904290912, rel=1e-8)
+        assert doc["operator_distance_H"] == pytest.approx(0.7521939662, rel=1e-8)
 
     def test_out_creates_missing_directories(self, tmp_path, capsys):
         out = tmp_path / "a" / "b" / "norms.csv"
@@ -712,6 +814,19 @@ class TestExperimentCommand:
         assert "65537" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_all_rejects_an_exact_config_with_infinite_stationary_variance(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        import oufar.experiments as exp
+
+        monkeypatch.setattr(exp, "collect_cells", lambda *a, **k: pytest.fail("paths drawn"))
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thetas": [5e-324], "horizons": [10.0], "scheme": "exact"}))
+        out = tmp_path / "r"
+        assert main(["experiment", "all", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "stationary variance" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_all_full_profile_requires_confirmation(self, tmp_path, monkeypatch, capsys):
         import oufar.experiments as exp
 
@@ -802,6 +917,9 @@ class TestExperimentCommand:
             pytest.param(json.dumps({"thetas": [0.7], "horizons": [100.0] * 65537}),
                          id="65537-horizons"),
             '{"thetas":[0.7],"horizons":[100.0],"replicates":4294967297}',
+            # the exact scheme's stationary variance 1 / (2 theta) overflows
+            pytest.param('{"thetas":[5e-324],"horizons":[10.0],"scheme":"exact"}',
+                         id="exact-stationary-overflow"),
         ],
     )
     def test_nonfinite_or_untyped_config_exits_2(self, tmp_path, capsys, text):
@@ -828,9 +946,9 @@ class TestExperimentCommand:
 
         seen = []
 
-        def recording_runner(config, n_workers):
+        def recording_runner(config, n_workers, simulated):
             seen.append(n_workers)
-            return run_emse(config, n_workers=1)
+            return [run_emse(config, n_workers=1)]
 
         monkeypatch.setitem(cli._RUNNERS, "emse", recording_runner)
         cfg = tmp_path / "cfg.json"
