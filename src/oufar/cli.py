@@ -38,7 +38,9 @@ from .errors import DomainError, GridMismatch, ZeroDenominator
 from .experiments import (
     EXPERIMENTS,
     PROFILES,
-    lil_coverage,  # noqa: F401  unused here; perfbench/run.py wraps cli.lil_coverage
+    # unused here: perfbench/run.py wraps cli.lil_coverage, and experiments keeps
+    # lil_coverage only for that wrap (ROADMAP item 1 removes both)
+    lil_coverage,  # noqa: F401
     run_experiment,
     simulation_grid,
 )
@@ -125,7 +127,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--out", help="output directory (overrides the config out_dir)")
     p_exp.add_argument(
         "--threads", type=int, default=1,
-        help="worker threads, capped at the replicate count and the CPUs this process may use",
+        help="worker threads, capped at the replicates of a grid (thetas x horizons x "
+        "replicates) and the CPUs this process may use",
     )
     p_exp.add_argument("--master-seed", type=int, help="override the config master seed")
     p_exp.add_argument("--replicates", type=int, help="override the replicate count")
@@ -139,6 +142,14 @@ def _usable_cpus() -> int:
     if hasattr(os, "sched_getaffinity"):
         return len(os.sched_getaffinity(0))
     return os.cpu_count() or 1
+
+
+def _physical_memory() -> float:
+    """Bytes of physical memory, or infinity where the OS does not report it."""
+    try:
+        return os.sysconf("SC_PAGE_SIZE") * os.sysconf("SC_PHYS_PAGES")
+    except (AttributeError, ValueError, OSError):  # no sysconf, or no such name
+        return math.inf
 
 
 def _all_finite(doc: dict | list) -> bool:
@@ -167,6 +178,11 @@ def _cmd_simulate(args) -> None:
         raise DomainError("--stationary requires --scheme exact")
     params = OuParams(theta=args.theta, mu=args.mu, sigma=args.sigma)
     grid = TimeGrid(t_end=args.t_end, dt=args.dt)
+    # the sampler holds two float64 arrays of n_steps + 1 values: the noise and the path
+    need, memory = 16 * (grid.n_steps + 1), _physical_memory()
+    if need > memory:
+        raise DomainError(f"{grid.n_steps} steps need {need / 2**30:.3g} GiB for the noise and "
+                          f"the path, more than the {memory / 2**30:.3g} GiB of physical memory")
     if args.scheme == "euler":
         check_euler_stable((params.theta,), grid.dt)
     rng = np.random.default_rng(args.seed)
@@ -291,8 +307,10 @@ def _cmd_experiment(args) -> None:
 
     simulated = {}  # simulation grid -> its replicates: kinds on one grid share them
     for kind, config in configs.items():
-        # more threads than replicates or cores would only wait
-        n_workers = max(min(args.threads, config.replicates, _usable_cpus()), 1)
+        # one pool runs every replicate of the grid: more threads than those
+        # jobs or than cores would only wait
+        jobs = len(config.thetas) * len(config.horizons) * config.replicates
+        n_workers = max(min(args.threads, jobs, _usable_cpus()), 1)
         reports = _RUNNERS[kind](config, n_workers=n_workers, simulated=simulated)
         paths = [write_report(r, args.out, formats=formats) for r in reports]
         print(

@@ -6,9 +6,9 @@ splitmix64-based injective mixer, simulates a path, and estimates theta with
 the Ito-sum MLE.  A path is drawn and reduced in chunks of at most 2^16
 steps, so a worker's memory does not grow with the horizon, and the result
 is bit-identical to drawing the whole path at once.  One pool of worker
-threads runs every replicate of a grid; results are stored by replicate
-index and reduced in index order, so reports are byte-identical for any
-worker count.
+threads runs every replicate of a grid, whatever the worker count, one
+included; results are stored by replicate index and reduced in index order,
+so reports are byte-identical for any worker count.
 
 Importing this module loads no scipy code.  The normality report's
 Kolmogorov-Smirnov distance (``ks_distance``) repeats the operations of
@@ -23,8 +23,9 @@ bias coverage.
 one grid of replicates and reduces it to one or more reports, and each
 report entry holds its cell fields and CSV columns.  The CLI's kinds, the
 reports and CSV schemas of ``reporting`` and the desk/full profiles all
-come from it.  ``run_experiment``, the one caller of ``collect_cells``, runs a
-kind: one simulation of its grid, or none if an earlier kind drew it.
+come from it.  ``run_experiment`` is the one runner and the one caller of
+``collect_cells``: it returns every report of a kind, in table order, from
+one simulation of its grid, or none if an earlier kind drew it.
 """
 
 from __future__ import annotations
@@ -262,22 +263,24 @@ def _stream_path(
             return math.nan, math.nan  # NaN sums make the merged theta_hat NaN
         return est.numerator, est.sum_sq
 
-    try:
-        theta_hat = theta_ito_from_sums(*_pairwise(n_steps, leaf), n_steps, dt).theta_hat
-    except ZeroDenominator:
-        theta_hat = math.nan
+    # This cannot raise ZeroDenominator: a leaf whose denominator vanished
+    # returned NaN sums, and NaN * dt != 0; otherwise every leaf's sum of
+    # squares times dt is positive, and the merged sum of squares is no
+    # smaller than any leaf's, so its product with dt is positive too.
+    theta_hat = theta_ito_from_sums(*_pairwise(n_steps, leaf), n_steps, dt).theta_hat
     return theta_hat, x_boundary
 
 
 def _replicate(config: ExperimentConfig, theta: float, t_end: float, seed: int):
     """Simulate one path, estimate theta, grab the last block-boundary value."""
-    # value at time (T/h - 1) * h, the boundary where the last block starts
-    steps_per_block = int(round(config.h / config.dt))
-    n_blocks = int(round(t_end / config.h))
+    # value at time (T/h - 1) * h, the boundary where the last block starts;
+    # ExperimentConfig checked that each of these ratios is a grid multiple
+    steps_per_block = grid_multiple(config.h, config.dt)
+    n_blocks = grid_multiple(t_end, config.h)
     return _stream_path(
         config,
         OuParams(theta=theta),
-        TimeGrid(t_end=t_end, dt=config.dt).n_steps,
+        grid_multiple(t_end, config.dt),
         (n_blocks - 1) * steps_per_block,
         np.random.default_rng(seed),
     )
@@ -286,9 +289,10 @@ def _replicate(config: ExperimentConfig, theta: float, t_end: float, seed: int):
 def collect_cells(config: ExperimentConfig, n_workers: int = 1) -> list[CellData]:
     """Run all replicates of all cells; deterministic for any worker count.
 
-    One pool of workers serves the whole grid, so each worker thread and
-    its scratch buffer live until the last replicate; results come back in
-    replicate order whatever thread ran them.
+    One pool of ``max(n_workers, 1)`` worker threads serves the whole grid,
+    one worker included, so each thread and its scratch buffer live until the
+    last replicate; results come back in replicate order whatever thread ran
+    them.
     """
     n = config.replicates
     jobs = [
@@ -297,12 +301,8 @@ def collect_cells(config: ExperimentConfig, n_workers: int = 1) -> list[CellData
         for hi, t_end in enumerate(config.horizons)
         for r in range(n)
     ]
-    work = lambda job: _replicate(config, *job)  # noqa: E731
-    if n_workers <= 1:
-        results = list(map(work, jobs))
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            results = list(pool.map(work, jobs))
+    with ThreadPoolExecutor(max_workers=max(n_workers, 1)) as pool:
+        results = list(pool.map(lambda job: _replicate(config, *job), jobs))
     cells = []
     for start in range(0, len(jobs), n):
         theta, t_end, _ = jobs[start]
@@ -341,7 +341,11 @@ def predictor_cell(
     h: float,
     epsilon: float,
 ) -> tuple[float, float]:
-    """(p_hat_H, p_hat_B): 1 - fraction of replicates whose bound exceeds epsilon."""
+    """(p_hat_H, p_hat_B): 1 - fraction of replicates whose bound exceeds epsilon.
+
+    The sup-norm bound is the L2-with-atom one divided by sqrt(h/3 + 1) > 1,
+    so p_hat_B >= p_hat_H.
+    """
     bound_h = error_bound_h(theta, theta_hats, x_prev_h, h)
     bound_b = error_bound_b(theta, theta_hats, x_prev_h, h)
     p_h = 1.0 - float(np.mean(bound_h > epsilon))
@@ -567,37 +571,10 @@ def run_experiment(kind: str, config: ExperimentConfig, n_workers: int = 1,
     return done
 
 
-def run_band_coverage(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
-    """Empirical probability of |theta_hat - theta| <= band_k sqrt(2 theta/T) per cell."""
-    return run_experiment("band-coverage", config, n_workers)[0]
-
-
-def run_emse(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
-    """Empirical mean square error of theta_hat per cell, with the 2 theta/T reference."""
-    return run_experiment("emse", config, n_workers)[0]
-
-
-def run_predictor_bound(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
-    """Empirical probabilities that the prediction-error bounds stay below epsilon.
-
-    The bound pairs |X(h)| |theta - theta_hat| h sqrt(h/3 + 1) (L2-with-atom)
-    and |X(h)| |theta - theta_hat| h (sup norm); sqrt(h/3 + 1) > 1, so the
-    sup-norm bound never exceeds the other and p_hat_B >= p_hat_H cell by cell.
-    """
-    return run_experiment("predictor-bound", config, n_workers)[0]
-
-
-def standardized_errors(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
-    """Per-replicate standardized errors plus mean/variance/KS summary per cell.
-
-    Reduced together with ``lil_coverage``, so horizons T <= e are rejected too.
-    """
-    return run_experiment("normality", config, n_workers)[0]
-
-
 def lil_coverage(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
-    """Diagnostic coverage of the iterated-logarithm envelope, scaled by lil_multiplier.
+    """``run_experiment("normality", config, n_workers)[1]``, kept for one caller.
 
-    Horizons T <= e are rejected before anything is simulated.
+    The benchmark (perfbench/run.py) wraps ``oufar.cli.lil_coverage``; this
+    function exists only for that wrap.
     """
     return run_experiment("normality", config, n_workers)[1]

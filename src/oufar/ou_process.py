@@ -9,7 +9,11 @@ and is stationary Gaussian with mean ``mu`` and covariance
 Euler-Maruyama discretization (the scheme used by the Monte Carlo harness)
 and the exact Gaussian transition (used as a distributional oracle).
 
-Both samplers run the AR(1) recursion through ``lfilter``, which calls
+Both samplers are thin calls of one kernel, ``_ar1``: it draws a block of
+standard normals into the thread's ``scratch`` buffer, scales and shifts
+them in place into the innovations, and runs the AR(1) recursion
+xi_{i+1} = a xi_i + u_i with the Euler factor a = 1 - theta dt or the exact
+decay a = exp(-theta dt).  The recursion goes through ``lfilter``, which calls
 scipy's compiled ``_linear_filter``.  Its extension module
 ``scipy.signal._sigtools`` is loaded by file on the first call, under its
 real name, without running ``scipy/signal/__init__`` (about 1.2 s and
@@ -264,29 +268,30 @@ def gaussian_tail_bound(sigma: float, x):
     return out if out.ndim else float(out)
 
 
-def _ar1_path(x0: float, a: float, v: np.ndarray) -> np.ndarray:
-    """Values of xi_{i+1} = a xi_i + u_i from the buffer v = [x0, u_0, ..., u_{n-1}].
+def _ar1(n: int, x0: float, a: float, scales: tuple[float, ...], shift: float,
+         rng: np.random.Generator) -> np.ndarray:
+    """Values of xi_0 = x0, xi_{i+1} = a xi_i + u_i, with u_i = Z_i * scales + shift.
 
-    lfilter with b=[1], a=[1, -a] runs exactly this recursion in C, one
-    multiply and one add per step, so the result is bit-identical to the
+    The one kernel of both samplers.  The n standard normals Z_i are drawn
+    in one block from ``rng`` into this thread's ``scratch``, after x0, and
+    multiplied by the factors of ``scales`` one at a time, in order (the
+    order fixes the rounding), then shifted, all in place.  lfilter with
+    b=[1], a=[1, -a] runs the recursion over [x0, u_0, ..., u_{n-1}] in C,
+    one multiply and one add per step, so the result is bit-identical to the
     plain Python loop.  From a zero initial state its first output is
     0.0 + x0, which carries x0 into the recursion but turns -0.0 into +0.0,
-    so xi_0 is put back afterwards.
-    """
-    path = lfilter([1.0], [1.0, -a], v)
-    path[0] = x0
-    return path
-
-
-def _noise_buffer(n: int, x0: float, rng: np.random.Generator) -> np.ndarray:
-    """One (n+1) buffer: x0, then n standard normals drawn in place.
-
-    The buffer is this thread's ``scratch``; the filtered path is a new array.
+    so xi_0 is put back afterwards.  The path is a new array.
     """
     v = scratch(n + 1)
     v[0] = x0
-    rng.standard_normal(out=v[1:])
-    return v
+    u = v[1:]
+    rng.standard_normal(out=u)
+    for factor in scales:
+        np.multiply(u, factor, out=u)
+    np.add(u, shift, out=u)
+    path = lfilter([1.0], [1.0, -a], v)
+    path[0] = x0
+    return path
 
 
 def sample_euler(
@@ -296,17 +301,12 @@ def sample_euler(
 
     The increments dW_i are i.i.d. N(0, dt), drawn in one block from ``rng``;
     the same seed therefore reproduces the same path byte for byte.  The
-    innovations u_i = theta mu dt + sigma (Z_i sqrt(dt)) are formed in place
-    in the one buffer the path is filtered from.
+    innovations are u_i = theta mu dt + sigma (Z_i sqrt(dt)).
     """
-    n, dt = grid.n_steps, grid.dt
-    v = _noise_buffer(n, x0, rng)
-    u = v[1:]
-    np.multiply(u, math.sqrt(dt), out=u)
-    np.multiply(u, params.sigma, out=u)
-    np.add(u, params.theta * params.mu * dt, out=u)
-    a = 1.0 - params.theta * dt
-    return SamplePath(grid=grid, values=_ar1_path(x0, a, v), params=params, scheme="euler")
+    dt, theta = grid.dt, params.theta
+    shift = theta * params.mu * dt
+    values = _ar1(grid.n_steps, x0, 1.0 - theta * dt, (math.sqrt(dt), params.sigma), shift, rng)
+    return SamplePath(grid=grid, values=values, params=params, scheme="euler")
 
 
 def exact_transition(params: OuParams, dt: float) -> tuple[float, float]:
@@ -340,13 +340,8 @@ def sample_exact(
     path is a stationary Gaussian sequence.  Otherwise the path starts at
     ``x0``.  Deterministic given the seeded ``rng``.
     """
-    n = grid.n_steps
     decay, sd = exact_transition(params, grid.dt)
     if stationary:
         x0 = params.mu + params.stationary_std * rng.standard_normal()
-    x0 = float(x0)
-    v = _noise_buffer(n, x0, rng)
-    u = v[1:]
-    np.multiply(u, sd, out=u)
-    np.add(u, params.mu * (1.0 - decay), out=u)
-    return SamplePath(grid=grid, values=_ar1_path(x0, decay, v), params=params, scheme="exact")
+    values = _ar1(grid.n_steps, float(x0), decay, (sd,), params.mu * (1.0 - decay), rng)
+    return SamplePath(grid=grid, values=values, params=params, scheme="exact")

@@ -49,7 +49,7 @@ from .experiments import (
     ExperimentReport,
     check_report,
 )
-from .ou_process import SamplePath
+from .ou_process import SamplePath, grid_multiple
 
 SCHEMA_VERSION = 1
 
@@ -383,5 +383,5 @@ def resolve_cli_config(kinds, doc: dict, overrides: dict | None = None):
 
 def estimated_steps(config: ExperimentConfig) -> int:
     """Total number of simulation steps the configuration will run."""
-    per_replicate = sum(int(round(t / config.dt)) for t in config.horizons)
+    per_replicate = sum(grid_multiple(t, config.dt) for t in config.horizons)
     return per_replicate * config.replicates * len(config.thetas)

@@ -185,7 +185,7 @@ class TestCriterion5BandCoverage:
             scheme="exact",
             master_seed=MASTER_SEED,
         )
-        report = of.run_band_coverage(config)
+        (report,) = of.run_experiment("band-coverage", config)
         elapsed = time.perf_counter() - start
         coverages = {c["theta"]: c["coverage"] for c in report.cells}
         ok = all(v >= 0.98 for v in coverages.values()) and elapsed <= 600.0
@@ -206,7 +206,7 @@ class TestCriterion6AsymptoticEfficiency:
             replicates=200,
             master_seed=MASTER_SEED,
         )
-        report = of.run_emse(config)
+        (report,) = of.run_experiment("emse", config)
         ratio = next(
             c["emse"] * c["T"] / (2.0 * c["theta"])
             for c in report.cells
@@ -234,7 +234,7 @@ class TestCriterion7AsymptoticNormality:
             replicates=200,
             master_seed=MASTER_SEED,
         )
-        (cell,) = of.standardized_errors(config).cells
+        (cell,) = of.run_experiment("normality", config)[0].cells
         ok = abs(cell["z_mean"]) <= 0.15 and 0.8 <= cell["z_var"] <= 1.2 and cell["z_ks"] <= 0.12
         _report(
             7,
@@ -254,7 +254,7 @@ class TestCriterion8PredictorBoundProbabilities:
             epsilon=0.05,
             master_seed=MASTER_SEED,
         )
-        report = of.run_predictor_bound(config)
+        (report,) = of.run_experiment("predictor-bound", config)
         p_h = [c["p_hat_H"] for c in report.cells]
         p_b = [c["p_hat_B"] for c in report.cells]
         n = config.replicates
@@ -304,9 +304,9 @@ class TestCriterion10Determinism:
             replicates=50,
             master_seed=MASTER_SEED,
         )
-        first = of.run_band_coverage(config, n_workers=1)
-        rerun = of.run_band_coverage(config, n_workers=1)
-        threaded = of.run_band_coverage(config, n_workers=8)
+        (first,) = of.run_experiment("band-coverage", config, 1)
+        (rerun,) = of.run_experiment("band-coverage", config, 1)
+        (threaded,) = of.run_experiment("band-coverage", config, 8)
         same = (
             report_json_text(first) == report_json_text(rerun) == report_json_text(threaded)
             and report_csv_text(first) == report_csv_text(rerun) == report_csv_text(threaded)

@@ -9,19 +9,16 @@ from hypothesis import strategies as st
 
 import oufar.experiments as exp
 from oufar import (
+    EXPERIMENTS,
     DomainError,
     ExperimentConfig,
     OuParams,
     TimeGrid,
     ZeroDenominator,
     derive_replicate_seed,
-    lil_coverage,
-    run_band_coverage,
-    run_emse,
-    run_predictor_bound,
+    run_experiment,
     sample_euler,
     sample_exact,
-    standardized_errors,
     theta_ito_from_values,
 )
 from oufar.experiments import (
@@ -156,8 +153,8 @@ class TestDeterminism:
         config = ExperimentConfig(
             thetas=(0.7, 1.0), horizons=(200.0,), dt=0.02, replicates=20, master_seed=5
         )
-        serial = report_json_text(run_band_coverage(config, n_workers=1))
-        threaded = report_json_text(run_band_coverage(config, n_workers=8))
+        serial = report_json_text(run_experiment("band-coverage", config, 1)[0])
+        threaded = report_json_text(run_experiment("band-coverage", config, 8)[0])
         assert serial == threaded
 
     def test_threads_do_not_share_scratch(self, monkeypatch):
@@ -176,8 +173,8 @@ class TestDeterminism:
             assert a.x_prev_h.tobytes() == b.x_prev_h.tobytes()
 
     def test_rerun_is_identical(self):
-        a = report_json_text(run_emse(SMALL))
-        b = report_json_text(run_emse(SMALL))
+        a = report_json_text(run_experiment("emse", SMALL)[0])
+        b = report_json_text(run_experiment("emse", SMALL)[0])
         assert a == b
 
 
@@ -209,8 +206,9 @@ class TestAggregationSeams:
 
 class TestRunners:
     def test_band_coverage_cell(self):
-        report = run_band_coverage(
-            ExperimentConfig(thetas=(1.0,), horizons=(500.0,), replicates=100, master_seed=17)
+        (report,) = run_experiment(
+            "band-coverage",
+            ExperimentConfig(thetas=(1.0,), horizons=(500.0,), replicates=100, master_seed=17),
         )
         (cell,) = report.cells
         assert cell["N"] == 100 and cell["failures"] == 0
@@ -218,18 +216,19 @@ class TestRunners:
         assert report.kind == "band_coverage"
 
     def test_emse_matches_direct_collection(self):
-        report = run_emse(SMALL)
+        (report,) = run_experiment("emse", SMALL)
         (cell,) = report.cells
         (data,) = collect_cells(SMALL)
         assert cell["emse"] == pytest.approx(float(np.mean((0.7 - data.ok_theta_hats) ** 2)))
         assert cell["two_theta_over_T"] == pytest.approx(2.0 * 0.7 / 500.0)
 
     def test_predictor_bound_ordering(self):
-        report = run_predictor_bound(
+        (report,) = run_experiment(
+            "predictor-bound",
             ExperimentConfig(
                 thetas=(0.7, 1.0), horizons=(500.0, 1000.0), replicates=100, epsilon=0.05,
                 master_seed=23,
-            )
+            ),
         )
         for cell in report.cells:
             assert 0.0 <= cell["p_hat_H"] <= 1.0
@@ -240,7 +239,7 @@ class TestRunners:
             thetas=(1.0,), horizons=(500.0, 1000.0, 2000.0), replicates=100, epsilon=0.05,
             master_seed=31,
         )
-        report = run_predictor_bound(config)
+        (report,) = run_experiment("predictor-bound", config)
         exceed = [1.0 - c["p_hat_H"] for c in report.cells]
         n = config.replicates
         for prev, cur in zip(exceed, exceed[1:]):
@@ -250,8 +249,9 @@ class TestRunners:
             assert cur <= prev + slack
 
     def test_normality_summary(self):
-        report = standardized_errors(
-            ExperimentConfig(thetas=(1.0,), horizons=(500.0,), replicates=100, master_seed=37)
+        report, _ = run_experiment(
+            "normality",
+            ExperimentConfig(thetas=(1.0,), horizons=(500.0,), replicates=100, master_seed=37),
         )
         (cell,) = report.cells
         assert len(cell["z"]) == 100
@@ -260,8 +260,9 @@ class TestRunners:
         assert cell["z_ks"] < 0.2
 
     def test_lil_coverage_runner(self):
-        report = lil_coverage(
-            ExperimentConfig(thetas=(1.0,), horizons=(500.0,), replicates=100, master_seed=41)
+        _, report = run_experiment(
+            "normality",
+            ExperimentConfig(thetas=(1.0,), horizons=(500.0,), replicates=100, master_seed=41),
         )
         (cell,) = report.cells
         assert cell["multiplier"] == 1.5
@@ -269,7 +270,7 @@ class TestRunners:
 
     def test_lil_coverage_from_earlier_cells(self, monkeypatch):
         config = ExperimentConfig(thetas=(0.7, 1.0), horizons=(100.0,), replicates=6, master_seed=47)
-        fresh = report_json_text(lil_coverage(config))
+        fresh = report_json_text(run_experiment("normality", config)[1])
         simulated = {}
         exp.run_experiment("normality", config, simulated=simulated)
 
@@ -284,27 +285,30 @@ class TestRunners:
         monkeypatch.setattr(exp, "collect_cells", lambda *a, **k: pytest.fail("paths drawn"))
         config = ExperimentConfig(thetas=(1.0,), horizons=(2.0, 100.0), replicates=3)
         with pytest.raises(DomainError, match="exceed e"):
-            lil_coverage(config)
+            run_experiment("normality", config)
 
     def test_no_failures_at_desk_scale(self):
         for theta in (0.1, 1.0):
-            report = run_band_coverage(
-                ExperimentConfig(thetas=(theta,), horizons=(500.0,), replicates=50, master_seed=43)
+            (report,) = run_experiment(
+                "band-coverage",
+                ExperimentConfig(thetas=(theta,), horizons=(500.0,), replicates=50, master_seed=43),
             )
             assert report.failures_total == 0
 
     def test_exact_scheme_runs(self):
-        report = run_band_coverage(
+        (report,) = run_experiment(
+            "band-coverage",
             ExperimentConfig(
                 thetas=(0.7,), horizons=(500.0,), replicates=50, scheme="exact", master_seed=47
-            )
+            ),
         )
         assert report.cells[0]["coverage"] >= 0.9
 
     def test_desk_cell_coverage_euler(self):
-        report = run_band_coverage(
+        (report,) = run_experiment(
+            "band-coverage",
             ExperimentConfig(thetas=(1.0,), horizons=(2000.0,), replicates=200,
-                             master_seed=20260810)
+                             master_seed=20260810),
         )
         assert report.cells[0]["coverage"] >= 0.98
 
@@ -317,8 +321,9 @@ class TestFailureAccounting:
             raise ZeroDenominator("forced failure")
 
         monkeypatch.setattr(exp, "theta_ito_from_values", always_zero)
-        report = run_band_coverage(
-            ExperimentConfig(thetas=(0.7,), horizons=(200.0,), replicates=10, master_seed=53)
+        (report,) = run_experiment(
+            "band-coverage",
+            ExperimentConfig(thetas=(0.7,), horizons=(200.0,), replicates=10, master_seed=53),
         )
         (cell,) = report.cells
         assert cell["failures"] == 10
@@ -332,9 +337,10 @@ class TestFailureAccounting:
         assert doc["cells"][0]["coverage"] is None
 
     @pytest.mark.parametrize(
-        "run", [run_band_coverage, run_emse, run_predictor_bound, standardized_errors, lil_coverage]
+        "kind, index", [pytest.param(kind, i, id=name) for kind, e in EXPERIMENTS.items()
+                        for i, name in enumerate(e.reports)]
     )
-    def test_all_failed_cell_has_nan_stats(self, monkeypatch, run):
+    def test_all_failed_cell_has_nan_stats(self, monkeypatch, kind, index):
         import json as _json
         import warnings
 
@@ -345,7 +351,7 @@ class TestFailureAccounting:
         config = ExperimentConfig(thetas=(0.7,), horizons=(200.0,), replicates=4, master_seed=53)
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no statistic of an empty array is taken
-            report = run(config)
+            report = run_experiment(kind, config)[index]
         (cell,) = _json.loads(report_json_text(report))["cells"]
         stats = exp.REPORTS[report.kind].stats
         assert stats and all(cell[name] is None for name in stats)
@@ -365,8 +371,9 @@ class TestFailureAccounting:
             return real(values, dt)
 
         monkeypatch.setattr(exp, "theta_ito_from_values", flaky)
-        report = standardized_errors(
-            ExperimentConfig(thetas=(0.7,), horizons=(200.0,), replicates=9, master_seed=59)
+        report, _ = run_experiment(
+            "normality",
+            ExperimentConfig(thetas=(0.7,), horizons=(200.0,), replicates=9, master_seed=59),
         )
         (cell,) = report.cells
         assert cell["failures"] == 3
@@ -490,11 +497,10 @@ class TestGoldenBytes:
         config = ExperimentConfig(
             thetas=(0.4, 1.0), horizons=(12000.0,), replicates=3, scheme=scheme, master_seed=20260810
         )
-        runs = (run_band_coverage, run_emse, run_predictor_bound, standardized_errors, lil_coverage)
         kinds = []
-        for run in runs:
-            report = run(config)
-            kinds.append(report.kind)
-            digest = hashlib.sha256(report_json_text(report).encode()).hexdigest()
-            assert digest == self.PINS[scheme, report.kind]
+        for kind in EXPERIMENTS:
+            for report in run_experiment(kind, config):
+                kinds.append(report.kind)
+                digest = hashlib.sha256(report_json_text(report).encode()).hexdigest()
+                assert digest == self.PINS[scheme, report.kind]
         assert sorted(kinds) == sorted(k for s, k in self.PINS if s == scheme)

@@ -17,12 +17,8 @@ from oufar import (
     ExperimentConfig,
     OuParams,
     TimeGrid,
-    lil_coverage,
-    run_band_coverage,
-    run_emse,
-    run_predictor_bound,
+    run_experiment,
     sample_euler,
-    standardized_errors,
 )
 from oufar.cli import main
 from oufar.errors import GridMismatch
@@ -75,7 +71,7 @@ class TestConfigHash:
 
 @pytest.fixture(scope="module")
 def report():
-    return run_band_coverage(ExperimentConfig(**SMALL))
+    return run_experiment("band-coverage", ExperimentConfig(**SMALL))[0]
 
 
 class TestReportSerialization:
@@ -96,8 +92,9 @@ class TestReportSerialization:
     def test_every_table_report_ends_in_failures(self):
         config = ExperimentConfig(**SMALL | {"thetas": (0.7,), "horizons": (200.0,)})
         headers = {
-            run(config).kind: report_csv_text(run(config)).splitlines()[0]
-            for run in (run_emse, run_predictor_bound)
+            report.kind: report_csv_text(report).splitlines()[0]
+            for kind in ("emse", "predictor-bound")
+            for report in run_experiment(kind, config)
         }
         assert headers == {
             "emse": "theta,T,N,emse,two_theta_over_T,failures",
@@ -464,6 +461,19 @@ class TestSimulateCommand:
         assert main(argv) == 3
         assert not out.exists()
 
+    @pytest.mark.parametrize("t_end", ["1e10", "1e17"])
+    def test_grid_beyond_memory_exits_2_before_drawing(self, tmp_path, monkeypatch, capsys, t_end):
+        import oufar.cli as cli
+
+        # 5e11 and 5e18 steps: 7 TiB and 7e10 GiB for the noise and path arrays
+        monkeypatch.setattr(cli, "sample_euler", lambda *a, **k: pytest.fail("path drawn"))
+        argv = ["simulate", "--theta", "1", "--t-end", t_end, "--dt", "0.02", "--seed", "1",
+                "--out", str(tmp_path / "x.csv")]
+        assert main(argv) == 2
+        (line,) = capsys.readouterr().err.splitlines()
+        assert line.startswith("error: ") and f"{grid_multiple(float(t_end), 0.02)} steps" in line
+        assert list(tmp_path.iterdir()) == []
+
     def test_stationary_requires_exact(self, tmp_path):
         code = main(["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02",
                      "--stationary", "--seed", "1", "--out", str(tmp_path / "x.csv")])
@@ -696,11 +706,11 @@ class TestExperimentCommand:
         import oufar.experiments as exp
 
         config = load_experiment_config(SMALL)
-        # each report on its own, each drawing the grid's paths itself
+        # the kind's reports from the library, drawn before the count starts
         expected = {
-            "normality.json": report_json_text(standardized_errors(config)),
-            "lil_coverage.json": report_json_text(lil_coverage(config)),
+            f"{r.kind}.json": report_json_text(r) for r in run_experiment("normality", config)
         }
+        assert set(expected) == {"normality.json", "lil_coverage.json"}
         calls = []
         real = exp.collect_cells
 
@@ -940,35 +950,40 @@ class TestExperimentCommand:
         assert not out.exists()
 
     @staticmethod
-    def _workers_chosen(tmp_path, monkeypatch, threads, replicates):
+    def _workers_chosen(tmp_path, monkeypatch, threads, replicates, thetas=1):
         import oufar.cli as cli
-        from oufar import run_emse
 
         seen = []
 
         def recording_runner(config, n_workers, simulated):
             seen.append(n_workers)
-            return [run_emse(config, n_workers=1)]
+            return run_experiment("emse", config, 1)
 
         monkeypatch.setitem(cli._RUNNERS, "emse", recording_runner)
         cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps(SMALL | {"replicates": replicates}))
+        grid = {"thetas": [0.7, 1.0][:thetas], "replicates": replicates}
+        cfg.write_text(json.dumps(SMALL | grid))
         assert main(["experiment", "emse", "--config", str(cfg), "--out", str(tmp_path / "r"),
                      "--threads", str(threads)]) == 0
         return seen
 
     @pytest.mark.parametrize(
-        "threads, replicates, cpus, expected",
-        [(10**6, 10, 3, 3), (10**6, 2, 3, 2), (2, 10, 3, 2), (0, 10, 3, 1), (-4, 10, 3, 1),
-         (8, 10, None, 1)],
+        "threads, thetas, replicates, cpus, expected",
+        [(10**6, 1, 10, 3, 3), (10**6, 1, 2, 3, 2), (2, 1, 10, 3, 2), (0, 1, 10, 3, 1),
+         (-4, 1, 10, 3, 1), (8, 1, 10, None, 1),
+         # one pool runs the grid's 2 x 2 replicates: 4 jobs, so all 3 CPUs
+         (10**6, 2, 2, 3, 3)],
     )
-    def test_worker_count_clamped(self, tmp_path, monkeypatch, threads, replicates, cpus, expected):
+    def test_worker_count_clamped(
+        self, tmp_path, monkeypatch, threads, thetas, replicates, cpus, expected
+    ):
         import oufar.cli as cli
 
         # an OS without affinity masks: the CPU count caps the workers
         monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
-        assert self._workers_chosen(tmp_path, monkeypatch, threads, replicates) == [expected]
+        chosen = self._workers_chosen(tmp_path, monkeypatch, threads, replicates, thetas)
+        assert chosen == [expected]
 
     @pytest.mark.parametrize("threads, affinity, expected", [(8, {0}, 1), (8, {0, 3, 5}, 3), (2, {0, 3, 5}, 2)])
     def test_workers_capped_at_affinity(self, tmp_path, monkeypatch, threads, affinity, expected):
@@ -1117,6 +1132,11 @@ class TestExitCodeContract:
     @given(case=st.one_of(_simulate_case(), _estimate_case(), _norms_case(), _experiment_case()))
     @example(case=(SIMULATE + ["--theta=1e10"], {}))  # a diverging Euler factor
     @example(case=(SIMULATE + ["--theta=1.0", "--sigma=1e308"], {}))  # an overflowing path
+    # grids whose arrays exceed any machine's memory: rejected before numpy is asked for them
+    @example(case=(["simulate", "--theta=1", "--t-end=1e10", "--dt=0.02", "--seed=1",
+                    "--out", "{tmp}/x.csv"], {}))
+    @example(case=(["simulate", "--theta=1", "--t-end=1e17", "--dt=0.02", "--seed=1",
+                    "--out", "{tmp}/x.csv"], {}))
     @example(case=(["experiment", "emse", "--config", "{tmp}/cfg.json", "--out", "{tmp}/r"],
                    {"cfg.json": json.dumps({"thetas": [0.7] * 65537, "horizons": [10.0],
                                             "replicates": 1}).encode()}))
