@@ -101,7 +101,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_sim.add_argument("--out", required=True)
     p_sim.set_defaults(run=_cmd_simulate)
 
-    p_est = sub.add_parser("estimate", help="estimate theta from a path CSV")
+    p_est = sub.add_parser("estimate", help="estimate theta from a path CSV", description=(
+        "Estimate theta of the centred model dxi = -theta xi dt + sigma dW (mu = 0; the endpoint "
+        "form also assumes sigma = 1): a path with mu != 0 gives a meaningless estimate. On an "
+        "exact-scheme path it converges to (1 - exp(-theta dt)) / dt, not to theta."))
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--form", choices=("ito", "endpoint", "both"), default="ito")
     p_est.add_argument("--out", help="write JSON here instead of stdout")
@@ -189,13 +192,9 @@ def _cmd_simulate(args) -> None:
     with np.errstate(over="ignore", invalid="ignore"):  # SamplePath rejects a non-finite path
         if args.scheme == "euler":
             path = sample_euler(params, grid, rng, x0=args.x0)
-            init_doc = {"x0": args.x0}
-        elif args.stationary:
-            path = sample_exact(params, grid, rng, stationary=True)
-            init_doc = {"init": "stationary"}
-        else:
-            path = sample_exact(params, grid, rng, x0=args.x0)
-            init_doc = {"x0": args.x0}
+        else:  # a stationary start ignores x0
+            path = sample_exact(params, grid, rng, x0=args.x0, stationary=args.stationary)
+    init_doc = {"init": "stationary"} if args.stationary else {"x0": args.x0}
     write_path_csv(path, args.out, seed=args.seed, extra=init_doc)
 
 

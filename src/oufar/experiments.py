@@ -25,7 +25,9 @@ report entry holds its cell fields and CSV columns.  The CLI's kinds, the
 reports and CSV schemas of ``reporting`` and the desk/full profiles all
 come from it.  ``run_experiment`` is the one runner and the one caller of
 ``collect_cells``: it returns every report of a kind, in table order, from
-one simulation of its grid, or none if an earlier kind drew it.
+one simulation of its grid, and draws no path when ``simulated`` already
+holds that grid.  ``collect_cells`` builds each (theta, T) cell as soon as
+the pool has yielded the cell's last replicate.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ import numbers
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
+from itertools import islice, product
 from typing import Callable
 
 import numpy as np
@@ -181,13 +184,19 @@ class ExperimentConfig:
 
 @dataclass
 class CellData:
-    """Raw per-replicate results for one (theta, T) cell, index order preserved."""
+    """Raw per-replicate results for one (theta, T) cell, index order preserved.
+
+    ``failures`` is counted from ``theta_hats``, so the two cannot disagree.
+    """
 
     theta: float
     t_end: float
-    theta_hats: np.ndarray  # NaN where estimation failed
+    theta_hats: np.ndarray  # contiguous float64, NaN where estimation failed
     x_prev_h: np.ndarray  # path value at the last completed block boundary
-    failures: int
+
+    @property
+    def failures(self) -> int:
+        return int(np.isnan(self.theta_hats).sum())
 
     @property
     def completed(self) -> np.ndarray:
@@ -286,38 +295,32 @@ def _replicate(config: ExperimentConfig, theta: float, t_end: float, seed: int):
     )
 
 
+def _grid_cells(config: ExperimentConfig) -> list[tuple[tuple[int, float], tuple[int, float]]]:
+    """((theta_index, theta), (t_index, T)) of every cell: theta first, then T."""
+    return list(product(enumerate(config.thetas), enumerate(config.horizons)))
+
+
 def collect_cells(config: ExperimentConfig, n_workers: int = 1) -> list[CellData]:
     """Run all replicates of all cells; deterministic for any worker count.
 
     One pool of ``max(n_workers, 1)`` worker threads serves the whole grid,
     one worker included, so each thread and its scratch buffer live until the
-    last replicate; results come back in replicate order whatever thread ran
-    them.
+    last replicate.  Results come back in replicate order whatever thread ran
+    them, and a cell is built as soon as its last replicate arrives.
     """
-    n = config.replicates
+    n, cells = config.replicates, _grid_cells(config)
     jobs = [
         (theta, t_end, derive_replicate_seed(config.master_seed, ti, hi, r))
-        for ti, theta in enumerate(config.thetas)
-        for hi, t_end in enumerate(config.horizons)
+        for (ti, theta), (hi, t_end) in cells
         for r in range(n)
     ]
     with ThreadPoolExecutor(max_workers=max(n_workers, 1)) as pool:
-        results = list(pool.map(lambda job: _replicate(config, *job), jobs))
-    cells = []
-    for start in range(0, len(jobs), n):
-        theta, t_end, _ = jobs[start]
-        theta_hats = np.array([r[0] for r in results[start:start + n]])
-        x_prev = np.array([r[1] for r in results[start:start + n]])
-        cells.append(
-            CellData(
-                theta=theta,
-                t_end=t_end,
-                theta_hats=theta_hats,
-                x_prev_h=x_prev,
-                failures=int(np.isnan(theta_hats).sum()),
-            )
-        )
-    return cells
+        results = pool.map(lambda job: _replicate(config, *job), jobs)
+        # (theta_hat, x_prev_h) pairs of the cell's n replicates -> two arrays
+        return [
+            CellData(theta, t_end, *map(np.array, zip(*islice(results, n))))
+            for (_, theta), (_, t_end) in cells
+        ]
 
 
 # aggregation seams, also used directly by tests with synthetic estimates
@@ -535,9 +538,8 @@ def check_report(name: str, config: ExperimentConfig) -> None:
     iterated-logarithm envelope of ``lil_coverage``, for one, needs T > e.
     """
     empty = np.array([])
-    for theta in config.thetas:
-        for t_end in config.horizons:
-            _cell(REPORTS[name], config, CellData(theta, t_end, empty, empty, 0))
+    for (_, theta), (_, t_end) in _grid_cells(config):
+        _cell(REPORTS[name], config, CellData(theta, t_end, empty, empty))
 
 
 def run_experiment(kind: str, config: ExperimentConfig, n_workers: int = 1,

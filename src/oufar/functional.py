@@ -127,10 +127,8 @@ class RhoOperator:
 
 
 def apply_rho(op: RhoOperator, x: FunctionalSegment) -> FunctionalSegment:
-    """(rho x)(t) = exp(-theta t) x(h) at every node."""
-    _check_same_grid(op.grid, x.grid)
-    values = np.exp(-op.theta * op.grid.times()) * x.end_value
-    return FunctionalSegment(grid=x.grid, values=values)
+    """(rho x)(t) = exp(-theta t) x(h) at every node: rho^1, whose factor 1.0 x(h) is exact."""
+    return apply_rho_power(op, 1, x)
 
 
 def apply_rho_power(op: RhoOperator, k: int, x: FunctionalSegment) -> FunctionalSegment:

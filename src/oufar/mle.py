@@ -6,6 +6,10 @@ Both discretizations of the continuous-record MLE
 ``(1 + xi_0^2/T - xi_T^2/T) / ((2/T) int xi^2 dt)``, which assumes unit
 diffusion scale.  Asymptotics: sqrt(T) (theta_hat - theta) -> N(0, 2 theta),
 and the iterated-logarithm fluctuation scale sqrt(4 theta log log T / T).
+
+Both forms fit the centred model dxi = -theta xi dt + sigma dW (mu = 0), unchecked: a
+path with mean mu != 0 gives a meaningless estimate.  On an exact-transition path with
+step dt, theta_hat converges to (1 - exp(-theta dt)) / dt, not to theta.
 """
 
 from __future__ import annotations
@@ -75,19 +79,15 @@ def theta_ito_from_sums(numerator: float, sum_sq: float, n_steps: int, dt: float
 
 
 def theta_endpoint_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
-    """Endpoint-form estimate (1 + xi_0^2/T - xi_T^2/T) / ((2/T) sum xi_i^2 dt)."""
-    values = np.asarray(values, dtype=float)
-    if values.size < 2:
-        raise DomainError("need at least two path values")
-    t_end = (values.size - 1) * dt
-    left = values[:-1]
-    sum_sq = float(np.sum(left * left))
-    riemann = sum_sq * dt
-    if riemann == 0.0:
-        raise ZeroDenominator("sum of squared path values vanishes")
+    """Endpoint-form estimate (1 + xi_0^2/T - xi_T^2/T) / ((2/T) sum xi_i^2 dt).
+
+    T, the sum of squares and its checks are those of the Ito-sum kernel.
+    """
+    ito = theta_ito_from_values(values, dt)
+    values, t_end = np.asarray(values, dtype=float), ito.t_end
     num = float(1.0 + values[0] ** 2 / t_end - values[-1] ** 2 / t_end)
-    den = 2.0 / t_end * riemann
-    return ThetaEstimate(num / den, t_end, dt, num, den, "endpoint", sum_sq)
+    den = 2.0 / t_end * ito.denominator
+    return ThetaEstimate(num / den, t_end, dt, num, den, "endpoint", ito.sum_sq)
 
 
 def estimate_theta_ito(path: SamplePath) -> ThetaEstimate:

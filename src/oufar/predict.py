@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError
 from .functional import (
     FunctionalSegment,
     RhoOperator,
@@ -35,11 +34,8 @@ class PredictionRecord:
 
 
 def plug_in_predict(theta_hat: float, x_prev: FunctionalSegment) -> FunctionalSegment:
-    """Forecast exp(-theta_hat t) x_prev(h); rejects theta_hat <= 0."""
-    if not theta_hat > 0.0:
-        raise DomainError(f"plug-in rate must be positive, got {theta_hat}")
-    op = RhoOperator(theta=theta_hat, grid=x_prev.grid)
-    return apply_rho(op, x_prev)
+    """Forecast exp(-theta_hat t) x_prev(h); RhoOperator rejects a theta_hat not in (0, inf)."""
+    return apply_rho(RhoOperator(theta=theta_hat, grid=x_prev.grid), x_prev)
 
 
 def predict_segment(

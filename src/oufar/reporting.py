@@ -32,7 +32,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import fields
+from dataclasses import asdict, fields
 from itertools import chain, dropwhile, islice
 from pathlib import Path
 
@@ -222,9 +222,7 @@ def path_sidecar(path: SamplePath, seed: int, extra: dict | None = None) -> dict
     doc = {
         "seed": seed,
         "scheme": path.scheme,
-        "params": None
-        if path.params is None
-        else {"theta": path.params.theta, "mu": path.params.mu, "sigma": path.params.sigma},
+        "params": None if path.params is None else asdict(path.params),
         "t_end": path.grid.t_end,
         "dt": path.grid.dt,
         "n_steps": path.grid.n_steps,

@@ -1,8 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oufar import (
@@ -19,6 +20,8 @@ from oufar import (
     theta_endpoint_from_values,
     theta_ito_from_values,
 )
+from oufar.mle import ThetaEstimate
+from oufar.ou_process import SCRATCH_VALUES
 
 BAND_3SIGMA_T2000 = 3.0 * math.sqrt(2.0 / 2000.0)  # 0.0949 for theta = 1
 
@@ -68,6 +71,67 @@ class TestEndpointForm:
         est = estimate_theta_endpoint(_exact_path(1.0, 2000.0, 0.02, seed=7))
         assert est.form == "endpoint"
         assert abs(est.theta_hat - 1.0) <= BAND_3SIGMA_T2000
+
+
+def _reference_theta_endpoint_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
+    """The endpoint form before it took its sums from the Ito kernel, kept verbatim."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise DomainError("need at least two path values")
+    t_end = (values.size - 1) * dt
+    left = values[:-1]
+    sum_sq = float(np.sum(left * left))
+    riemann = sum_sq * dt
+    if riemann == 0.0:
+        raise ZeroDenominator("sum of squared path values vanishes")
+    num = float(1.0 + values[0] ** 2 / t_end - values[-1] ** 2 / t_end)
+    den = 2.0 / t_end * riemann
+    return ThetaEstimate(num / den, t_end, dt, num, den, "endpoint", sum_sq)
+
+
+def _endpoint_outcome(estimate, values, dt):
+    """The bits of every ThetaEstimate field, or the error type and message raised."""
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            est = estimate(values, dt)
+    except (DomainError, ZeroDenominator) as exc:
+        return type(exc), str(exc)
+    return tuple(v if isinstance(v, str) else struct.pack("<d", v) for v in vars(est).values())
+
+
+_SPECIALS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.2250738585072009e-308])
+
+
+@st.composite
+def _endpoint_paths(draw):
+    """Normal paths at scales from subnormal to overflowing squares, with ±0.0 and
+    subnormals written in; lengths short or around the scratch buffer's size."""
+    size = draw(st.one_of(st.integers(2, 300), st.integers(SCRATCH_VALUES - 1, SCRATCH_VALUES + 2)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    values = rng.standard_normal(size) * draw(st.sampled_from([1.0, 1e-3, 1e-312, 1e154]))
+    for i, v in draw(st.lists(st.tuples(st.integers(0, size - 1), _SPECIALS), max_size=20)):
+        values[i] = v
+    return values
+
+
+class TestEndpointOracle:
+    """The endpoint form on the Ito kernel's sums gives the bits of its former body."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(values=_endpoint_paths(), dt=st.sampled_from([0.02, 0.5, 1e-3, 3.0]))
+    def test_matches_former_body(self, values, dt):
+        expected = _endpoint_outcome(_reference_theta_endpoint_from_values, values, dt)
+        assert _endpoint_outcome(theta_endpoint_from_values, values, dt) == expected
+
+    @pytest.mark.parametrize("values, error", [
+        (np.zeros(101), ZeroDenominator),
+        (np.array([-0.0, 0.0, -0.0, 2.0]), ZeroDenominator),  # only the last value is nonzero
+        (np.array([1.5]), DomainError),
+    ])
+    def test_raises_what_the_former_body_raises(self, values, error):
+        expected = _endpoint_outcome(_reference_theta_endpoint_from_values, values, 0.02)
+        assert expected[0] is error
+        assert _endpoint_outcome(theta_endpoint_from_values, values, 0.02) == expected
 
 
 class TestFormAgreement:

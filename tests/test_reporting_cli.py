@@ -233,22 +233,31 @@ class TestPathCsvOracle:
 
 
 class TestPathCsvStreaming:
-    # sha256 of `oufar simulate --theta 0.7 --t-end 200 --dt 0.02 --seed 1` CSV bytes,
-    # computed with the whole-text writer before the block writer replaced it
+    # sha256 of `oufar simulate --theta 0.7 --t-end 200 --dt 0.02 --seed 1` CSV bytes
+    # with these extra flags; the first two were computed with the whole-text writer
+    # before the block writer replaced it, the others before `simulate` had one
+    # sampler call per scheme
     GOLDEN = {
-        "euler": "48673391a9f30491ab92e8c89ad4a57bfd839eab0c8de4fa05fbc3ae3e990909",
-        "exact": "8eb31f83a432b30b18cea59b100760efb2638d3b1644a183e61a270214fbebf1",
+        "--scheme euler": "48673391a9f30491ab92e8c89ad4a57bfd839eab0c8de4fa05fbc3ae3e990909",
+        "--scheme exact": "8eb31f83a432b30b18cea59b100760efb2638d3b1644a183e61a270214fbebf1",
+        "--scheme exact --stationary":
+            "257cadfb75139f0648e807cd547f2acbaf1eea6021884e6cdbc2994e5737b0df",
+        "--scheme exact --x0 0.5":
+            "37135804d18f3b92446956b157bfbe171c3f2d81d0ebfa38ac4c88886b4d0c30",
+        "--scheme euler --x0 -1.25 --mu 0.3 --sigma 2":
+            "0142214902fca260a874345e37fc89cd26306a967a47a7d08923f714c6e1564a",
     }
 
     @pytest.mark.parametrize("block", [None, 999])  # 10001 rows: one block, or eleven
-    @pytest.mark.parametrize("scheme", ["euler", "exact"])
-    def test_simulate_golden_bytes(self, tmp_path, monkeypatch, scheme, block):
+    @pytest.mark.parametrize("flags", list(GOLDEN), ids=[
+        "euler", "exact", "exact-stationary", "exact-x0", "euler-x0-mu-sigma"])
+    def test_simulate_golden_bytes(self, tmp_path, monkeypatch, flags, block):
         if block is not None:
             monkeypatch.setattr(reporting, "_BLOCK_ROWS", block)
         out = tmp_path / "p.csv"
         assert main(["simulate", "--theta", "0.7", "--t-end", "200", "--dt", "0.02",
-                     "--scheme", scheme, "--seed", "1", "--out", str(out)]) == 0
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[scheme]
+                     *flags.split(), "--seed", "1", "--out", str(out)]) == 0
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.GOLDEN[flags]
 
     def test_extreme_values_round_trip(self, tmp_path):
         tiny = np.nextafter(0.0, 1.0)
@@ -414,15 +423,25 @@ class TestProfilesAndConfigLoading:
 
 
 class TestSimulateCommand:
-    # sha256 of the .meta.json sidecar of the Euler CSV pinned in TestPathCsvStreaming
-    SIDECAR_GOLDEN = "42a9ce2a417a3a36162740a2acd290f6a72a91cb86ebe9ef2b4192cd996f8c33"
+    # sha256 of the .meta.json sidecars of CSVs pinned in TestPathCsvStreaming, by their
+    # extra flags: the init record ("x0" or "init") and the params dict are in the bytes
+    SIDECAR_GOLDEN = {
+        "": "42a9ce2a417a3a36162740a2acd290f6a72a91cb86ebe9ef2b4192cd996f8c33",
+        "--scheme exact --stationary":
+            "7bf9083e05d0a856ea44cce6844b9a1a8ed4a4a430fd9b8310f67c07363849ea",
+        "--scheme exact --x0 0.5":
+            "af430ec7fac4c376d05deeb196ed168537e1dcc9be2fa01f167429ae160a96f1",
+        "--scheme euler --x0 -1.25 --mu 0.3 --sigma 2":
+            "00ed2d772909ff1ebf836d651aab45f41e475ca9f0f86263f4c8bb3e0d099155",
+    }
 
     def test_sidecar_golden_bytes(self, tmp_path):
         out = tmp_path / "a" / "b" / "p.csv"  # missing directories are created
-        assert main(["simulate", "--theta", "0.7", "--t-end", "200", "--dt", "0.02",
-                     "--seed", "1", "--out", str(out)]) == 0
-        sidecar = out.with_suffix(".csv.meta.json").read_bytes()
-        assert hashlib.sha256(sidecar).hexdigest() == self.SIDECAR_GOLDEN
+        for flags, golden in self.SIDECAR_GOLDEN.items():
+            assert main(["simulate", "--theta", "0.7", "--t-end", "200", "--dt", "0.02",
+                         *flags.split(), "--seed", "1", "--out", str(out)]) == 0
+            sidecar = out.with_suffix(".csv.meta.json").read_bytes()
+            assert hashlib.sha256(sidecar).hexdigest() == golden, flags
 
     def test_writes_rows_and_sidecar(self, tmp_path):
         out = tmp_path / "path.csv"
@@ -777,7 +796,7 @@ class TestExperimentCommand:
             # no paths: every replicate estimates theta exactly
             r = config.replicates
             return [
-                exp.CellData(theta, t_end, np.full(r, theta), np.zeros(r), 0)
+                exp.CellData(theta, t_end, np.full(r, theta), np.zeros(r))
                 for theta in config.thetas
                 for t_end in config.horizons
             ]
