@@ -45,7 +45,7 @@ from .experiments import (
     simulation_grid,
 )
 from .functional import k0, operator_distance_b, operator_distance_h, rho_norm_b, rho_norm_h
-from .mle import theta_endpoint_from_values, theta_ito_from_values
+from .mle import ThetaEstimate, _endpoint_form, theta_endpoint_from_values, theta_ito_from_values
 from .ou_process import (
     SCHEMES,
     OuParams,
@@ -198,8 +198,7 @@ def _cmd_simulate(args) -> None:
     write_path_csv(path, args.out, seed=args.seed, extra=init_doc)
 
 
-def _estimate_doc(values, dt, form: str) -> dict:
-    est = (theta_ito_from_values if form == "ito" else theta_endpoint_from_values)(values, dt)
+def _estimate_doc(est: ThetaEstimate) -> dict:
     return {
         "theta_hat": est.theta_hat,
         "form": est.form,
@@ -217,16 +216,17 @@ def _cmd_estimate(args) -> None:
     except OSError as exc:  # unreadable input, not an unwritable output
         raise GridMismatch(str(exc)) from exc
     with np.errstate(over="ignore", invalid="ignore"):  # overflow is reported below
-        if args.form == "both":
-            ito = _estimate_doc(values, dt, "ito")
-            endpoint = _estimate_doc(values, dt, "endpoint")
+        if args.form == "both":  # one Ito pass: the endpoint form takes its sums
+            ito = theta_ito_from_values(values, dt)
+            endpoint = _endpoint_form(ito, values)
             doc = {
-                "ito": ito,
-                "endpoint": endpoint,
-                "difference": ito["theta_hat"] - endpoint["theta_hat"],
+                "ito": _estimate_doc(ito),
+                "endpoint": _estimate_doc(endpoint),
+                "difference": ito.theta_hat - endpoint.theta_hat,
             }
         else:
-            doc = _estimate_doc(values, dt, args.form)
+            form = theta_ito_from_values if args.form == "ito" else theta_endpoint_from_values
+            doc = _estimate_doc(form(values, dt))
     if not _all_finite(doc):
         # finite values whose squares or products overflow
         raise GridMismatch(f"{args.input}: estimator sums are not finite")

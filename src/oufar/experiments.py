@@ -12,8 +12,9 @@ so reports are byte-identical for any worker count.
 
 Importing this module loads no scipy code.  The normality report's
 Kolmogorov-Smirnov distance (``ks_distance``) repeats the operations of
-``scipy.stats.kstest`` and loads only ``scipy.special`` (for ``ndtr``), on
-its first call.
+``scipy.stats.kstest``; its one scipy routine, the normal CDF ``ndtr``,
+comes from the extension ``scipy.special._special_ufuncs``, loaded by file
+on the first call (``ou_process._special_ufunc``).
 
 Estimation failures (identically-zero paths) are excluded from the cell
 statistics but counted and reported; they are never resampled, which would
@@ -43,12 +44,19 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ZeroDenominator
-from .mle import asymptotic_std, lil_envelope, theta_ito_from_sums, theta_ito_from_values
+from .mle import (
+    _pairwise,
+    asymptotic_std,
+    lil_envelope,
+    theta_ito_from_sums,
+    theta_ito_from_values,
+)
 from .ou_process import (
     SCHEMES,
     SCRATCH_VALUES,
     OuParams,
     TimeGrid,
+    _special_ufunc,
     check_euler_stable,
     grid_multiple,
     positive_finite,
@@ -219,23 +227,11 @@ class ExperimentReport:
     n_workers: int = 1  # volatile
 
 
-# numpy sums a float64 array pairwise: a run longer than 128 terms is split at
-# n2 = n//2 - (n//2) % 8 and the sums of its two halves are added.  Paths are
-# drawn in chunks that are the leaves of that tree over the path's steps,
-# hence at most this long (>= 128) and never held whole in memory; a chunk's
-# n+1 values fit a thread's scratch buffer.
+# Paths are drawn in chunks that are the leaves of numpy's pairwise tree over
+# the path's steps (``mle._pairwise``), hence at most this long (>= 128) and
+# never held whole in memory; a chunk's n+1 values fit a thread's scratch
+# buffer.  Read at each call, so tests can shrink it to force deep trees.
 _CHUNK_STEPS = SCRATCH_VALUES - 1
-
-
-def _pairwise(n: int, leaf: Callable[[int], tuple[float, float]]) -> tuple[float, float]:
-    """Reduce n steps in numpy's pairwise order; ``leaf(m)`` sums the next m steps."""
-    if n <= _CHUNK_STEPS:
-        return leaf(n)
-    half = n // 2
-    half -= half % 8
-    first = _pairwise(half, leaf)
-    second = _pairwise(n - half, leaf)
-    return first[0] + second[0], first[1] + second[1]
 
 
 def _stream_path(
@@ -276,8 +272,8 @@ def _stream_path(
     # returned NaN sums, and NaN * dt != 0; otherwise every leaf's sum of
     # squares times dt is positive, and the merged sum of squares is no
     # smaller than any leaf's, so its product with dt is positive too.
-    theta_hat = theta_ito_from_sums(*_pairwise(n_steps, leaf), n_steps, dt).theta_hat
-    return theta_hat, x_boundary
+    numerator, sum_sq = _pairwise(n_steps, leaf, _CHUNK_STEPS)
+    return theta_ito_from_sums(numerator, sum_sq, n_steps, dt).theta_hat, x_boundary
 
 
 def _replicate(config: ExperimentConfig, theta: float, t_end: float, seed: int):
@@ -373,13 +369,12 @@ def ks_distance(z: np.ndarray) -> float:
     """Two-sided Kolmogorov-Smirnov distance of the sample z from N(0, 1).
 
     The same operations as ``scipy.stats.kstest(z, "norm").statistic``,
-    without importing scipy.stats (1.3 s): sort, F = ndtr(z),
-    D+ = max(i/n - F), D- = max(F - (i-1)/n), and D+ where D+ > D-.
+    without importing scipy.stats (1.3 s) or scipy.special (0.3 s): sort,
+    F = ndtr(z), D+ = max(i/n - F), D- = max(F - (i-1)/n), and D+ where
+    D+ > D-.  ``ndtr`` is the ufunc object of ``scipy.special.ndtr``.
     """
-    from scipy.special import ndtr
-
     n = z.size
-    cdf = ndtr(np.sort(z))
+    cdf = _special_ufunc("ndtr")(np.sort(z))
     d_plus = (np.arange(1.0, n + 1) / n - cdf).max()
     d_minus = (cdf - np.arange(0.0, n) / n).max()
     return float(d_plus if d_plus > d_minus else d_minus)

@@ -11,8 +11,9 @@ rank-one operator (rho_theta x)(t) = exp(-theta t) x(h).  Two norms are used:
 
 Closed-form operator norms and operator distances come with brute-force
 discrete oracles so every formula is checked by an independent route.
-Only ``operator_distance_h`` at nearly equal rates needs scipy
-(``scipy.special.gammainc``), and imports it on that first use.
+Only ``operator_distance_h`` at nearly equal rates needs scipy: the ufunc
+``gammainc``, taken on that first use from the extension
+``scipy.special._special_ufuncs`` alone (``ou_process._special_ufunc``).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, GridMismatch
-from .ou_process import SamplePath, grid_multiple
+from .ou_process import SamplePath, _special_ufunc, grid_multiple
 
 
 @dataclass(frozen=True)
@@ -201,8 +202,8 @@ def k0(theta: float) -> int:
 
 def _exp_moment(k: int, c: float, h: float) -> float:
     """int_0^h t^k exp(-c t) dt = k! P(k+1, c h) / c^(k+1), stable for any c h."""
-    from scipy.special import gammainc  # 0.3 s to import, so not at module import
-
+    # the extension alone, not scipy.special (0.3 s and 20 MiB to import)
+    gammainc = _special_ufunc("gammainc")
     x = c * h
     if c ** (k + 1) > 0.0:
         return math.factorial(k) * float(gammainc(k + 1, x)) / c ** (k + 1)

@@ -16,11 +16,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
 from .errors import DomainError, ZeroDenominator
-from .ou_process import SamplePath, scratch
+from .ou_process import SCRATCH_VALUES, SamplePath, scratch
 
 _E = math.e
 
@@ -51,17 +52,49 @@ class ThetaEstimate:
         return bool(self.theta_hat <= 0.0)
 
 
+def _pairwise(n: int, leaf: Callable[[int], tuple[float, float]], cap: int) -> tuple[float, float]:
+    """Two sums of n terms in numpy's pairwise order; ``leaf(m)`` sums the next m terms.
+
+    numpy sums a float64 array pairwise: a run longer than 128 terms is split
+    at n2 = n//2 - (n//2) % 8 and the sums of its two halves are added.  This
+    walks the same tree down to runs of at most ``cap`` (>= 128) terms, the
+    leaves, whose np.sum follows the tree below them; adding the leaf sums
+    back up the tree gives the one-shot sums bit for bit.  The one
+    implementation of the tree, for ``theta_ito_from_values`` and the Monte
+    Carlo harness's chunked paths.
+    """
+    if n <= cap:
+        return leaf(n)
+    half = n // 2
+    half -= half % 8
+    first = _pairwise(half, leaf, cap)
+    second = _pairwise(n - half, leaf, cap)
+    return first[0] + second[0], first[1] + second[1]
+
+
 def theta_ito_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
-    """Ito-sum estimate from raw grid values (left-endpoint convention)."""
+    """Ito-sum estimate from raw grid values (left-endpoint convention).
+
+    The sums are reduced leaf by leaf over numpy's pairwise tree: a leaf's
+    products live in the thread's ``scratch`` buffer, so no temporary grows
+    with the path, and the sums equal those of one np.sum over all products.
+    """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise DomainError("need at least two path values")
-    left = values[:-1]
-    # one scratch array: the same products numpy would build, summed in the same order
-    d = np.subtract(values[1:], left, out=scratch(values.size - 1))
-    num = -float(np.sum(np.multiply(left, d, out=d)))
-    sum_sq = float(np.sum(np.multiply(left, left, out=d)))
-    return theta_ito_from_sums(num, sum_sq, values.size - 1, dt)
+    start = 0
+
+    def leaf(m: int) -> tuple[float, float]:
+        nonlocal start
+        left = values[start:start + m]
+        d = np.subtract(values[start + 1:start + m + 1], left, out=scratch(m))
+        start += m
+        ito_sum = float(np.sum(np.multiply(left, d, out=d)))
+        return ito_sum, float(np.sum(np.multiply(left, left, out=d)))
+
+    # a leaf's m products fill at most the scratch buffer
+    ito_sum, sum_sq = _pairwise(values.size - 1, leaf, SCRATCH_VALUES - 1)
+    return theta_ito_from_sums(-ito_sum, sum_sq, values.size - 1, dt)
 
 
 def theta_ito_from_sums(numerator: float, sum_sq: float, n_steps: int, dt: float) -> ThetaEstimate:
@@ -78,16 +111,24 @@ def theta_ito_from_sums(numerator: float, sum_sq: float, n_steps: int, dt: float
     return ThetaEstimate(numerator / den, n_steps * dt, dt, numerator, den, "ito_discrete", sum_sq)
 
 
+def _endpoint_form(ito: ThetaEstimate, values: np.ndarray) -> ThetaEstimate:
+    """Endpoint-form estimate from ``ito``, the Ito-sum estimate of the float64 ``values``.
+
+    T, the sum of squares and the Riemann denominator are taken from ``ito``.
+    """
+    t_end = ito.t_end
+    num = float(1.0 + values[0] ** 2 / t_end - values[-1] ** 2 / t_end)
+    den = 2.0 / t_end * ito.denominator
+    return ThetaEstimate(num / den, t_end, ito.dt, num, den, "endpoint", ito.sum_sq)
+
+
 def theta_endpoint_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
     """Endpoint-form estimate (1 + xi_0^2/T - xi_T^2/T) / ((2/T) sum xi_i^2 dt).
 
     T, the sum of squares and its checks are those of the Ito-sum kernel.
     """
-    ito = theta_ito_from_values(values, dt)
-    values, t_end = np.asarray(values, dtype=float), ito.t_end
-    num = float(1.0 + values[0] ** 2 / t_end - values[-1] ** 2 / t_end)
-    den = 2.0 / t_end * ito.denominator
-    return ThetaEstimate(num / den, t_end, dt, num, den, "endpoint", ito.sum_sq)
+    values = np.asarray(values, dtype=float)
+    return _endpoint_form(theta_ito_from_values(values, dt), values)
 
 
 def estimate_theta_ito(path: SamplePath) -> ThetaEstimate:

@@ -14,16 +14,23 @@ standard normals into the thread's ``scratch`` buffer, scales and shifts
 them in place into the innovations, and runs the AR(1) recursion
 xi_{i+1} = a xi_i + u_i with the Euler factor a = 1 - theta dt or the exact
 decay a = exp(-theta dt).  The recursion goes through ``lfilter``, which calls
-scipy's compiled ``_linear_filter``.  Its extension module
-``scipy.signal._sigtools`` is loaded by file on the first call, under its
-real name, without running ``scipy/signal/__init__`` (about 1.2 s and
-75 MiB of imports that nothing here uses); a later ``import scipy.signal``
-finds it in ``sys.modules`` and reuses it.  Where the extension cannot be
-found or loaded, ``lfilter`` falls back to the public
-``scipy.signal.lfilter``, which runs the same routine.  Importing this
-module loads no scipy code at all; with the other modules doing the same,
-a fresh ``oufar simulate`` or ``oufar --version`` starts in about 0.3 s
-instead of 1.5 s (2-vCPU Intel Xeon; README, "Start-up cost").
+scipy's compiled ``_linear_filter``.
+
+The scipy code this package runs is loaded on first use by one loader,
+``_scipy_extension``: it loads one extension module by file, under its
+real name, without running its subpackage's ``__init__``, and a later
+public import of the subpackage finds it in ``sys.modules`` and reuses it.
+``lfilter`` loads ``scipy.signal._sigtools`` this way (``import
+scipy.signal`` costs about 1.2 s and 75 MiB that nothing here uses), and
+``_special_ufunc`` loads ``scipy.special._special_ufuncs`` for the ufuncs
+``ndtr`` and ``gammainc`` (after ``import oufar.cli``, +1.1 MiB peak RSS
+and 2 ms, against +20 MiB and 0.25-0.33 s for ``import scipy.special``).
+Where an extension cannot be found or loaded, each falls back to the public
+``scipy.signal.lfilter`` or ``scipy.special`` import, which runs the same
+routines.  Importing this module loads no scipy code at all; with the
+other modules doing the same, a fresh ``oufar simulate`` or ``oufar
+--version`` starts in about 0.3 s instead of 1.5 s (2-vCPU Intel Xeon;
+README, "Start-up cost").
 
 A path chunk's temporaries live in ``scratch``: one reusable buffer per
 thread (see there for why).
@@ -31,6 +38,7 @@ thread (see there for why).
 
 from __future__ import annotations
 
+import importlib
 import importlib.machinery
 import importlib.util
 import math
@@ -76,24 +84,56 @@ def scratch(n: int) -> np.ndarray:
 
 
 _SIGTOOLS = "scipy.signal._sigtools"
+# not scipy.special._ufuncs, which cannot load without the rest of scipy.special
+_SPECIAL_UFUNCS = "scipy.special._special_ufuncs"
+_extension_lock = threading.Lock()
+
+
+def _scipy_extension(name: str):
+    """The compiled scipy module ``name``, loaded by file under its real name.
+
+    A module already in ``sys.modules`` is reused; otherwise the file is
+    looked up in its scipy subpackage's directory and executed without
+    running that subpackage's ``__init__``, then put in ``sys.modules``, so
+    a later public import of the subpackage finds and reuses it.  Raises
+    ImportError when there is no such file or it cannot be loaded alone.
+    """
+    with _extension_lock:
+        module = sys.modules.get(name)
+        if module is None:
+            subpackage = name.split(".")[1]
+            scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
+            spec = importlib.machinery.PathFinder.find_spec(
+                name, [os.path.join(d, subpackage) for d in scipy_dirs]
+            )
+            if spec is None:
+                raise ImportError(f"no extension module {name}")
+            module = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(module)
+            sys.modules[name] = module
+    return module
+
+
+def _special_ufunc(name: str):
+    """The ufunc ``scipy.special.<name>``, from the extension ``_special_ufuncs`` alone.
+
+    Where the extension or the name is missing (older scipy), the public
+    ``scipy.special`` is imported instead; both hold the same ufunc object.
+    """
+    try:
+        return getattr(_scipy_extension(_SPECIAL_UFUNCS), name)
+    except (ImportError, AttributeError):
+        return getattr(importlib.import_module("scipy.special"), name)
+
+
 _filter = None  # bound by the first lfilter call
-_filter_lock = threading.Lock()
 
 
 def _load_filter():
     """(b, a, x) -> y through scipy's ``_linear_filter``, else ``scipy.signal.lfilter``."""
     try:
-        module = sys.modules.get(_SIGTOOLS)
-        if module is None:
-            scipy_dirs = importlib.util.find_spec("scipy").submodule_search_locations
-            spec = importlib.machinery.PathFinder.find_spec(
-                _SIGTOOLS, [os.path.join(d, "signal") for d in scipy_dirs]
-            )
-            module = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(module)
-            sys.modules[_SIGTOOLS] = module
-        linear_filter = module._linear_filter
-    except (ImportError, AttributeError):  # no spec (None) or no such routine
+        linear_filter = _scipy_extension(_SIGTOOLS)._linear_filter
+    except (ImportError, AttributeError):
         from scipy.signal import lfilter as public
 
         return public
@@ -108,10 +148,8 @@ def lfilter(b, a, x) -> np.ndarray:
     on the first call (see the module docstring).
     """
     global _filter
-    if _filter is None:
-        with _filter_lock:
-            if _filter is None:
-                _filter = _load_filter()
+    if _filter is None:  # threads racing here bind equal functions; the load is locked
+        _filter = _load_filter()
     return _filter(b, a, x)
 
 

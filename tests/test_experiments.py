@@ -448,6 +448,21 @@ class TestStreamingOracle:
         (cell,) = collect_cells(config)
         assert cell.failures == 4
 
+    @pytest.mark.parametrize("cap", [128, 136])
+    def test_patched_chunk_cap_sets_the_leaves(self, monkeypatch, cap):
+        # read at each call, so the tests above that patch it draw multi-level trees
+        monkeypatch.setattr(exp, "_CHUNK_STEPS", cap)
+        sizes = []
+
+        def counted(params, grid, rng, x0):
+            sizes.append(grid.n_steps)
+            return sample_euler(params, grid, rng, x0)
+
+        monkeypatch.setattr(exp, "sample_euler", counted)
+        config = ExperimentConfig(thetas=(0.7,), horizons=(20.0,))
+        _stream_path(config, OuParams(theta=0.7), 1000, 0, np.random.default_rng(1))
+        assert sum(sizes) == 1000 and len(sizes) > 1 and max(sizes) <= cap
+
 
 @st.composite
 def _ks_samples(draw):

@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -20,8 +21,8 @@ from oufar import (
     theta_endpoint_from_values,
     theta_ito_from_values,
 )
-from oufar.mle import ThetaEstimate
-from oufar.ou_process import SCRATCH_VALUES
+from oufar.mle import ThetaEstimate, theta_ito_from_sums
+from oufar.ou_process import SCRATCH_VALUES, scratch
 
 BAND_3SIGMA_T2000 = 3.0 * math.sqrt(2.0 / 2000.0)  # 0.0949 for theta = 1
 
@@ -89,7 +90,7 @@ def _reference_theta_endpoint_from_values(values: np.ndarray, dt: float) -> Thet
     return ThetaEstimate(num / den, t_end, dt, num, den, "endpoint", sum_sq)
 
 
-def _endpoint_outcome(estimate, values, dt):
+def _outcome(estimate, values, dt):
     """The bits of every ThetaEstimate field, or the error type and message raised."""
     try:
         with np.errstate(over="ignore", invalid="ignore"):
@@ -103,10 +104,11 @@ _SPECIALS = st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.225073858507
 
 
 @st.composite
-def _endpoint_paths(draw):
+def _endpoint_paths(draw, sizes=st.one_of(
+        st.integers(2, 300), st.integers(SCRATCH_VALUES - 1, SCRATCH_VALUES + 2))):
     """Normal paths at scales from subnormal to overflowing squares, with ±0.0 and
     subnormals written in; lengths short or around the scratch buffer's size."""
-    size = draw(st.one_of(st.integers(2, 300), st.integers(SCRATCH_VALUES - 1, SCRATCH_VALUES + 2)))
+    size = draw(sizes)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     values = rng.standard_normal(size) * draw(st.sampled_from([1.0, 1e-3, 1e-312, 1e154]))
     for i, v in draw(st.lists(st.tuples(st.integers(0, size - 1), _SPECIALS), max_size=20)):
@@ -120,8 +122,8 @@ class TestEndpointOracle:
     @settings(max_examples=200, deadline=None)
     @given(values=_endpoint_paths(), dt=st.sampled_from([0.02, 0.5, 1e-3, 3.0]))
     def test_matches_former_body(self, values, dt):
-        expected = _endpoint_outcome(_reference_theta_endpoint_from_values, values, dt)
-        assert _endpoint_outcome(theta_endpoint_from_values, values, dt) == expected
+        expected = _outcome(_reference_theta_endpoint_from_values, values, dt)
+        assert _outcome(theta_endpoint_from_values, values, dt) == expected
 
     @pytest.mark.parametrize("values, error", [
         (np.zeros(101), ZeroDenominator),
@@ -129,9 +131,61 @@ class TestEndpointOracle:
         (np.array([1.5]), DomainError),
     ])
     def test_raises_what_the_former_body_raises(self, values, error):
-        expected = _endpoint_outcome(_reference_theta_endpoint_from_values, values, 0.02)
+        expected = _outcome(_reference_theta_endpoint_from_values, values, 0.02)
         assert expected[0] is error
-        assert _endpoint_outcome(theta_endpoint_from_values, values, 0.02) == expected
+        assert _outcome(theta_endpoint_from_values, values, 0.02) == expected
+
+
+def _reference_theta_ito_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
+    """The Ito form before it reduced its sums leaf by leaf, kept verbatim."""
+    values = np.asarray(values, dtype=float)
+    if values.size < 2:
+        raise DomainError("need at least two path values")
+    left = values[:-1]
+    # one scratch array: the same products numpy would build, summed in the same order
+    d = np.subtract(values[1:], left, out=scratch(values.size - 1))
+    num = -float(np.sum(np.multiply(left, d, out=d)))
+    sum_sq = float(np.sum(np.multiply(left, left, out=d)))
+    return theta_ito_from_sums(num, sum_sq, values.size - 1, dt)
+
+
+# path lengths whose steps make one leaf (2, 3, 2^16 and 2^16 + 1 values, the last
+# filling the scratch buffer), two leaves (2^16 + 2 and 2^17 + 1), three of unequal
+# size (2^17 - 1) and four (the desk round trip's 2.5e5 + 1 values)
+_LEAF_SIZES = st.sampled_from([2, 3, 2**16, 2**16 + 1, 2**16 + 2, 2**17 - 1, 2**17 + 1, 250001])
+
+
+class TestItoOracle:
+    """The Ito form reduced leaf by leaf gives the bits of its former one-array body."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(values=_endpoint_paths(sizes=_LEAF_SIZES), dt=st.sampled_from([0.02, 0.5, 1e-3, 3.0]))
+    def test_matches_former_body(self, values, dt):
+        expected = _outcome(_reference_theta_ito_from_values, values, dt)
+        assert _outcome(theta_ito_from_values, values, dt) == expected
+
+    @pytest.mark.parametrize("values, error", [
+        (np.zeros(2**17 + 1), ZeroDenominator),
+        (np.tile([0.0, -0.0], 2**16 + 1), ZeroDenominator),  # every product is -0.0
+        (np.array([1.5]), DomainError),
+    ])
+    def test_raises_what_the_former_body_raises(self, values, error):
+        expected = _outcome(_reference_theta_ito_from_values, values, 0.02)
+        assert expected[0] is error
+        assert _outcome(theta_ito_from_values, values, 0.02) == expected
+
+    def test_long_path_allocates_no_path_sized_temporary(self):
+        values = np.random.default_rng(3).standard_normal(10**6 + 1)
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            theta_ito_from_values(values, 0.02)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        # one 2^16-value leaf in the thread's scratch buffer (512 KiB if this call makes
+        # it); the one-array body took an 8 MB temporary
+        assert peak < 2**20
 
 
 class TestFormAgreement:

@@ -353,6 +353,78 @@ print(json.dumps([faults, sorted(m for m in sys.modules if m.startswith({_HEAVY!
         assert faults < 500
 
 
+class TestSpecialUfuncs:
+    """ndtr and gammainc come from scipy.special's ufunc extension alone, with the bits
+    of the public scipy.special, whether it loads by file or falls back."""
+
+    @pytest.mark.parametrize("argv, expected", [
+        (["experiment", "normality"], ["scipy.signal._sigtools", "scipy.special._special_ufuncs"]),
+        (["norms", "--theta", "1", "--h", "1", "--theta-hat", "1.0001"],  # the gammainc form
+         ["scipy.special._special_ufuncs"]),
+    ], ids=["normality", "norms-near-rates"])
+    def test_commands_load_only_the_ufunc_extension(self, tmp_path, argv, expected):
+        (tmp_path / "cfg.json").write_text(json.dumps({"thetas": [1.0], "horizons": [10.0], "replicates": 4}))
+        if argv[0] == "experiment":
+            argv = [*argv, "--config", str(tmp_path / "cfg.json")]
+        loaded = _run_fresh(f"""
+import json, sys
+import oufar.cli
+code = oufar.cli.main({[*argv, "--out", str(tmp_path / "out")]!r})
+print(json.dumps([code, sorted(m for m in sys.modules if m.startswith({_HEAVY!r}))]))
+""")
+        assert loaded == [0, expected]
+
+    def test_public_ufuncs_are_the_loaded_ones(self):
+        same, equal = _run_fresh("""
+import json, sys
+import numpy as np
+from oufar.ou_process import _special_ufunc
+ndtr, gammainc = _special_ufunc("ndtr"), _special_ufunc("gammainc")
+loaded = sys.modules["scipy.special._special_ufuncs"]
+public_loaded_first = "scipy.special" in sys.modules
+import scipy.special
+x = np.concatenate([[0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310, 40.0, -40.0],
+                    10.0 * np.random.default_rng(8).standard_normal(10**6)])
+a = np.random.default_rng(9).uniform(0.5, 6.0, x.size)
+x_pos = np.where(x < 0.0, -x, x)  # gammainc(a, x) needs x >= 0; keeps -0.0
+same = [scipy.special.ndtr is ndtr, scipy.special.gammainc is gammainc,
+        sys.modules["scipy.special._special_ufuncs"] is loaded, not public_loaded_first]
+equal = [ndtr(x).tobytes() == scipy.special.ndtr(x).tobytes(),
+         gammainc(a, x_pos).tobytes() == scipy.special.gammainc(a, x_pos).tobytes()]
+print(json.dumps([same, equal]))
+""")
+        assert same == [True] * 4 and equal == [True, True]
+
+    _CALLS = """
+import importlib.machinery, json, sys
+import numpy as np
+from oufar.experiments import ks_distance
+from oufar.functional import _exp_moment
+if {hide}:
+    find_spec = importlib.machinery.PathFinder.find_spec.__func__
+
+    def hidden(cls, name, path=None, target=None):
+        # oufar's by-file lookup finds nothing; the public import still finds the file
+        if sys._getframe(1).f_globals.get("__name__") == "oufar.ou_process":
+            return None
+        return find_spec(cls, name, path, target)
+
+    importlib.machinery.PathFinder.find_spec = classmethod(hidden)
+z = np.random.default_rng(4).standard_normal(1001)
+z[:4] = [0.0, -0.0, 5e-324, -40.0]
+# the last moment's c^3 underflows: its second gammainc form
+values = [ks_distance(z)] + [_exp_moment(k, c, h) for k, c, h in
+                             [(2, 2.0, 1.0), (3, 0.5, 1.5), (4, 2e-3, 1.0), (2, 1e-110, 1e100)]]
+print(json.dumps([[v.hex() for v in values], "scipy.special" in sys.modules]))
+"""
+
+    def test_missing_extension_falls_back_to_the_public_import(self):
+        by_file, public_unused = _run_fresh(self._CALLS.format(hide=False))
+        fallback, public_used = _run_fresh(self._CALLS.format(hide=True))
+        assert not public_unused and public_used
+        assert fallback == by_file
+
+
 def _filter_cases():
     values = st.one_of(st.just(0.0), st.just(-0.0), st.floats(-1e6, 1e6))
     return st.tuples(

@@ -4,6 +4,7 @@ import io
 import json
 import math
 import tempfile
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,6 +12,8 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
+import oufar.cli as cli
+import oufar.mle as mle
 import oufar.reporting as reporting
 
 from oufar import (
@@ -272,6 +275,21 @@ class TestPathCsvStreaming:
         assert got.tobytes() == values.tobytes()  # the sign of -0.0 included
         assert dt == 0.5
 
+    def test_reader_holds_the_values_and_one_block(self, tmp_path):
+        out = tmp_path / "p.csv"
+        write_path_csv(_make_path(t_end=5000.0), out, seed=1)  # 2.5e5 + 1 rows
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            values, _ = read_path_csv(out)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert values.size == 250001
+        # the values twice (2 MB each) while the blocks are joined, plus one block of
+        # text and rows; 2^14-row blocks peaked at 10.1 MiB
+        assert peak < 6 * 2**20
+
     @pytest.mark.parametrize("existed", [False, True])
     def test_failed_write_leaves_no_partial_file(self, tmp_path, monkeypatch, existed):
         monkeypatch.setattr(reporting, "_BLOCK_ROWS", 16)
@@ -517,6 +535,23 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(csv), "--form", "both"]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.GOLDEN
 
+    def test_both_forms_take_the_ito_sums_once(self, tmp_path, capsys, monkeypatch):
+        csv = tmp_path / "p.csv"
+        assert main(["simulate", "--theta", "0.7", "--t-end", "200", "--dt", "0.02",
+                     "--seed", "1", "--out", str(csv)]) == 0
+        capsys.readouterr()
+        sizes, ito = [], mle.theta_ito_from_values
+
+        def counted(values, dt):
+            sizes.append(len(values))
+            return ito(values, dt)
+
+        monkeypatch.setattr(cli, "theta_ito_from_values", counted)
+        monkeypatch.setattr(mle, "theta_ito_from_values", counted)  # the endpoint form's call
+        assert main(["estimate", "--input", str(csv), "--form", "both"]) == 0
+        assert sizes == [10001]
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.GOLDEN
+
     def test_round_trip_recovers_theta(self, tmp_path, capsys):
         csv = tmp_path / "p.csv"
         main(["simulate", "--theta", "1", "--t-end", "200", "--dt", "0.02",
@@ -600,13 +635,17 @@ class TestEstimateCommand:
 
 
 class TestNormsCommand:
-    # sha256 of `norms --theta 0.7 --h 1.5 --k-max 7` stdout with these extra flags
+    # sha256 of `norms --theta 0.7 --h 1.5 --k-max 7` stdout with these extra flags; the
+    # last, |theta_hat - theta| h <= 1e-3 (the gammainc form), was computed before
+    # gammainc came from scipy.special's ufunc extension alone
     GOLDEN = {
         ("--theta-hat", "0.9"): "062ac0409662f3d7da638244839322036cbb8716505efaad42d1da48ca2d0dad",
         ("--format", "csv"): "4612ce0f60e79f47f92380ca0e08154c70b51beb393171d0161378a2e8e44fbd",
+        ("--theta-hat", "0.7001"):
+            "9e08fab65c53a43696c5491f4a0047eb118887c6c9c3de69ba3d7aa9de4a3c5e",
     }
 
-    @pytest.mark.parametrize("extra", list(GOLDEN), ids=["theta-hat", "csv"])
+    @pytest.mark.parametrize("extra", list(GOLDEN), ids=["theta-hat", "csv", "theta-hat-near"])
     def test_golden_bytes(self, capsys, extra):
         assert main(["norms", "--theta", "0.7", "--h", "1.5", "--k-max", "7", *extra]) == 0
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.GOLDEN[extra]
