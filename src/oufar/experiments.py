@@ -45,8 +45,10 @@ import numpy as np
 
 from .errors import DomainError, ZeroDenominator
 from .mle import (
+    _check_band_k,
     _pairwise,
     asymptotic_std,
+    confidence_band,
     lil_envelope,
     theta_ito_from_sums,
     theta_ito_from_values,
@@ -58,6 +60,7 @@ from .ou_process import (
     TimeGrid,
     _special_ufunc,
     check_euler_stable,
+    check_positive,
     grid_multiple,
     positive_finite,
     sample_euler,
@@ -145,19 +148,15 @@ class ExperimentConfig:
             grid = getattr(self, name)
             if not isinstance(grid, (list, tuple, np.ndarray)) or not all(map(_is_number, grid)):
                 raise DomainError(f"{name} must be a list of numbers, got {grid!r}")
-            object.__setattr__(self, name, tuple(float(t) for t in grid))
+            grid = tuple(float(t) for t in grid)
+            if not grid or not all(map(positive_finite, grid)):
+                raise DomainError(f"{name} must be positive and finite: {grid}")
+            object.__setattr__(self, name, grid)
         floats = (self.dt, self.h, self.epsilon, self.band_k, self.lil_multiplier)
         if not all(map(_is_number, floats)):
             raise DomainError("dt, h, epsilon, band_k and lil_multiplier must be numbers")
-        if not self.thetas or not all(map(positive_finite, self.thetas)):
-            raise DomainError(f"thetas must be positive and finite: {self.thetas}")
-        if not self.horizons or not all(map(positive_finite, self.horizons)):
-            raise DomainError(f"horizons must be positive and finite: {self.horizons}")
-        if not all(map(positive_finite, (self.dt, self.h, self.epsilon))):
-            raise DomainError("dt, h, and epsilon must be positive and finite")
-        band_k_ok = self.band_k >= 0.0 and math.isfinite(self.band_k)
-        if not (band_k_ok and positive_finite(self.lil_multiplier)):
-            raise DomainError("band_k must be finite and >= 0, lil_multiplier finite and > 0")
+        check_positive(dt=self.dt, h=self.h, epsilon=self.epsilon, lil_multiplier=self.lil_multiplier)
+        _check_band_k(self.band_k)
         # each replicate's seed packs its indices into 16 + 16 + 32 bits
         if len(self.thetas) > _MAX_THETA_INDEX or len(self.horizons) > _MAX_T_INDEX:
             raise DomainError(
@@ -324,7 +323,7 @@ def collect_cells(config: ExperimentConfig, n_workers: int = 1) -> list[CellData
 
 def coverage_cell(theta: float, t_end: float, theta_hats: np.ndarray, band_k: float) -> float:
     """Fraction of |theta_hat - theta| <= band_k sqrt(2 theta / T), boundary included."""
-    half_width = band_k * asymptotic_std(theta, t_end)
+    half_width = confidence_band(theta, t_end, band_k)[1]
     return float(np.mean(np.abs(theta_hats - theta) <= half_width))
 
 

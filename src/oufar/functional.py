@@ -11,7 +11,7 @@ rank-one operator (rho_theta x)(t) = exp(-theta t) x(h).  Two norms are used:
 
 Closed-form operator norms and operator distances come with brute-force
 discrete oracles so every formula is checked by an independent route.
-Only ``operator_distance_h`` at nearly equal rates needs scipy: the ufunc
+Only ``operator_distance_h`` at distinct but nearly equal rates needs scipy: the ufunc
 ``gammainc``, taken on that first use from the extension
 ``scipy.special._special_ufuncs`` alone (``ou_process._special_ufunc``).
 """
@@ -19,12 +19,13 @@ Only ``operator_distance_h`` at nearly equal rates needs scipy: the ufunc
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, GridMismatch
-from .ou_process import SamplePath, _special_ufunc, grid_multiple
+from .ou_process import SamplePath, _special_ufunc, check_positive, grid_multiple, positive_finite
 
 
 @dataclass(frozen=True)
@@ -35,8 +36,8 @@ class SegmentGrid:
     m: int
 
     def __post_init__(self):
-        if not (self.h > 0.0):
-            raise GridMismatch(f"segment length must be positive, got {self.h}")
+        if not positive_finite(self.h):
+            raise GridMismatch(f"segment length must be positive and finite, got {self.h}")
         if self.m < 1:
             raise GridMismatch(f"need at least one subdivision, got m={self.m}")
 
@@ -123,8 +124,13 @@ class RhoOperator:
     grid: SegmentGrid
 
     def __post_init__(self):
-        if not (self.theta > 0.0) or not math.isfinite(self.theta):
-            raise DomainError(f"operator rate must be positive, got {self.theta}")
+        check_positive(theta=self.theta)
+
+
+def _check_power(k: int) -> None:
+    """Raise DomainError unless the operator power k is an integer >= 1 (bool excluded)."""
+    if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1):
+        raise DomainError(f"power must be an integer >= 1, got {k!r}")
 
 
 def apply_rho(op: RhoOperator, x: FunctionalSegment) -> FunctionalSegment:
@@ -133,11 +139,9 @@ def apply_rho(op: RhoOperator, x: FunctionalSegment) -> FunctionalSegment:
 
 
 def apply_rho_power(op: RhoOperator, k: int, x: FunctionalSegment) -> FunctionalSegment:
-    """k-fold composition: (rho^k x)(t) = exp(-theta t) exp(-theta (k-1) h) x(h)."""
-    if k < 1:
-        raise DomainError(f"power must be >= 1, got {k}")
+    """k-fold composition: (rho^k x)(t) = exp(-theta t) rho_norm_b(theta, k, h) x(h)."""
     _check_same_grid(op.grid, x.grid)
-    factor = math.exp(-op.theta * (k - 1) * op.grid.h) * x.end_value
+    factor = rho_norm_b(op.theta, k, op.grid.h) * x.end_value
     values = np.exp(-op.theta * op.grid.times()) * factor
     return FunctionalSegment(grid=x.grid, values=values)
 
@@ -148,14 +152,10 @@ def rho_norm_h(theta: float, k: int, h: float) -> float:
         exp(-theta (k-1) h) * sqrt((1 + exp(-2 theta h) (2 theta - 1)) / (2 theta))
 
     It is < 1 for k = 1 iff theta > 1/2, and < 1 for every theta once
-    k >= k0(theta).
+    k >= k0(theta).  The decay factor and the checks are ``rho_norm_b``'s.
     """
-    if not (theta > 0.0 and h > 0.0):
-        raise DomainError("theta and h must be positive")
-    if k < 1:
-        raise DomainError(f"power must be >= 1, got {k}")
-    base = math.sqrt((1.0 + math.exp(-2.0 * theta * h) * (2.0 * theta - 1.0)) / (2.0 * theta))
-    return math.exp(-theta * (k - 1) * h) * base
+    decay = rho_norm_b(theta, k, h)
+    return decay * math.sqrt((1.0 + math.exp(-2.0 * theta * h) * (2.0 * theta - 1.0)) / (2.0 * theta))
 
 
 def rho_norm_h_discrete(theta: float, k: int, grid: SegmentGrid) -> float:
@@ -169,10 +169,8 @@ def rho_norm_h_discrete(theta: float, k: int, grid: SegmentGrid) -> float:
     with Q the trapezoid rule on the grid.  Agreement with the closed form is
     O((h/m)^2), the quadrature error.
     """
-    if not theta > 0.0:
-        raise DomainError("theta must be positive")
-    if k < 1:
-        raise DomainError(f"power must be >= 1, got {k}")
+    check_positive(theta=theta)
+    _check_power(k)
     t = grid.times()
     q = trapezoid_quad(np.exp(-2.0 * theta * t), grid.dt)
     return math.sqrt(q + math.exp(-2.0 * theta * grid.h)) * math.exp(-theta * (k - 1) * grid.h)
@@ -184,20 +182,21 @@ def rho_norm_b(theta: float, k: int, h: float) -> float:
     The constant function 1 attains it (the sup of exp(-theta t) sits at
     t = 0), so the value is <= 1 always and equals 1 exactly for k = 1.
     The exact value for k >= 2 follows from the same witness; only the
-    upper bound <= 1 is classical.
+    upper bound <= 1 is classical.  ``rho_norm_h`` and ``apply_rho_power``
+    take the decay of rho^k from here.
     """
-    if not (theta > 0.0 and h > 0.0):
-        raise DomainError("theta and h must be positive")
-    if k < 1:
-        raise DomainError(f"power must be >= 1, got {k}")
+    check_positive(theta=theta, h=h)
+    _check_power(k)
     return math.exp(-theta * (k - 1) * h)
 
 
 def k0(theta: float) -> int:
     """Smallest power ceil(1/theta + 1) making rho^k a strict contraction in h_norm."""
-    if not theta > 0.0:
-        raise DomainError("theta must be positive")
-    return math.ceil(1.0 / theta + 1.0)
+    check_positive(theta=theta)
+    power = 1.0 / theta + 1.0
+    if power == math.inf:  # a subnormal theta
+        raise DomainError(f"theta={theta!r} is too small: 1/theta overflows")
+    return math.ceil(power)
 
 
 def _exp_moment(k: int, c: float, h: float) -> float:
@@ -235,10 +234,11 @@ def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
     cancellation in doubles, so the same integral is evaluated through its
     Taylor form in the rate gap (relative truncation error below 1e-9); the
     linear bound then dominates the result for every representable input,
-    matching the underlying inequality.
+    matching the underlying inequality.  Equal rates give 0.0 at once.
     """
-    if not (theta > 0.0 and theta_hat > 0.0 and h > 0.0):
-        raise DomainError("rates and h must be positive")
+    check_positive(theta=theta, theta_hat=theta_hat, h=h)
+    if theta == theta_hat:
+        return 0.0
     a, b = theta, theta_hat
     delta = b - a
     endpoint = _rate_gap(a, b, h) ** 2
@@ -261,8 +261,7 @@ def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
 
 def operator_distance_h_bound(theta: float, theta_hat: float, h: float) -> float:
     """Upper bound |theta - theta_hat| * h * sqrt(h/3 + 1) for the H distance."""
-    if not h > 0.0:
-        raise DomainError("h must be positive")
+    check_positive(theta=theta, theta_hat=theta_hat, h=h)
     return abs(theta - theta_hat) * h * math.sqrt(h / 3.0 + 1.0)
 
 
@@ -275,8 +274,7 @@ def operator_distance_b(theta: float, theta_hat: float, h: float) -> float:
     The difference is evaluated by ``_rate_gap``, so nearly-equal rates do not
     cancel and far-apart ones do not overflow.
     """
-    if not (theta > 0.0 and theta_hat > 0.0 and h > 0.0):
-        raise DomainError("rates and h must be positive")
+    check_positive(theta=theta, theta_hat=theta_hat, h=h)
     if theta == theta_hat:
         return 0.0
     delta = theta_hat - theta

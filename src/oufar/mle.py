@@ -21,9 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ZeroDenominator
-from .ou_process import SCRATCH_VALUES, SamplePath, scratch
-
-_E = math.e
+from .ou_process import SCRATCH_VALUES, SamplePath, check_positive, scratch
 
 
 @dataclass(frozen=True)
@@ -143,23 +141,26 @@ def estimate_theta_endpoint(path: SamplePath) -> ThetaEstimate:
 
 def asymptotic_std(theta: float, t_end: float) -> float:
     """Asymptotic standard deviation sqrt(2 theta / T) of theta_hat - theta."""
-    if not (theta > 0.0 and t_end > 0.0):
-        raise DomainError("theta and T must be positive")
+    check_positive(theta=theta, T=t_end)
     return math.sqrt(2.0 * theta / t_end)
+
+
+def _check_band_k(k: float) -> None:
+    """Raise DomainError unless the band multiplier k is finite and >= 0."""
+    if not 0.0 <= k < math.inf:
+        raise DomainError(f"band k must be finite and >= 0, got {k!r}")
 
 
 def confidence_band(theta: float, t_end: float, k: float = 3.0) -> tuple[float, float]:
     """Symmetric band +-k sqrt(2 theta / T) around zero for theta_hat - theta."""
-    if k < 0.0:
-        raise DomainError("k must be nonnegative")
+    _check_band_k(k)
     half = k * asymptotic_std(theta, t_end)
     return -half, half
 
 
 def lil_envelope(theta: float, t_end: float) -> float:
-    """Iterated-logarithm fluctuation scale sqrt(4 theta log(log T) / T), T > e."""
-    if not theta > 0.0:
-        raise DomainError("theta must be positive")
-    if not t_end > _E:
-        raise DomainError(f"T must exceed e for log log T > 0, got {t_end}")
+    """Iterated-logarithm fluctuation scale sqrt(4 theta log(log T) / T), e < T < inf."""
+    check_positive(theta=theta)
+    if not math.e < t_end < math.inf:
+        raise DomainError(f"T must exceed e for log log T > 0 and be finite, got {t_end}")
     return math.sqrt(4.0 * theta * math.log(math.log(t_end)) / t_end)

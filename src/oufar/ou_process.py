@@ -158,6 +158,13 @@ def positive_finite(x: float) -> bool:
     return x > 0.0 and math.isfinite(x)
 
 
+def check_positive(**values: float) -> None:
+    """Raise DomainError naming every one of ``values`` that is not positive and finite."""
+    bad = [f"{name}={value!r}" for name, value in values.items() if not positive_finite(value)]
+    if bad:
+        raise DomainError(f"must be positive and finite: {', '.join(bad)}")
+
+
 @dataclass(frozen=True)
 class OuParams:
     """Drift/scale parameters (theta, mu, sigma), theta and sigma positive."""
@@ -167,10 +174,7 @@ class OuParams:
     sigma: float = 1.0
 
     def __post_init__(self):
-        if not positive_finite(self.theta):
-            raise DomainError(f"theta must be positive, got {self.theta}")
-        if not positive_finite(self.sigma):
-            raise DomainError(f"sigma must be positive, got {self.sigma}")
+        check_positive(theta=self.theta, sigma=self.sigma)
         if not math.isfinite(self.mu):
             raise DomainError(f"mu must be finite, got {self.mu}")
 
@@ -297,8 +301,7 @@ def conditional_moments(params: OuParams, c: float, t: float, s: float):
 
 def gaussian_tail_bound(sigma: float, x):
     """Upper bound exp(-x^2/(2 sigma^2)) for P(|N(0, sigma^2)| >= x), x >= 0."""
-    if not sigma > 0.0:
-        raise DomainError(f"sigma must be positive, got {sigma}")
+    check_positive(sigma=sigma)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("tail bound requires x >= 0")

@@ -73,7 +73,7 @@ def error_bound_h(theta: float, theta_hat: float, x_prev_h: float, h: float) -> 
 
     theta_hat and x_prev_h may be arrays: the bound is then elementwise.
     """
-    return abs(x_prev_h) * abs(theta - theta_hat) * h * np.sqrt(h / 3.0 + 1.0)
+    return error_bound_b(theta, theta_hat, x_prev_h, h) * np.sqrt(h / 3.0 + 1.0)
 
 
 def error_bound_b(theta: float, theta_hat: float, x_prev_h: float, h: float) -> float:

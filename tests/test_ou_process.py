@@ -361,7 +361,8 @@ class TestSpecialUfuncs:
         (["experiment", "normality"], ["scipy.signal._sigtools", "scipy.special._special_ufuncs"]),
         (["norms", "--theta", "1", "--h", "1", "--theta-hat", "1.0001"],  # the gammainc form
          ["scipy.special._special_ufuncs"]),
-    ], ids=["normality", "norms-near-rates"])
+        (["norms", "--theta", "1", "--h", "1", "--theta-hat", "1"], []),  # equal rates: 0.0
+    ], ids=["normality", "norms-near-rates", "norms-equal-rates"])
     def test_commands_load_only_the_ufunc_extension(self, tmp_path, argv, expected):
         (tmp_path / "cfg.json").write_text(json.dumps({"thetas": [1.0], "horizons": [10.0], "replicates": 4}))
         if argv[0] == "experiment":

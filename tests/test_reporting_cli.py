@@ -694,6 +694,18 @@ class TestNormsCommand:
     def test_nonpositive_theta_exits_2(self):
         assert main(["norms", "--theta", "-1", "--h", "1"]) == 2
 
+    def test_the_closed_forms_name_a_bad_flag(self, capsys):
+        assert main(["norms", "--theta", "1", "--h", "nan", "--theta-hat", "-2"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: must be positive and finite: h=nan\n"
+
+    def test_equal_huge_rates(self, capsys):
+        # the Taylor form's (2 theta) ** 5 would overflow: equal rates never reach it
+        assert main(["norms", "--theta", "1e100", "--h", "1", "--theta-hat", "1e100"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["operator_distance_H"] == doc["operator_distance_B"] == 0.0
+
     @pytest.mark.parametrize(
         "argv",
         [
