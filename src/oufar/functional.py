@@ -193,10 +193,10 @@ def rho_norm_b(theta: float, k: int, h: float) -> float:
 def k0(theta: float) -> int:
     """Smallest power ceil(1/theta + 1) making rho^k a strict contraction in h_norm."""
     check_positive(theta=theta)
-    power = 1.0 / theta + 1.0
-    if power == math.inf:  # a subnormal theta
+    inverse = 1.0 / theta
+    if inverse == math.inf:  # a subnormal theta
         raise DomainError(f"theta={theta!r} is too small: 1/theta overflows")
-    return math.ceil(power)
+    return math.ceil(inverse) + 1  # the float 1/theta + 1 is 1.0 for theta >= 2^53
 
 
 def _exp_moment(k: int, c: float, h: float) -> float:

@@ -16,21 +16,22 @@ xi_{i+1} = a xi_i + u_i with the Euler factor a = 1 - theta dt or the exact
 decay a = exp(-theta dt).  The recursion goes through ``lfilter``, which calls
 scipy's compiled ``_linear_filter``.
 
-The scipy code this package runs is loaded on first use by one loader,
-``_scipy_extension``: it loads one extension module by file, under its
-real name, without running its subpackage's ``__init__``, and a later
-public import of the subpackage finds it in ``sys.modules`` and reuses it.
-``lfilter`` loads ``scipy.signal._sigtools`` this way (``import
-scipy.signal`` costs about 1.2 s and 75 MiB that nothing here uses), and
-``_special_ufunc`` loads ``scipy.special._special_ufuncs`` for the ufuncs
-``ndtr`` and ``gammainc`` (after ``import oufar.cli``, +1.1 MiB peak RSS
-and 2 ms, against +20 MiB and 0.25-0.33 s for ``import scipy.special``).
-Where an extension cannot be found or loaded, each falls back to the public
-``scipy.signal.lfilter`` or ``scipy.special`` import, which runs the same
-routines.  Importing this module loads no scipy code at all; with the
-other modules doing the same, a fresh ``oufar simulate`` or ``oufar
---version`` starts in about 0.3 s instead of 1.5 s (2-vCPU Intel Xeon;
-README, "Start-up cost").
+The scipy code this package runs comes in by one cached lookup,
+``_scipy(extension, name, public)``, made on first use: it takes the
+routine ``name`` from one extension module, which ``_scipy_extension``
+loads by file, under its real name, without running its subpackage's
+``__init__`` (a later public import of the subpackage finds it in
+``sys.modules`` and reuses it).  Where the extension cannot be found or
+loaded, the lookup imports the public routine ``public`` instead, which
+runs the same code.  ``lfilter`` takes ``_linear_filter`` from
+``scipy.signal._sigtools`` (``import scipy.signal`` costs about 1.2 s and
+75 MiB that nothing here uses), and ``_special_ufunc`` the ufuncs ``ndtr``
+and ``gammainc`` from ``scipy.special._special_ufuncs`` (after ``import
+oufar.cli``, +1.1 MiB peak RSS and 2 ms, against +20 MiB and 0.25-0.33 s
+for ``import scipy.special``).  Importing this module loads no scipy code
+at all; with the other modules doing the same, a fresh ``oufar simulate``
+or ``oufar --version`` starts in about 0.3 s instead of 1.5 s (2-vCPU
+Intel Xeon; README, "Start-up cost").
 
 A path chunk's temporaries live in ``scratch``: one reusable buffer per
 thread (see there for why).
@@ -38,6 +39,7 @@ thread (see there for why).
 
 from __future__ import annotations
 
+import functools
 import importlib
 import importlib.machinery
 import importlib.util
@@ -114,43 +116,40 @@ def _scipy_extension(name: str):
     return module
 
 
+@functools.cache
+def _scipy(extension: str, name: str, public: str):
+    """The routine ``name`` of the compiled scipy module ``extension``, looked up once.
+
+    Where the extension or the name is missing (older scipy), the routine is
+    the attribute named by the dotted ``public``, whose module is imported.
+    Threads racing on a first call may each look the routine up; the
+    extension loader's lock and its ``sys.modules`` reuse give them one object.
+    """
+    try:
+        return getattr(_scipy_extension(extension), name)
+    except (ImportError, AttributeError):
+        module, _, attribute = public.rpartition(".")
+        return getattr(importlib.import_module(module), attribute)
+
+
 def _special_ufunc(name: str):
     """The ufunc ``scipy.special.<name>``, from the extension ``_special_ufuncs`` alone.
 
-    Where the extension or the name is missing (older scipy), the public
-    ``scipy.special`` is imported instead; both hold the same ufunc object.
+    The public ``scipy.special`` holds the same ufunc object.
     """
-    try:
-        return getattr(_scipy_extension(_SPECIAL_UFUNCS), name)
-    except (ImportError, AttributeError):
-        return getattr(importlib.import_module("scipy.special"), name)
-
-
-_filter = None  # bound by the first lfilter call
-
-
-def _load_filter():
-    """(b, a, x) -> y through scipy's ``_linear_filter``, else ``scipy.signal.lfilter``."""
-    try:
-        linear_filter = _scipy_extension(_SIGTOOLS)._linear_filter
-    except (ImportError, AttributeError):
-        from scipy.signal import lfilter as public
-
-        return public
-    # what scipy.signal.lfilter runs for a denominator of two or more taps and no zi
-    return lambda b, a, x: linear_filter(np.atleast_1d(b), np.atleast_1d(a), np.asarray(x), -1)
+    return _scipy(_SPECIAL_UFUNCS, name, f"scipy.special.{name}")
 
 
 def lfilter(b, a, x) -> np.ndarray:
     """``scipy.signal.lfilter(b, a, x)`` from a zero state, for 1-D x and len(a) >= 2.
 
-    The one call of the AR(1) recursion; the scipy code behind it is loaded
-    on the first call (see the module docstring).
+    The one call of the AR(1) recursion.  It calls scipy's ``_linear_filter``
+    with the arrays ``scipy.signal.lfilter`` passes it for a denominator of
+    two or more taps and no initial state; the public ``scipy.signal.lfilter``
+    takes the same positional arguments where the extension is missing.
     """
-    global _filter
-    if _filter is None:  # threads racing here bind equal functions; the load is locked
-        _filter = _load_filter()
-    return _filter(b, a, x)
+    linear_filter = _scipy(_SIGTOOLS, "_linear_filter", "scipy.signal.lfilter")
+    return linear_filter(np.atleast_1d(b), np.atleast_1d(a), np.asarray(x), -1)
 
 
 def positive_finite(x: float) -> bool:

@@ -19,6 +19,7 @@ from .functional import (
     operator_distance_b,
     operator_distance_h,
 )
+from .ou_process import check_positive
 
 
 @dataclass(eq=False)
@@ -78,4 +79,5 @@ def error_bound_h(theta: float, theta_hat: float, x_prev_h: float, h: float) -> 
 
 def error_bound_b(theta: float, theta_hat: float, x_prev_h: float, h: float) -> float:
     """Bound |x(h)| |theta - theta_hat| h >= prediction_error_b, elementwise on arrays."""
+    check_positive(theta=theta, h=h)
     return abs(x_prev_h) * abs(theta - theta_hat) * h

@@ -33,7 +33,7 @@ import json
 import os
 import time
 from dataclasses import asdict, fields
-from itertools import chain, dropwhile, islice
+from itertools import chain, islice
 from pathlib import Path
 
 import numpy as np
@@ -215,10 +215,6 @@ def _path_csv_blocks(path: SamplePath):
         yield "".join(map(_PATH_ROW, (np.arange(i, j) * dt).tolist(), values[i:j].tolist()))
 
 
-def path_csv_text(path: SamplePath) -> str:
-    return "".join(_path_csv_blocks(path))
-
-
 def path_sidecar(path: SamplePath, seed: int, extra: dict | None = None) -> dict:
     doc = {
         "seed": seed,
@@ -245,15 +241,26 @@ def write_path_csv(path: SamplePath, outfile, seed: int, extra: dict | None = No
     atomic_write(sidecar, [json_text(path_sidecar(path, seed, extra))])
 
 
-def _line_blocks(f):
-    """Lines of the text file ``f`` in blocks of up to _BLOCK_ROWS file lines.
+def _rows(f):
+    """The non-blank lines of the text file ``f`` after any leading blank ones.
 
-    Each block is split with str.splitlines and ends at a newline, so the
-    blocks hold the same lines as splitlines() of the whole text.
+    Reads _BLOCK_ROWS file lines at a time and splits each block with
+    str.splitlines; a block ends at a newline, so the lines are those of
+    splitlines() of the whole text.  Whitespace-only lines count as blank.
+    Raises GridMismatch at a non-blank line that follows a blank one, and for
+    a file that is not UTF-8 text.
     """
+    started = blank = False
     try:
-        while lines := list(islice(f, _BLOCK_ROWS)):
-            yield "".join(lines).splitlines()
+        while block := list(islice(f, _BLOCK_ROWS)):
+            for line in "".join(block).splitlines():
+                if not line.strip():
+                    blank = started
+                elif blank:
+                    raise GridMismatch(f"{f.name}: blank line between rows")
+                else:
+                    started = True
+                    yield line
     except UnicodeDecodeError as exc:
         raise GridMismatch(f"{f.name}: not UTF-8 text ({exc})") from exc
 
@@ -282,27 +289,13 @@ def read_path_csv(infile) -> tuple[np.ndarray, float]:
     (1e-9 relative).
     """
     infile = Path(infile)
-    header = False
-    blank = False  # whitespace-only lines since the last row
     xi_blocks, t_last, dt = [], None, None
     with infile.open(encoding="utf-8") as f:  # universal newlines, as Path.read_text
-        for lines in _line_blocks(f):
-            if not header:
-                lines = list(dropwhile(lambda line: not line.strip(), lines))
-                if not lines:
-                    continue
-                if lines[0].strip() != "t,xi":
-                    break
-                header, lines = True, lines[1:]
-            n_rows = len(lines)  # up to the last line that is not blank
-            while n_rows and not lines[n_rows - 1].strip():
-                n_rows -= 1
-            if n_rows and blank:
-                raise GridMismatch(f"{infile}: blank line between rows")
-            blank = blank or n_rows < len(lines)
-            if not n_rows:
-                continue
-            data = _parse_rows(infile, lines[:n_rows])
+        rows = _rows(f)
+        if next(rows, "").strip() != "t,xi":
+            raise GridMismatch(f"{infile}: expected header 't,xi'")
+        while lines := list(islice(rows, _BLOCK_ROWS)):
+            data = _parse_rows(infile, lines)
             if not np.isfinite(data).all():
                 raise GridMismatch(f"{infile}: values must be finite")
             t = data[:, 0]
@@ -313,8 +306,6 @@ def read_path_csv(infile) -> tuple[np.ndarray, float]:
                 raise GridMismatch(f"{infile}: time column is not uniformly spaced")
             t_last = t[-1]
             xi_blocks.append(data[:, 1].copy())
-    if not header:
-        raise GridMismatch(f"{infile}: expected header 't,xi'")
     if dt is None:
         raise GridMismatch(f"{infile}: need at least two rows")
     return np.concatenate(xi_blocks), float(dt)

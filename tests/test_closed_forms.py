@@ -26,6 +26,7 @@ from oufar import (
     apply_rho_power,
     asymptotic_std,
     confidence_band,
+    error_bound_b,
     error_bound_h,
     gaussian_tail_bound,
     k0,
@@ -65,6 +66,11 @@ _CLOSED_FORMS = {
         fn.__name__: (fn, dict(theta=1.0, theta_hat=1.5, x_prev_h=2.0, h=1.0),
                       ("theta", "theta_hat", "h"), ())
         for fn in (prediction_error_h, prediction_error_b)
+    },
+    # the experiments pass theta_hat and x_prev_h as arrays: only the rates are checked
+    **{
+        fn.__name__: (fn, dict(theta=1.0, theta_hat=1.5, x_prev_h=2.0, h=1.0), ("theta", "h"), ())
+        for fn in (error_bound_h, error_bound_b)
     },
     "asymptotic_std": (asymptotic_std, dict(theta=1.0, t_end=100.0), ("theta", "t_end"), ()),
     "confidence_band": (confidence_band, dict(theta=1.0, t_end=100.0, k=3.0), ("theta", "t_end"),

@@ -255,6 +255,8 @@ class TestContractionPower:
         assert k0(0.4) == 4
         assert k0(1.0) == 2
         assert k0(2.0) == 2
+        # the float 1/theta + 1 rounds to 1.0 from theta = 2^53 on
+        assert k0(2.0**52) == k0(2.0**53) == k0(1e100) == 2
 
     def test_contract_holds(self):
         assert rho_norm_h(0.4, 4, 1.0) < 1.0

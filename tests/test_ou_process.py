@@ -444,14 +444,15 @@ class TestRecursionRoutes:
 
         values, a = case
         x = np.array(values)
-        direct = ou_process._load_filter()
-        with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(ou_process, "_SIGTOOLS", "scipy.signal._no_such_extension")
-            fallback = ou_process._load_filter()
-        assert fallback is public
+        direct = ou_process._scipy(ou_process._SIGTOOLS, "_linear_filter", "scipy.signal.lfilter")
+        fallback = ou_process._scipy("scipy.signal._no_such_extension", "_linear_filter",
+                                     "scipy.signal.lfilter")
+        assert fallback is public and direct is not public
         expected = public([1.0], [1.0, -a], x).tobytes()
-        assert direct([1.0], [1.0, -a], x).tobytes() == expected
-        assert fallback([1.0], [1.0, -a], x).tobytes() == expected
+        # the positional arguments lfilter passes to either route
+        args = (np.atleast_1d([1.0]), np.atleast_1d([1.0, -a]), x, -1)
+        assert direct(*args).tobytes() == expected
+        assert fallback(*args).tobytes() == expected
         assert ou_process.lfilter([1.0], [1.0, -a], x).tobytes() == expected
 
 

@@ -32,7 +32,6 @@ from oufar.reporting import (
     estimated_steps,
     fmt,
     load_experiment_config,
-    path_csv_text,
     profile_config,
     read_path_csv,
     report_csv_text,
@@ -131,6 +130,14 @@ class TestPathCsv:
         bad = tmp_path / "bad.csv"
         bad.write_text("t,xi\n0,1\n0.02,1\n0.05,1\n")
         with pytest.raises(GridMismatch):
+            read_path_csv(bad)
+
+    @pytest.mark.parametrize("text", ["t,xi\n0,1\n\n0.02,1\n0.04,1\n", "t,xi\n\n0,1\n0.02,1\n",
+                                      "\nt,xi\n0,1\n \t\r\n0.02,1\n\n"])
+    def test_rejects_a_blank_line_between_rows(self, tmp_path, text):
+        bad = tmp_path / "bad.csv"
+        bad.write_text(text)
+        with pytest.raises(GridMismatch, match="blank line between rows"):
             read_path_csv(bad)
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
@@ -270,7 +277,7 @@ class TestPathCsvStreaming:
                           params=None, scheme="euler")
         out = tmp_path / "p.csv"
         write_path_csv(path, out, seed=0)
-        assert out.read_text() == path_csv_text(path)
+        assert out.read_text() == "".join(reporting._path_csv_blocks(path))
         got, dt = read_path_csv(out)
         assert got.tobytes() == values.tobytes()  # the sign of -0.0 included
         assert dt == 0.5
@@ -670,6 +677,10 @@ class TestNormsCommand:
         assert doc["norms"][0]["rho_norm_H"] == 1.0
         assert doc["norms"][0]["rho_norm_B"] == 1.0
         assert doc["k0"] == 3
+
+    def test_k0_of_a_huge_rate(self, capsys):
+        assert main(["norms", "--theta", "1e100", "--h", "1"]) == 0
+        assert '"k0": 2' in capsys.readouterr().out
 
     def test_k4_value_and_k0_column(self, capsys):
         assert main(["norms", "--theta", "0.4", "--h", "1", "--k-max", "4"]) == 0
