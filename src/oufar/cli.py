@@ -154,15 +154,6 @@ def _physical_memory() -> float:
         return math.inf
 
 
-def _all_finite(doc: dict | list) -> bool:
-    """True when every float in ``doc``, nested dicts and lists included, is finite."""
-    return all(
-        _all_finite(v) if isinstance(v, (dict, list)) else math.isfinite(v)
-        for v in (doc.values() if isinstance(doc, dict) else doc)
-        if isinstance(v, (dict, list, float))
-    )
-
-
 def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
@@ -226,43 +217,41 @@ def _cmd_estimate(args) -> None:
         else:
             form = theta_ito_from_values if args.form == "ito" else theta_endpoint_from_values
             doc = _estimate_doc(form(values, dt))
-    if not _all_finite(doc):
-        # finite values whose squares or products overflow
-        raise GridMismatch(f"{args.input}: estimator sums are not finite")
     doc["schema_version"] = SCHEMA_VERSION
-    _emit(json_text(doc), args.out)
+    try:
+        text = json_text(doc)
+    except ValueError as exc:  # finite values whose squares or products overflow
+        raise GridMismatch(f"{args.input}: estimator sums are not finite") from exc
+    _emit(text, args.out)
 
 
 def _cmd_norms(args) -> None:
     if not 1 <= args.k_max <= _K_MAX:
         raise DomainError(f"k-max must be in [1, {_K_MAX}]")
-    try:
-        rows = [
-            {
-                "k": k,
-                "rho_norm_H": rho_norm_h(args.theta, k, args.h),
-                "rho_norm_B": rho_norm_b(args.theta, k, args.h),
-            }
-            for k in range(1, args.k_max + 1)
-        ]
-        doc = {
-            "theta": args.theta,
-            "h": args.h,
-            "k0": k0(args.theta),
-            "norms": rows,
-            "schema_version": SCHEMA_VERSION,
+    rows = [
+        {
+            "k": k,
+            "rho_norm_H": rho_norm_h(args.theta, k, args.h),
+            "rho_norm_B": rho_norm_b(args.theta, k, args.h),
         }
-        if args.theta_hat is not None:
-            doc["theta_hat"] = args.theta_hat
-            doc["operator_distance_H"] = operator_distance_h(args.theta, args.theta_hat, args.h)
-            doc["operator_distance_B"] = operator_distance_b(args.theta, args.theta_hat, args.h)
-    except OverflowError:  # e.g. delta**3 of operator_distance_h at extreme rates
-        doc = None
-    if doc is None or not _all_finite(doc):
-        raise DomainError("theta, h or theta-hat out of range: the norms are not finite")
-    if args.format == "json":
+        for k in range(1, args.k_max + 1)
+    ]
+    doc = {
+        "theta": args.theta,
+        "h": args.h,
+        "k0": k0(args.theta),
+        "norms": rows,
+        "schema_version": SCHEMA_VERSION,
+    }
+    if args.theta_hat is not None:
+        doc["theta_hat"] = args.theta_hat
+        doc["operator_distance_H"] = operator_distance_h(args.theta, args.theta_hat, args.h)
+        doc["operator_distance_B"] = operator_distance_b(args.theta, args.theta_hat, args.h)
+    try:  # the JSON is built in either format: it is the one check that every norm is finite
         text = json_text(doc)
-    else:
+    except ValueError as exc:
+        raise DomainError("theta, h or theta-hat out of range: the norms are not finite") from exc
+    if args.format == "csv":
         text = csv_text(
             ("theta", "h", "k", "k0", "rho_norm_H", "rho_norm_B"),
             ((args.theta, args.h, row["k"], doc["k0"], row["rho_norm_H"], row["rho_norm_B"])

@@ -12,8 +12,9 @@ rank-one operator (rho_theta x)(t) = exp(-theta t) x(h).  Two norms are used:
 Closed-form operator norms and operator distances come with brute-force
 discrete oracles so every formula is checked by an independent route.
 Only ``operator_distance_h`` at distinct but nearly equal rates needs scipy: the ufunc
-``gammainc``, taken on that first use from the extension
-``scipy.special._special_ufuncs`` alone (``ou_process._special_ufunc``).
+``gammainc`` for its unit-interval moments, taken on that first use from the extension
+``scipy.special._special_ufuncs`` alone (``ou_process._special_ufunc``).  A moment at
+2 theta h below 2^-53 is 1/(k+1) and needs no scipy.
 """
 
 from __future__ import annotations
@@ -199,17 +200,13 @@ def k0(theta: float) -> int:
     return math.ceil(inverse) + 1  # the float 1/theta + 1 is 1.0 for theta >= 2^53
 
 
-def _exp_moment(k: int, c: float, h: float) -> float:
-    """int_0^h t^k exp(-c t) dt = k! P(k+1, c h) / c^(k+1), stable for any c h."""
+def _unit_moment(k: int, x: float) -> float:
+    """int_0^1 s^k exp(-x s) ds = k! P(k+1, x) / x^(k+1); 1/(k+1) below x = 2^-53."""
+    if x < 2.0**-53:  # exp(-x s) is 1 to rounding, and x^(k+1) may underflow
+        return 1.0 / (k + 1)
     # the extension alone, not scipy.special (0.3 s and 20 MiB to import)
     gammainc = _special_ufunc("gammainc")
-    x = c * h
-    if c ** (k + 1) > 0.0:
-        return math.factorial(k) * float(gammainc(k + 1, x)) / c ** (k + 1)
-    # c^(k+1) underflows: the same integral as h^(k+1) int_0^1 s^k exp(-x s) ds
-    if x < 2.0**-53:  # exp(-x s) is 1 to rounding
-        return h ** (k + 1) / (k + 1)
-    return h ** (k + 1) * math.factorial(k) * float(gammainc(k + 1, x)) / x ** (k + 1)
+    return math.factorial(k) * float(gammainc(k + 1, x)) / x ** (k + 1)
 
 
 def _rate_gap(a: float, b: float, t: float) -> float:
@@ -232,23 +229,34 @@ def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
 
     For |theta - theta_hat| h below 1e-3 the three-term form is catastrophic
     cancellation in doubles, so the same integral is evaluated through its
-    Taylor form in the rate gap (relative truncation error below 1e-9); the
-    linear bound then dominates the result for every representable input,
-    matching the underlying inequality.  Equal rates give 0.0 at once.
+    Taylor form in the scaled gap u = (theta_hat - theta) h (relative
+    truncation error below 1e-9):
+
+        I = h (u^2 J_2 - u^3 J_3 + 7/12 u^4 J_4),  J_k = int_0^1 s^k e^{-2 theta h s} ds.
+
+    No power in it overflows: |u| <= 1e-3, and since two distinct doubles
+    differ by at least 2^-53 of the larger, 2 theta h < 2e13.  Below
+    |u| = 2^-500, where u^2 could underflow and the distance need not, u and
+    2 theta h vanish beside 1 and the distance is its linear bound
+    |u| sqrt(h/3 + 1) to rounding.  The linear bound dominates the result
+    for every representable input, matching the underlying inequality.
+    Equal rates give 0.0 at once.
     """
     check_positive(theta=theta, theta_hat=theta_hat, h=h)
     if theta == theta_hat:
         return 0.0
     a, b = theta, theta_hat
-    delta = b - a
+    u = (b - a) * h
+    if abs(u) < 2.0**-500:
+        # 2 theta h and u are below rounding beside 1, so the distance is its linear
+        # bound: computed as below, u^2 would underflow where the distance does not
+        return abs(u) * math.sqrt(h / 3.0 + 1.0)
     endpoint = _rate_gap(a, b, h) ** 2
-    if abs(delta) * h <= 1e-3:
-        # (1 - e^{-x})^2 = x^2 - x^3 + 7 x^4 / 12 - ... with x = delta t
-        integral = (
-            delta**2 * _exp_moment(2, 2.0 * a, h)
-            - delta**3 * _exp_moment(3, 2.0 * a, h)
-            + (7.0 / 12.0) * delta**4 * _exp_moment(4, 2.0 * a, h)
-        )
+    if abs(u) <= 1e-3:
+        # (1 - e^{-y})^2 = y^2 - y^3 + 7 y^4 / 12 - ... with y = u s at t = s h;
+        # a h * 2, not 2 a * h: 2 a may overflow where 2 a h < 2e13
+        j2, j3, j4 = (_unit_moment(k, a * h * 2.0) for k in (2, 3, 4))
+        integral = h * (u**2 * j2 - u**3 * j3 + (7.0 / 12.0) * u**4 * j4)
     else:
         integral = (
             -math.expm1(-2.0 * a * h) / (2.0 * a)

@@ -2,18 +2,22 @@
 
 The rejection table calls every public closed form with one rate, length or
 horizon made infinite, NaN, zero or negative, or with a power that is not an
-integer >= 1: each call must raise DomainError.  The oracles keep the bodies
-of ``rho_norm_h``, ``apply_rho_power``, ``coverage_cell`` and
+integer >= 1: each call must raise DomainError.  The validation table calls
+the other argument checks once each and matches their messages.  The oracles
+keep the bodies of ``rho_norm_h``, ``apply_rho_power``, ``coverage_cell`` and
 ``error_bound_h`` from before they shared one copy of their formulas, and
-compare the two bit for bit on valid inputs.
+compare the two bit for bit on valid inputs.  The near-rate branch of
+``operator_distance_h`` keeps its former body too: the unit-interval moments
+give its bits at h = 1 and agree within 1e-15 elsewhere.
 """
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
+from scipy import integrate
 
 from oufar import (
     DomainError,
@@ -22,12 +26,15 @@ from oufar import (
     GridMismatch,
     OuParams,
     RhoOperator,
+    SamplePath,
     SegmentGrid,
+    TimeGrid,
     apply_rho_power,
     asymptotic_std,
     confidence_band,
     error_bound_b,
     error_bound_h,
+    exact_transition,
     gaussian_tail_bound,
     k0,
     lil_envelope,
@@ -39,9 +46,12 @@ from oufar import (
     rho_norm_b,
     rho_norm_h,
     rho_norm_h_discrete,
+    trapezoid_quad,
 )
 from oufar.experiments import coverage_cell, lil_cell, z_scores
-from oufar.functional import _check_same_grid
+from oufar.functional import _check_same_grid, _rate_gap
+from oufar.ou_process import _special_ufunc, check_positive
+from oufar.reporting import profile_config
 
 _GRID = SegmentGrid(h=1.0, m=8)
 _X = FunctionalSegment(_GRID, np.linspace(-1.0, 1.0, 9))
@@ -92,6 +102,31 @@ _BAND_KS = {"confidence_band": "k", "coverage_cell": "band_k", "ExperimentConfig
 _BAD_BAND_KS = (math.inf, -math.inf, math.nan, -1.0)
 
 
+# the remaining argument checks: callable, its arguments, the error and its words
+_VALIDATIONS = {
+    "OuParams-mu=inf": (OuParams, dict(theta=1.0, mu=math.inf), DomainError, "mu must be finite"),
+    "OuParams-mu=nan": (OuParams, dict(theta=1.0, mu=math.nan), DomainError, "mu must be finite"),
+    "SamplePath-scheme": (SamplePath, dict(grid=TimeGrid(t_end=1.0, dt=0.5), values=np.zeros(3),
+                                           params=None, scheme="milstein"),
+                          ValueError, "scheme must be one of"),
+    "gaussian_tail_bound-x<0": (gaussian_tail_bound, dict(sigma=1.0, x=[0.5, -1e-300]),
+                                DomainError, "requires x >= 0"),
+    "exact_transition-dt<0": (exact_transition, dict(params=OuParams(theta=1.0), dt=-0.02),
+                              DomainError, "step length must be nonnegative"),
+    "SegmentGrid-m=0": (SegmentGrid, dict(h=1.0, m=0), GridMismatch, "at least one subdivision"),
+    "FunctionalSegment-count": (FunctionalSegment, dict(grid=_GRID, values=np.zeros(8)),
+                                GridMismatch, "segment needs 9 values"),
+    "FunctionalSegment-nan": (FunctionalSegment, dict(grid=_GRID, values=np.full(9, math.nan)),
+                              ValueError, "segment values must be finite"),
+    "trapezoid_quad-one-node": (trapezoid_quad, dict(values=[1.0], dx=0.5), GridMismatch,
+                                "at least two nodes"),
+    "ExperimentConfig-h": (ExperimentConfig, dict(thetas=(0.7,), horizons=(10.0,), h=0.03),
+                           DomainError, "must be an integer multiple of dt"),
+    "profile_config-kind": (profile_config, dict(kind="no-such-kind", profile="desk"),
+                            ValueError, "unknown experiment kind"),
+}
+
+
 def _rejected_calls():
     for name, (fn, valid, rates, powers) in _CLOSED_FORMS.items():
         bad = [(arg, v) for arg in rates for v in _BAD]
@@ -110,6 +145,12 @@ class TestRejection:
     @pytest.mark.parametrize("fn, kwargs", list(_rejected_calls()))
     def test_raises_domain_error(self, fn, kwargs):
         with pytest.raises(DomainError):
+            fn(**kwargs)
+
+    @pytest.mark.parametrize("name", list(_VALIDATIONS))
+    def test_validation_keeps_its_words(self, name):
+        fn, kwargs, error, words = _VALIDATIONS[name]
+        with pytest.raises(error, match=words):
             fn(**kwargs)
 
     def test_message_names_every_bad_value(self):
@@ -183,6 +224,71 @@ def _reference_error_bound_h(theta: float, theta_hat: float, x_prev_h: float, h:
     return abs(x_prev_h) * abs(theta - theta_hat) * h * np.sqrt(h / 3.0 + 1.0)
 
 
+# _exp_moment before the unit-interval moment replaced it, kept verbatim
+def _reference_exp_moment(k: int, c: float, h: float) -> float:
+    """int_0^h t^k exp(-c t) dt = k! P(k+1, c h) / c^(k+1), stable for any c h."""
+    # the extension alone, not scipy.special (0.3 s and 20 MiB to import)
+    gammainc = _special_ufunc("gammainc")
+    x = c * h
+    if c ** (k + 1) > 0.0:
+        return math.factorial(k) * float(gammainc(k + 1, x)) / c ** (k + 1)
+    # c^(k+1) underflows: the same integral as h^(k+1) int_0^1 s^k exp(-x s) ds
+    if x < 2.0**-53:  # exp(-x s) is 1 to rounding
+        return h ** (k + 1) / (k + 1)
+    return h ** (k + 1) * math.factorial(k) * float(gammainc(k + 1, x)) / x ** (k + 1)
+
+
+def _reference_operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
+    """operator_distance_h before its near-rate branch took unit-interval moments, kept verbatim.
+
+    Its Taylor powers raise OverflowError at extreme rates and lengths.
+    """
+    check_positive(theta=theta, theta_hat=theta_hat, h=h)
+    if theta == theta_hat:
+        return 0.0
+    a, b = theta, theta_hat
+    delta = b - a
+    endpoint = _rate_gap(a, b, h) ** 2
+    if abs(delta) * h <= 1e-3:
+        # (1 - e^{-x})^2 = x^2 - x^3 + 7 x^4 / 12 - ... with x = delta t
+        integral = (
+            delta**2 * _reference_exp_moment(2, 2.0 * a, h)
+            - delta**3 * _reference_exp_moment(3, 2.0 * a, h)
+            + (7.0 / 12.0) * delta**4 * _reference_exp_moment(4, 2.0 * a, h)
+        )
+    else:
+        integral = (
+            -math.expm1(-2.0 * a * h) / (2.0 * a)
+            + 2.0 * math.expm1(-(a + b) * h) / (a + b)
+            - math.expm1(-2.0 * b * h) / (2.0 * b)
+        )
+    # roundoff can push the cancelling integral a hair below zero at a ~ b
+    return math.sqrt(max(integral, 0.0) + endpoint)
+
+
+def _former_near_rate(theta: float, theta_hat: float, h: float) -> float:
+    """The former body's value, or a rejected example where it raises."""
+    try:
+        return _reference_operator_distance_h(theta, theta_hat, h)
+    except OverflowError:
+        assume(False)
+
+
+@st.composite
+def _near_rates(draw, thetas, lengths):
+    """(theta, theta_hat, h) with theta_hat != theta and |theta_hat - theta| h <= 1e-3."""
+    theta, h = draw(thetas), draw(lengths)
+    if draw(st.booleans()):
+        theta_hat = theta + draw(st.floats(-1e-3, 1e-3)) / h
+    else:  # a few doubles away, where no scaled gap reaches
+        theta_hat = theta
+        toward = draw(st.sampled_from([0.0, math.inf]))
+        for _ in range(draw(st.integers(1, 4))):
+            theta_hat = math.nextafter(theta_hat, toward)
+    assume(0.0 < theta_hat != theta and abs(theta_hat - theta) * h <= 1e-3)
+    return theta, theta_hat, h
+
+
 _POSITIVE = st.floats(min_value=0.0, exclude_min=True, allow_infinity=False)
 _MODERATE = st.floats(1e-3, 1e3)
 _RATES = st.one_of(_MODERATE, _POSITIVE)
@@ -241,3 +347,48 @@ class TestFormerBodies:
             expected = _reference_error_bound_h(theta, theta_hat, x, h)
         assert type(got) is type(expected)
         assert _bits(got) == _bits(expected)
+
+    @settings(max_examples=500)
+    @given(rates=_near_rates(st.one_of(st.floats(2.0**-54, 1e3), st.floats(2.0**-54, 1e70)),
+                             st.just(1.0)))
+    @example(rates=(0.7, 0.7001, 1.0))
+    @example(rates=(2.0**-54, 2.0**-54 + 1e-3, 1.0))
+    def test_operator_distance_h_near_rates_at_unit_length(self, rates):
+        # u = delta and x = 2 theta exactly: the same operations on the same doubles
+        expected = _former_near_rate(*rates)
+        assert _bits(operator_distance_h(*rates)) == _bits(expected)
+
+    @settings(max_examples=500)
+    @given(rates=_near_rates(st.one_of(st.floats(1e-60, 1e3), st.floats(1e-60, 1e70)),
+                             st.one_of(_MODERATE, _POSITIVE)))
+    @example(rates=(0.7, 0.7001, 1.5))
+    def test_operator_distance_h_near_rates(self, rates):
+        theta, _, h = rates
+        assume(theta * h * 2.0 >= 2.0**-53)  # below it the former moments lose their digits
+        expected = _former_near_rate(*rates)
+        assert abs(operator_distance_h(*rates) - expected) <= 1e-15 * expected
+
+    @settings(max_examples=200)
+    @given(log_x=st.floats(-290.0, -17.0), h_at=st.floats(0.0, 1.0), gap_at=st.floats(0.0, 1.0),
+           below=st.booleans())
+    @example(log_x=math.log10(1.0483e-106), h_at=0.5, gap_at=0.3, below=True)
+    @example(log_x=math.log10(3.7956e-162), h_at=0.9, gap_at=0.0, below=False)
+    def test_operator_distance_h_at_tiny_rate_lengths(self, log_x, h_at, gap_at, below):
+        # 2 theta h = x < 2^-53: e^{-2 theta t} is 1 to rounding on [0, h], so the squared
+        # distance is u^2 (h int_0^1 (expm1(-u s) / u)^2 ds + (expm1(-u) / u)^2), up to the
+        # series' truncation of order u^3; |u| stays outside the root, where u^2 underflows.
+        # Logarithms place h and theta in [1e-300, 1e300], and u from a few doubles of theta
+        # up to 1e-3 above it or x / 5 below it.
+        h = 10.0 ** (-300.0 + h_at * (log_x + 600.0))
+        theta = 10.0**log_x / h / 2.0
+        lo_gap, hi_gap = max(-300.0, log_x - 15.5), log_x - 0.7 if below else -3.0
+        u = 10.0 ** (lo_gap + gap_at * (hi_gap - lo_gap))
+        theta_hat = theta - u / h if below else theta + u / h
+        assume(0.0 < theta_hat != theta)
+        u = (theta_hat - theta) * h
+        assume(theta * h * 2.0 < 2.0**-53 and 1e-300 <= abs(u) <= 1e-3)  # u stays normal
+        scaled, _ = integrate.quad(lambda s: (math.expm1(-u * s) / u) ** 2, 0.0, 1.0,
+                                   epsabs=0.0, epsrel=2e-14)
+        expected = abs(u) * math.sqrt(h * scaled + (math.expm1(-u) / u) ** 2)
+        got = operator_distance_h(theta, theta_hat, h)
+        assert got == pytest.approx(expected, rel=1e-13 + abs(u) ** 3, abs=0.0)

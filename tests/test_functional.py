@@ -32,7 +32,7 @@ from oufar import (
     segment_path,
     trapezoid_quad,
 )
-from oufar.functional import _exp_moment
+from oufar.functional import _unit_moment
 
 rates = st.floats(0.05, 5.0)
 lengths = st.floats(0.1, 5.0)
@@ -299,7 +299,8 @@ class TestOperatorDistanceH:
     def test_exp_moment_quadrature_oracle(self, k, c, h):
         # int_0^h t^k e^{-c t} dt = h^(k+1) int_0^1 s^k e^{-c h s} ds, the latter by quadrature
         scaled, _ = integrate.quad(lambda s: s**k * math.exp(-c * h * s), 0.0, 1.0, epsrel=1e-13)
-        assert _exp_moment(k, c, h) == pytest.approx(h ** (k + 1) * scaled, rel=1e-12)
+        moment = h ** (k + 1) * _unit_moment(k, c * h)  # int_0^h t^k e^{-c t} dt
+        assert moment == pytest.approx(h ** (k + 1) * scaled, rel=1e-12)
 
     def test_bound_value(self):
         assert operator_distance_h_bound(1.0, 1.1, 1.0) == pytest.approx(0.11547005, rel=1e-7)

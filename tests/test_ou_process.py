@@ -400,7 +400,7 @@ print(json.dumps([same, equal]))
 import importlib.machinery, json, sys
 import numpy as np
 from oufar.experiments import ks_distance
-from oufar.functional import _exp_moment
+from oufar.functional import _unit_moment
 if {hide}:
     find_spec = importlib.machinery.PathFinder.find_spec.__func__
 
@@ -413,8 +413,8 @@ if {hide}:
     importlib.machinery.PathFinder.find_spec = classmethod(hidden)
 z = np.random.default_rng(4).standard_normal(1001)
 z[:4] = [0.0, -0.0, 5e-324, -40.0]
-# the last moment's c^3 underflows: its second gammainc form
-values = [ks_distance(z)] + [_exp_moment(k, c, h) for k, c, h in
+# the last moment's c^3 underflows, but not its x = c h
+values = [ks_distance(z)] + [_unit_moment(k, c * h) for k, c, h in
                              [(2, 2.0, 1.0), (3, 0.5, 1.5), (4, 2e-3, 1.0), (2, 1e-110, 1e100)]]
 print(json.dumps([[v.hex() for v in values], "scipy.special" in sys.modules]))
 """

@@ -3,7 +3,10 @@ import hashlib
 import io
 import json
 import math
+import os
+import stat
 import tempfile
+import threading
 import tracemalloc
 from pathlib import Path
 
@@ -28,6 +31,7 @@ from oufar.errors import GridMismatch
 from oufar.experiments import EXPERIMENTS, PROFILES, check_report
 from oufar.ou_process import SamplePath, grid_multiple
 from oufar.reporting import (
+    atomic_write,
     config_hash,
     estimated_steps,
     fmt,
@@ -320,6 +324,22 @@ class TestPathCsvStreaming:
             assert out.read_text() == "old contents\n"
 
 
+class TestAtomicWrite:
+    def test_a_fifo_is_written_in_place(self, tmp_path):
+        # a target that is not a regular file is opened and written, never replaced
+        fifo = tmp_path / "fifo"
+        os.mkfifo(fifo)
+        received = []
+        reader = threading.Thread(target=lambda: received.append(fifo.read_text()), daemon=True)
+        reader.start()
+        atomic_write(fifo, ["first\n", "second\n"])
+        reader.join(timeout=10)
+        assert not reader.is_alive()
+        assert received == ["first\nsecond\n"]
+        assert stat.S_ISFIFO(fifo.stat().st_mode)
+        assert list(tmp_path.iterdir()) == [fifo]
+
+
 _REFERENCE_DOC_ONLY_KEYS = ("profile", "out_dir", "formats")
 
 
@@ -517,6 +537,14 @@ class TestSimulateCommand:
         (line,) = capsys.readouterr().err.splitlines()
         assert line.startswith("error: ") and f"{grid_multiple(float(t_end), 0.02)} steps" in line
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("missing", [AttributeError, ValueError, OSError])
+    def test_physical_memory_unknown_is_unbounded(self, monkeypatch, missing):
+        def sysconf(name):
+            raise missing(name)
+
+        monkeypatch.setattr(cli.os, "sysconf", sysconf)
+        assert cli._physical_memory() == math.inf
 
     def test_stationary_requires_exact(self, tmp_path):
         code = main(["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02",
@@ -716,6 +744,22 @@ class TestNormsCommand:
         assert main(["norms", "--theta", "1e100", "--h", "1", "--theta-hat", "1e100"]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["operator_distance_H"] == doc["operator_distance_B"] == 0.0
+
+    # the near-rate Taylor form at extreme scales; references from 3000-digit closed forms
+    @pytest.mark.parametrize("theta, h, theta_hat, expected", [
+        ("9.37e144", "1.14e-270", "9.94e-236", 1.06818e-125),
+        ("1e100", "1e-90", "1.0000000000000002e100", 9.7133444611286437e-67),
+        ("1e-80", "1e65", "1.0000000001e-80", 18257426.824002865),
+        ("1.5121120554493352e-108", "34.661129249710015", "1.5121116240742464e-108",
+         5.2976566941961879e-113),
+        ("3.1789936159351096e-284", "5.969738646060072e+121", "3.17899361593511e-284",
+         1.590584184921474e-117),
+    ], ids=["gap-cubed-overflowed", "rate-power-overflowed", "length-power-overflowed",
+            "rate-power-subnormal", "gap-squared-underflows"])
+    def test_near_rates_at_extreme_scales(self, capsys, theta, h, theta_hat, expected):
+        assert main(["norms", "--theta", theta, "--h", h, "--theta-hat", theta_hat]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["operator_distance_H"] == pytest.approx(expected, rel=1e-12, abs=0.0)
 
     @pytest.mark.parametrize(
         "argv",
