@@ -154,8 +154,20 @@ def _physical_memory() -> float:
         return math.inf
 
 
+def _is_stdout(out: str) -> bool:
+    """Whether ``out`` is the file this process's stdout is open on, as /dev/stdout is.
+
+    Only the inherited descriptor keeps its O_APPEND: reopening the file by
+    name truncates it, and renaming over it drops what was there.
+    """
+    try:
+        return os.path.samestat(os.stat(out), os.fstat(1))
+    except OSError:  # no such file, or no stdout
+        return False
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out is None:
+    if out is None or _is_stdout(out):
         sys.stdout.write(text)
     else:
         atomic_write(out, [text])
@@ -169,6 +181,10 @@ def _cmd_simulate(args) -> None:
         raise DomainError("--seed must be a non-negative integer")
     if args.stationary and args.scheme != "exact":
         raise DomainError("--stationary requires --scheme exact")
+    out = Path(args.out)
+    if out.exists() and not out.is_file() or _is_stdout(args.out):
+        raise DomainError(f"--out {args.out} must be a regular file other than stdout: "
+                          "the provenance sidecar is written beside it")
     params = OuParams(theta=args.theta, mu=args.mu, sigma=args.sigma)
     grid = TimeGrid(t_end=args.t_end, dt=args.dt)
     # the sampler holds two float64 arrays of n_steps + 1 values: the noise and the path
@@ -185,7 +201,7 @@ def _cmd_simulate(args) -> None:
         else:  # a stationary start ignores x0
             path = sample_exact(params, grid, rng, x0=args.x0, stationary=args.stationary)
     init_doc = {"init": "stationary"} if args.stationary else {"x0": args.x0}
-    write_path_csv(path, args.out, seed=args.seed, extra=init_doc)
+    write_path_csv(path, out, seed=args.seed, extra=init_doc)
 
 
 def _estimate_doc(est: ThetaEstimate) -> dict:

@@ -150,13 +150,15 @@ def apply_rho_power(op: RhoOperator, k: int, x: FunctionalSegment) -> Functional
 def rho_norm_h(theta: float, k: int, h: float) -> float:
     """Exact operator norm of rho^k on L2([0,h], dt + endpoint atom):
 
-        exp(-theta (k-1) h) * sqrt((1 + exp(-2 theta h) (2 theta - 1)) / (2 theta))
+        exp(-theta (k-1) h) * sqrt(-expm1(-2 theta h) / theta / 2 + exp(-2 theta h))
 
-    It is < 1 for k = 1 iff theta > 1/2, and < 1 for every theta once
-    k >= k0(theta).  The decay factor and the checks are ``rho_norm_b``'s.
+    with no cancellation at small theta h, and finite where 2 theta overflows.  It is
+    < 1 for k = 1 iff theta > 1/2, and < 1 for every theta once k >= k0(theta).  The
+    decay factor and the checks are ``rho_norm_b``'s.
     """
     decay = rho_norm_b(theta, k, h)
-    return decay * math.sqrt((1.0 + math.exp(-2.0 * theta * h) * (2.0 * theta - 1.0)) / (2.0 * theta))
+    x = theta * h * 2.0  # 2 theta may overflow where 2 theta h does not
+    return decay * math.sqrt(-math.expm1(-x) / theta / 2.0 + math.exp(-x))
 
 
 def rho_norm_h_discrete(theta: float, k: int, grid: SegmentGrid) -> float:
@@ -210,11 +212,9 @@ def _unit_moment(k: int, x: float) -> float:
 
 
 def _rate_gap(a: float, b: float, t: float) -> float:
-    """|exp(-a t) - exp(-b t)| to rounding; the smaller rate factored out where expm1 overflows."""
-    try:
-        return abs(math.exp(-a * t) * math.expm1((a - b) * t))
-    except OverflowError:
-        return math.exp(-b * t) * -math.expm1((b - a) * t)
+    """|exp(-a t) - exp(-b t)| as exp(-lo t) (-expm1(-(hi - lo) t)): no exponent is positive."""
+    lo, hi = min(a, b), max(a, b)
+    return math.exp(-lo * t) * -math.expm1((lo - hi) * t)
 
 
 def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
@@ -237,10 +237,10 @@ def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
     No power in it overflows: |u| <= 1e-3, and since two distinct doubles
     differ by at least 2^-53 of the larger, 2 theta h < 2e13.  Below
     |u| = 2^-500, where u^2 could underflow and the distance need not, u and
-    2 theta h vanish beside 1 and the distance is its linear bound
-    |u| sqrt(h/3 + 1) to rounding.  The linear bound dominates the result
-    for every representable input, matching the underlying inequality.
-    Equal rates give 0.0 at once.
+    2 theta h vanish beside 1 and the distance is ``operator_distance_h_bound``
+    to rounding.  That linear bound dominates the result for every
+    representable input, matching the underlying inequality.  Equal rates give
+    0.0 at once.
     """
     check_positive(theta=theta, theta_hat=theta_hat, h=h)
     if theta == theta_hat:
@@ -248,9 +248,8 @@ def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
     a, b = theta, theta_hat
     u = (b - a) * h
     if abs(u) < 2.0**-500:
-        # 2 theta h and u are below rounding beside 1, so the distance is its linear
-        # bound: computed as below, u^2 would underflow where the distance does not
-        return abs(u) * math.sqrt(h / 3.0 + 1.0)
+        # the linear bound to rounding: below, u^2 would underflow where the distance does not
+        return operator_distance_h_bound(theta, theta_hat, h)
     endpoint = _rate_gap(a, b, h) ** 2
     if abs(u) <= 1e-3:
         # (1 - e^{-y})^2 = y^2 - y^3 + 7 y^4 / 12 - ... with y = u s at t = s h;

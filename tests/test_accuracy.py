@@ -1,0 +1,108 @@
+"""Accuracy table: each closed form against a 30-digit reference value.
+
+A row holds a closed form's arguments, its exact value at those doubles to 30
+significant digits, and the relative error allowed.  The values were computed
+once with mpmath at 400 digits and are pasted in, so the suite needs no mpmath.
+The mpmath formulas, with x = 2 theta h:
+
+* rho_norm_h: exp(-theta (k-1) h) sqrt(-expm1(-x) / (2 theta) + exp(-x))
+* rho_norm_b: exp(-theta (k-1) h)
+* operator_distance_h: sqrt(I + (exp(-a h) - exp(-b h))^2), with I the
+  three-term closed form of ``operator_distance_h``'s docstring
+* operator_distance_b: the larger of |exp(-a t) - exp(-b t)| at t = h and at
+  t* = ln(b/a)/(b - a) where 0 < t* < h
+* asymptotic_std, lil_envelope, gaussian_tail_bound: their docstring formulas
+
+Most allowances are a few units in the last place.  The wider ones name their
+cause: the rounded argument of an exponential, the cancelling far-rate
+integral, or the near-rate series' truncation (below 1e-9 by its docstring).
+"""
+
+from decimal import Decimal, localcontext
+
+import pytest
+
+from oufar import (
+    asymptotic_std,
+    gaussian_tail_bound,
+    lil_envelope,
+    operator_distance_b,
+    operator_distance_h,
+    rho_norm_b,
+    rho_norm_h,
+)
+
+# the far-rate argv of `oufar norms` whose theta h overflows: theta, theta_hat, h
+_FAR = (8.878258163447155e146, 1.135208346256096e-128, 1.1568154093207658e222)
+_FAR_SWAPPED = (_FAR[1], _FAR[0], _FAR[2])
+
+# closed form -> rows of (arguments, 30-digit reference, allowed relative error)
+_TABLE = {
+    rho_norm_h: [  # (theta, k, h)
+        ((1e-17, 1, 1.0), "1.41421356237309503819508700641", 1e-15),  # cancelled to 0.0
+        ((1e-12, 1, 1.0), "1.41421356237203438862990944801", 1e-15),
+        ((0.015, 1, 0.5), "1.21711980490869260454941481716", 1e-15),
+        ((0.7, 3, 1.5), "0.105998984938836877477371311379", 1e-15),
+        ((0.4, 4, 1.0), "0.321258292682343156761395367692", 1e-15),
+        ((5.0, 2, 5.0), "4.39175346298482217411377020216e-12", 1e-14),  # exp(-25)
+        ((3.0, 1, 1e-10), "0.999999999750000000043749990888", 1e-15),
+        ((1e-300, 1, 1e300), "6.57519853982899632499901249753e149", 1e-15),
+        ((1e308, 1, 1e308), "7.07106781186547520519159190377e-155", 1e-15),  # theta h overflows
+        ((1e308, 1, 1e-308), "0.367879441171442350913422377639", 1e-15),  # 2 theta overflows
+    ],
+    rho_norm_b: [  # (theta, k, h)
+        ((0.7, 3, 1.5), "0.122456428252981926533120915251", 1e-15),
+        ((0.4, 4, 1.0), "0.301194211912202076581412670158", 1e-15),
+        ((1e-17, 5, 1.0), "0.99999999999999996", 1e-15),
+        ((2.0, 1000, 0.3), "4.82933738771946198601937582611e-261", 1e-13),  # exp(-599.4)
+        ((1e300, 1, 1e300), "1", 0.0),
+    ],
+    operator_distance_h: [  # (theta, theta_hat, h)
+        ((0.7, 0.7001, 1.5), "7.28581617242260699479341708298e-5", 1e-12),  # near: series
+        ((1.0, 1.0000000001, 1.0), "4.64936785964819771286137643461e-11", 1e-15),
+        ((1e-80, 1.0000000001e-80, 1e65), "18257426.8240028652889144538854", 1e-13),
+        ((0.7, 0.9, 1.5), "0.129071579276214003039785030583", 1e-14),  # far: cancelling integral
+        ((800.0, 1.0, 1.0), "0.752193966152968460882232796051", 1e-15),
+        ((1.0, 5.0, 10.0), "0.516397780492173957103098276299", 1e-15),
+        (_FAR, "6.63662401806203043953397083796e63", 1e-15),  # theta h overflows
+        (_FAR_SWAPPED, "6.63662401806203043953397083796e63", 1e-15),
+        ((1e308, 1e-300, 1e308), "7.07106781186547515541117478579e149", 1e-15),
+    ],
+    operator_distance_b: [  # (theta, theta_hat, h)
+        ((0.7, 0.9, 1.5), "0.0922108113290814295633005234437", 1e-15),
+        ((0.7, 0.7001, 1.5), "5.2550452322574073602221980552e-5", 1e-15),
+        ((1.0, 2.0, 0.1), "0.0861066649579777185611942059566", 1e-15),  # the sup at h
+        ((800.0, 1.0, 1.0), "0.990429091161721691574766963362", 1e-15),
+        (_FAR, "1", 1e-15),  # theta h overflows
+        (_FAR_SWAPPED, "1", 1e-15),
+        ((1e308, 1e-300, 1e308), "1", 1e-15),
+    ],
+    asymptotic_std: [  # (theta, T)
+        ((0.7, 200.0), "0.083666002653407552143876559031", 1e-15),
+        ((5.0, 4000.0), "0.05", 1e-15),
+        ((1e-10, 1e10), "1.41421356237309507456314249952e-10", 1e-15),
+    ],
+    lil_envelope: [  # (theta, T)
+        ((0.7, 200.0), "0.152785634435899863676468400183", 1e-15),
+        ((1.0, 3.0), "0.354114534422031343943184006923", 2e-15),  # log log 3 = 0.094
+        ((5.0, 1e6), "0.00724678123648839119641911611888", 1e-15),
+    ],
+    gaussian_tail_bound: [  # (sigma, x)
+        ((1.0, 0.5), "0.882496902584595402864892143229", 1e-15),
+        ((2.0, 3.0), "0.324652467358349729797068137472", 1e-15),
+        ((0.1, 1.0), "1.92874984796392848972979257561e-22", 1e-14),  # exp(-50.000000000000003)
+        ((1.0, 30.0), "3.69388306848725621879342752457e-196", 1e-15),
+    ],
+}
+
+
+@pytest.mark.parametrize("fn, args, reference, allowed", [
+    pytest.param(fn, args, reference, allowed, id=f"{fn.__name__}{args}")
+    for fn, rows in _TABLE.items() for args, reference, allowed in rows
+])
+def test_closed_form_matches_its_reference(fn, args, reference, allowed):
+    got = fn(*args)
+    with localcontext() as ctx:
+        ctx.prec = 60  # a double and a 30-digit string, both held exactly
+        error = abs(Decimal(got) - Decimal(reference)) / Decimal(reference)
+    assert error <= allowed, f"{fn.__name__}{args} = {got!r}, relative error {error:.3g}"

@@ -4,14 +4,17 @@ The rejection table calls every public closed form with one rate, length or
 horizon made infinite, NaN, zero or negative, or with a power that is not an
 integer >= 1: each call must raise DomainError.  The validation table calls
 the other argument checks once each and matches their messages.  The oracles
-keep the bodies of ``rho_norm_h``, ``apply_rho_power``, ``coverage_cell`` and
-``error_bound_h`` from before they shared one copy of their formulas, and
-compare the two bit for bit on valid inputs.  The near-rate branch of
+keep the bodies of ``apply_rho_power``, ``coverage_cell`` and ``error_bound_h``
+from before they shared one copy of their formulas, and compare the two bit
+for bit on valid inputs.  ``_rate_gap`` keeps its former bits where the first
+rate is the smaller.  ``rho_norm_h`` agrees with its former body within 5e-15
+where that body does not cancel.  The near-rate branch of
 ``operator_distance_h`` keeps its former body too: the unit-interval moments
 give its bits at h = 1 and agree within 1e-15 elsewhere.
 """
 
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -202,6 +205,14 @@ def _reference_rho_norm_h(theta: float, k: int, h: float) -> float:
     return math.exp(-theta * (k - 1) * h) * base
 
 
+def _reference_rate_gap(a: float, b: float, t: float) -> float:
+    """_rate_gap before it always factored out the smaller rate, kept verbatim."""
+    try:
+        return abs(math.exp(-a * t) * math.expm1((a - b) * t))
+    except OverflowError:
+        return math.exp(-b * t) * -math.expm1((b - a) * t)
+
+
 def _reference_apply_rho_power(op: RhoOperator, k: int, x: FunctionalSegment) -> FunctionalSegment:
     """apply_rho_power before it took its decay from rho_norm_b, kept verbatim."""
     if k < 1:
@@ -303,9 +314,25 @@ class TestFormerBodies:
     @settings(max_examples=300)
     @given(theta=_RATES, k=st.integers(1, 10**6), h=_RATES)
     @example(theta=0.5, k=1, h=1.0)
-    @example(theta=1e308, k=2, h=1e308)  # NaN in both
+    @example(theta=1e308, k=2, h=1e308)  # NaN in the former body
     def test_rho_norm_h(self, theta, k, h):
-        assert _bits(rho_norm_h(theta, k, h)) == _bits(_reference_rho_norm_h(theta, k, h))
+        # the former body cancels at small 2 theta h: by 7.6e-15 just above 1e-2, by 1.0e-15
+        # above 0.1 (400,000 draws).  Below 0.1 tests/test_accuracy.py is the oracle.
+        got, expected = rho_norm_h(theta, k, h), _reference_rho_norm_h(theta, k, h)
+        assert math.isfinite(got)
+        # a subnormal product keeps fewer digits than the 5e-15 the check allows
+        if theta * h * 2.0 >= 0.1 and sys.float_info.min <= expected < math.inf:
+            assert abs(got - expected) <= 5e-15 * expected
+
+    @settings(max_examples=300)
+    @given(a=_RATES, b=_RATES, t=_RATES)
+    @example(a=0.7, b=0.9, t=1.5)
+    @example(a=1.0, b=800.0, t=1.0)
+    def test_rate_gap_below_the_larger_rate(self, a, b, t):
+        # a < b: the smaller rate was already factored out, by abs() of a negative expm1
+        a, b = min(a, b), max(a, b)
+        assume(a < b)
+        assert _bits(_rate_gap(a, b, t)) == _bits(_reference_rate_gap(a, b, t))
 
     @settings(max_examples=300)
     @given(theta=_RATES, k=st.integers(1, 200), h=_RATES, m=st.integers(1, 40),

@@ -5,6 +5,8 @@ import json
 import math
 import os
 import stat
+import subprocess
+import sys
 import tempfile
 import threading
 import tracemalloc
@@ -546,6 +548,28 @@ class TestSimulateCommand:
         monkeypatch.setattr(cli.os, "sysconf", sysconf)
         assert cli._physical_memory() == math.inf
 
+    @pytest.mark.parametrize("kind", ["fifo", "directory"])
+    def test_out_that_is_no_regular_file_exits_2_before_drawing(
+            self, tmp_path, monkeypatch, capsys, kind):
+        out = tmp_path / kind
+        if kind == "directory":
+            out.mkdir()
+        else:
+            os.mkfifo(out)
+        # a reader end held open, so that a write to the FIFO would not block
+        reader = os.open(out, os.O_RDONLY | os.O_NONBLOCK) if kind == "fifo" else None
+        try:
+            monkeypatch.setattr(cli, "sample_euler", lambda *a, **k: pytest.fail("path drawn"))
+            assert main(["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02",
+                         "--seed", "1", "--out", str(out)]) == 2
+            if reader is not None:
+                assert os.read(reader, 1) == b""  # no writer came
+        finally:
+            if reader is not None:
+                os.close(reader)
+        assert capsys.readouterr().err.startswith(f"error: --out {out} must be a regular file")
+        assert list(tmp_path.iterdir()) == [out]
+
     def test_stationary_requires_exact(self, tmp_path):
         code = main(["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02",
                      "--stationary", "--seed", "1", "--out", str(tmp_path / "x.csv")])
@@ -692,6 +716,26 @@ class TestNormsCommand:
         assert doc["operator_distance_B"] == pytest.approx(0.9904290912, rel=1e-8)
         assert doc["operator_distance_H"] == pytest.approx(0.7521939662, rel=1e-8)
 
+    def test_far_rates_whose_length_product_overflows(self, capsys):
+        # theta h overflows and theta_hat h does not; references by mpmath
+        assert main(["norms", "--theta", "8.878258163447155e+146", "--h", "1.1568154093207658e+222",
+                     "--theta-hat", "1.135208346256096e-128", "--k-max", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["operator_distance_H"] == pytest.approx(6.6366240180620304e63, rel=1e-14)
+        assert doc["operator_distance_B"] == 1.0
+
+    @pytest.mark.parametrize("fmt", ["json", "csv"])
+    def test_rate_and_length_whose_product_overflows(self, capsys, fmt):
+        # theta h = inf: the norm is 1/sqrt(2 theta) (mpmath), which the former form gave as NaN
+        assert main(["norms", "--theta", "1e308", "--h", "1e308", "--format", fmt]) == 0
+        text = capsys.readouterr().out
+        if fmt == "json":
+            norms = [row["rho_norm_H"] for row in json.loads(text)["norms"]]
+        else:
+            norms = [float(line.split(",")[4]) for line in text.splitlines()[1:]]
+        assert norms[0] == pytest.approx(7.0710678118654752e-155, rel=1e-14, abs=0.0)
+        assert norms[1:] == [0.0] * 9
+
     def test_out_creates_missing_directories(self, tmp_path, capsys):
         out = tmp_path / "a" / "b" / "norms.csv"
         assert main(["norms", "--theta", "1", "--h", "1", "--format", "csv",
@@ -768,8 +812,6 @@ class TestNormsCommand:
             ["norms", "--theta", "1e-320", "--h", "1"],  # k0 = ceil(1/theta + 1) overflows
             ["norms", "--theta", "inf", "--h", "1"],
             ["norms", "--theta", "inf", "--h", "1", "--format", "csv"],
-            ["norms", "--theta", "1e308", "--h", "1e308"],  # finite flags, NaN norms
-            ["norms", "--theta", "1e308", "--h", "1e308", "--format", "csv"],
             ["norms", "--theta", "0.7", "--h", "1", "--theta-hat", "nan"],
             ["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02", "--x0", "nan",
              "--seed", "1"],
@@ -1118,6 +1160,55 @@ class TestExperimentCommand:
         monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity, raising=False)
         monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
         assert self._workers_chosen(tmp_path, monkeypatch, threads, 10) == [expected]
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="no /proc/self/fd")
+class TestOutIsStdout:
+    """``--out`` naming this process's stdout, as /dev/stdout does, under ``>> log``.
+
+    The target is a symlink to /proc/self/fd/1 under tmp_path, never /dev/stdout
+    itself: a write that replaced the file would replace the device node.
+    """
+
+    @staticmethod
+    def _run(tmp_path, argv):
+        """Exit code, stderr and log text of ``argv --out <stdout>`` appended to a log."""
+        link, log = tmp_path / "stdout", tmp_path / "log"
+        link.symlink_to("/proc/self/fd/1")  # resolved by the child: its own stdout
+        log.write_text("first\n")
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        code = "import sys; from oufar.cli import main; sys.exit(main(sys.argv[1:]))"
+        with log.open("a") as stdout:
+            proc = subprocess.run([sys.executable, "-c", code, *argv, "--out", str(link)],
+                                  stdout=stdout, stderr=subprocess.PIPE, text=True, env=env,
+                                  timeout=120)
+        return proc.returncode, proc.stderr, log.read_text()
+
+    @pytest.mark.parametrize("argv", [
+        ["norms", "--theta", "1", "--h", "1"],
+        ["norms", "--theta", "1", "--h", "1", "--format", "csv"],
+        ["estimate", "--input", "{csv}", "--form", "both"],
+    ], ids=["norms-json", "norms-csv", "estimate"])
+    def test_output_is_appended_through_stdout(self, tmp_path, capsys, argv):
+        csv = tmp_path / "p.csv"
+        assert main(["simulate", "--theta", "1", "--t-end", "2", "--dt", "0.02",
+                     "--seed", "1", "--out", str(csv)]) == 0
+        argv = [a.format(csv=csv) for a in argv]
+        assert main(argv) == 0
+        expected = capsys.readouterr().out
+        code, err, log = self._run(tmp_path, argv)
+        assert (code, err) == (0, "")
+        assert log == "first\n" + expected
+
+    def test_simulate_refuses_stdout(self, tmp_path):
+        code, err, log = self._run(
+            tmp_path, ["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02", "--seed", "1"])
+        assert code == 2
+        assert err.startswith("error: --out ") and "must be a regular file other than stdout" in err
+        assert log == "first\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["log", "stdout"]
 
 
 class TestUnwritableOutput:
