@@ -147,18 +147,28 @@ def apply_rho_power(op: RhoOperator, k: int, x: FunctionalSegment) -> Functional
     return FunctionalSegment(grid=x.grid, values=values)
 
 
+def _decay_integral(rate: float, h: float) -> float:
+    """int_0^h exp(-2 rate t) dt = -expm1(-x) / 2 / rate with x = rate h 2; h below x = 2^-53.
+
+    x is formed without 2 rate, which may overflow where x does not, and the halving comes
+    first, so the quotient is finite wherever the integral is.  Below x = 2^-53 the integral
+    is h (1 - x/2 + ...), so h is its correctly rounded value, also where rate h is subnormal.
+    """
+    x = rate * h * 2.0
+    return -math.expm1(-x) / 2.0 / rate if x >= 2.0**-53 else h
+
+
 def rho_norm_h(theta: float, k: int, h: float) -> float:
     """Exact operator norm of rho^k on L2([0,h], dt + endpoint atom):
 
-        exp(-theta (k-1) h) * sqrt(-expm1(-2 theta h) / theta / 2 + exp(-2 theta h))
+        exp(-theta (k-1) h) * sqrt(int_0^h exp(-2 theta t) dt + exp(-2 theta h))
 
-    with no cancellation at small theta h, and finite where 2 theta overflows.  It is
-    < 1 for k = 1 iff theta > 1/2, and < 1 for every theta once k >= k0(theta).  The
-    decay factor and the checks are ``rho_norm_b``'s.
+    with the integral from ``_decay_integral``: no cancellation at small theta h, and
+    finite where 2 theta overflows.  It is < 1 for k = 1 iff theta > 1/2, and < 1 for
+    every theta once k >= k0(theta).  The decay factor and the checks are ``rho_norm_b``'s.
     """
     decay = rho_norm_b(theta, k, h)
-    x = theta * h * 2.0  # 2 theta may overflow where 2 theta h does not
-    return decay * math.sqrt(-math.expm1(-x) / theta / 2.0 + math.exp(-x))
+    return decay * math.sqrt(_decay_integral(theta, h) + math.exp(-theta * h * 2.0))
 
 
 def rho_norm_h_discrete(theta: float, k: int, grid: SegmentGrid) -> float:
@@ -194,12 +204,13 @@ def rho_norm_b(theta: float, k: int, h: float) -> float:
 
 
 def k0(theta: float) -> int:
-    """Smallest power ceil(1/theta + 1) making rho^k a strict contraction in h_norm."""
+    """Smallest power ceil(1/theta + 1) making rho^k a strict contraction in h_norm.
+
+    It is taken in exact integers from theta = n/d, so it is exact for every positive double.
+    """
     check_positive(theta=theta)
-    inverse = 1.0 / theta
-    if inverse == math.inf:  # a subnormal theta
-        raise DomainError(f"theta={theta!r} is too small: 1/theta overflows")
-    return math.ceil(inverse) + 1  # the float 1/theta + 1 is 1.0 for theta >= 2^53
+    n, d = theta.as_integer_ratio()
+    return -(-d // n) + 1
 
 
 def _unit_moment(k: int, x: float) -> float:
@@ -221,16 +232,19 @@ def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
     """Exact operator-norm distance between rho_theta and rho_theta_hat on H:
 
         sqrt(I + (exp(-theta h) - exp(-theta_hat h))^2),
-        I = int_0^h (exp(-theta t) - exp(-theta_hat t))^2 dt,
+        I = int_0^h (exp(-theta t) - exp(-theta_hat t))^2 dt.
 
-    with I in closed form:
-        (1-e^{-2 theta h})/(2 theta) - 2 (1-e^{-(theta+theta_hat) h})/(theta+theta_hat)
-        + (1-e^{-2 theta_hat h})/(2 theta_hat).
+    With lo < hi the two rates, d = hi - lo and the scaled gap u = (theta_hat - theta) h,
+    I is the integral of exp(-2 lo t) (1 - exp(-d t))^2.  Above |u| = 1e-3 it is that
+    integral over [0, inf) less the one over [h, inf):
 
-    For |theta - theta_hat| h below 1e-3 the three-term form is catastrophic
-    cancellation in doubles, so the same integral is evaluated through its
-    Taylor form in the scaled gap u = (theta_hat - theta) h (relative
-    truncation error below 1e-9):
+        I = r (d/hi) D - exp(-2 lo h) (p/hi) (r + p/2),
+        r = d/(lo + hi),  p = -expm1(-|u|),  D = int_0^h exp(-2 lo t) dt,
+
+    two positive terms.  The first is r (d/hi) <= 1 times D, the first term of the
+    three-term form D - 2 (1 - e^{-(lo+hi) h})/(lo + hi) + D(hi), so it cancels less.
+    Up to |u| = 1e-3 the same integral is evaluated through its Taylor form in u
+    (relative truncation error below 1e-9):
 
         I = h (u^2 J_2 - u^3 J_3 + 7/12 u^4 J_4),  J_k = int_0^1 s^k e^{-2 theta h s} ds.
 
@@ -257,12 +271,12 @@ def operator_distance_h(theta: float, theta_hat: float, h: float) -> float:
         j2, j3, j4 = (_unit_moment(k, a * h * 2.0) for k in (2, 3, 4))
         integral = h * (u**2 * j2 - u**3 * j3 + (7.0 / 12.0) * u**4 * j4)
     else:
-        integral = (
-            -math.expm1(-2.0 * a * h) / (2.0 * a)
-            + 2.0 * math.expm1(-(a + b) * h) / (a + b)
-            - math.expm1(-2.0 * b * h) / (2.0 * b)
-        )
-    # roundoff can push the cancelling integral a hair below zero at a ~ b
+        lo, hi = min(a, b), max(a, b)
+        d = hi - lo
+        r, p = d / (lo + hi), -math.expm1(-abs(u))
+        tail = math.exp(-lo * h * 2.0) * (p / hi) * (r + p / 2.0)
+        integral = r * (d / hi) * _decay_integral(lo, h) - tail
+    # roundoff can push the integral a hair below zero where 2 lo h is subnormal
     return math.sqrt(max(integral, 0.0) + endpoint)
 
 
@@ -275,24 +289,22 @@ def operator_distance_h_bound(theta: float, theta_hat: float, h: float) -> float
 def operator_distance_b(theta: float, theta_hat: float, h: float) -> float:
     """sup_{0<=t<=h} |exp(-theta t) - exp(-theta_hat t)|, computed analytically.
 
-    For theta != theta_hat the only interior critical point of the difference
-    is t* = ln(theta_hat/theta)/(theta_hat - theta); the sup is the larger of
-    the values at t* (clipped to [0, h]) and at h (the value at 0 is 0).
-    The difference is evaluated by ``_rate_gap``, so nearly-equal rates do not
-    cancel and far-apart ones do not overflow.
+    With lo < hi the two rates, the difference rises from 0 at t = 0 to its one peak at
+
+        t* = ln(hi/lo) / (hi - lo) = log1p((hi - lo)/lo) / (hi - lo)
+
+    and falls after it, so the sup is its value at min(t*, h).  ``log1p`` of the relative
+    gap keeps the digits of near rates; where that gap overflows, ln hi - ln lo exceeds
+    709 and cannot cancel.  ``_rate_gap`` evaluates the difference, so nearly-equal rates
+    do not cancel and far-apart ones do not overflow.
     """
     check_positive(theta=theta, theta_hat=theta_hat, h=h)
     if theta == theta_hat:
         return 0.0
-    delta = theta_hat - theta
-    candidates = [_rate_gap(theta, theta_hat, h)]
-    ratio = theta_hat / theta
-    # a ratio that underflows or overflows: the same logarithm as a difference
-    log_ratio = math.log(ratio) if 0.0 < ratio < math.inf else math.log(theta_hat) - math.log(theta)
-    t_star = log_ratio / delta
-    if 0.0 < t_star < h:
-        candidates.append(_rate_gap(theta, theta_hat, t_star))
-    return max(candidates)
+    lo, hi = min(theta, theta_hat), max(theta, theta_hat)
+    relative_gap = (hi - lo) / lo
+    log_ratio = math.log1p(relative_gap) if relative_gap < math.inf else math.log(hi) - math.log(lo)
+    return _rate_gap(lo, hi, min(log_ratio / (hi - lo), h))
 
 
 def operator_distance_b_grid(

@@ -24,7 +24,7 @@ from .ou_process import check_positive
 
 @dataclass(eq=False)
 class PredictionRecord:
-    """One forecast with optional exact errors (experiments fill them in)."""
+    """One forecast with optional exact errors; ``predict_segment`` fills them given theta_true."""
 
     theta_hat: float
     x_prev_h: float

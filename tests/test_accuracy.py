@@ -7,15 +7,15 @@ The mpmath formulas, with x = 2 theta h:
 
 * rho_norm_h: exp(-theta (k-1) h) sqrt(-expm1(-x) / (2 theta) + exp(-x))
 * rho_norm_b: exp(-theta (k-1) h)
-* operator_distance_h: sqrt(I + (exp(-a h) - exp(-b h))^2), with I the
-  three-term closed form of ``operator_distance_h``'s docstring
-* operator_distance_b: the larger of |exp(-a t) - exp(-b t)| at t = h and at
-  t* = ln(b/a)/(b - a) where 0 < t* < h
+* operator_distance_h: sqrt(I + (exp(-a h) - exp(-b h))^2), with
+  I = (1 - e^{-2ah})/(2a) - 2 (1 - e^{-(a+b)h})/(a+b) + (1 - e^{-2bh})/(2b)
+* operator_distance_b: |exp(-a t) - exp(-b t)| at t = min(t*, h), with
+  t* = ln(b/a)/(b - a)
 * asymptotic_std, lil_envelope, gaussian_tail_bound: their docstring formulas
 
 Most allowances are a few units in the last place.  The wider ones name their
-cause: the rounded argument of an exponential, the cancelling far-rate
-integral, or the near-rate series' truncation (below 1e-9 by its docstring).
+cause: the rounded argument of an exponential or the near-rate series'
+truncation (below 1e-9 by its docstring).
 """
 
 from decimal import Decimal, localcontext
@@ -49,6 +49,9 @@ _TABLE = {
         ((1e-300, 1, 1e300), "6.57519853982899632499901249753e149", 1e-15),
         ((1e308, 1, 1e308), "7.07106781186547520519159190377e-155", 1e-15),  # theta h overflows
         ((1e308, 1, 1e-308), "0.367879441171442350913422377639", 1e-15),  # 2 theta overflows
+        ((2.225073858507e-311, 1, 9.006490688420996e307), "9.48075190810917648044387981656e153",
+         1e-15),  # -expm1(-x) / theta overflows
+        ((1.5e-323, 1, 1.3), "1.5165750888103101254925527583", 1e-15),  # theta h is subnormal
     ],
     rho_norm_b: [  # (theta, k, h)
         ((0.7, 3, 1.5), "0.122456428252981926533120915251", 1e-15),
@@ -61,7 +64,9 @@ _TABLE = {
         ((0.7, 0.7001, 1.5), "7.28581617242260699479341708298e-5", 1e-12),  # near: series
         ((1.0, 1.0000000001, 1.0), "4.64936785964819771286137643461e-11", 1e-15),
         ((1e-80, 1.0000000001e-80, 1e65), "18257426.8240028652889144538854", 1e-13),
-        ((0.7, 0.9, 1.5), "0.129071579276214003039785030583", 1e-14),  # far: cancelling integral
+        ((0.7, 0.9, 1.5), "0.129071579276214003039785030583", 1e-15),  # far
+        ((1.0, 1.0000000000009095, 1e20), "4.54747350886153926227812369216e-13", 1e-15),
+        ((1e10, 10000000000.000011, 1e20), "5.72204589843749508872861042619e-21", 1e-15),
         ((800.0, 1.0, 1.0), "0.752193966152968460882232796051", 1e-15),
         ((1.0, 5.0, 10.0), "0.516397780492173957103098276299", 1e-15),
         (_FAR, "6.63662401806203043953397083796e63", 1e-15),  # theta h overflows
@@ -73,6 +78,8 @@ _TABLE = {
         ((0.7, 0.7001, 1.5), "5.2550452322574073602221980552e-5", 1e-15),
         ((1.0, 2.0, 0.1), "0.0861066649579777185611942059566", 1e-15),  # the sup at h
         ((800.0, 1.0, 1.0), "0.990429091161721691574766963362", 1e-15),
+        ((4.6077459426300906e82, 4.60774594263009e82, 1.0), "5.38116154699606221285067386247e-17",
+         1e-15),  # theta_hat / theta is within a few ulps of 1
         (_FAR, "1", 1e-15),  # theta h overflows
         (_FAR_SWAPPED, "1", 1e-15),
         ((1e308, 1e-300, 1e308), "1", 1e-15),

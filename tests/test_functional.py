@@ -1,8 +1,9 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import example, given
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -36,6 +37,15 @@ from oufar.functional import _unit_moment
 
 rates = st.floats(0.05, 5.0)
 lengths = st.floats(0.1, 5.0)
+
+
+@st.composite
+def _near_reciprocals(draw):
+    """The double nearest 1/n, n < 2000, or one of the few doubles beside it."""
+    theta = 1.0 / draw(st.integers(1, 1999))
+    for _ in range(draw(st.integers(0, 3))):
+        theta = math.nextafter(theta, draw(st.sampled_from([0.0, math.inf])))
+    return theta
 
 
 def _segment(h, m, fn):
@@ -255,6 +265,9 @@ class TestContractionPower:
         assert k0(0.4) == 4
         assert k0(1.0) == 2
         assert k0(2.0) == 2
+        # the doubles nearest 1/3 and 1/7 lie below them: 1/theta is just above 3 and 7
+        assert k0(0.3333333333333333) == 5
+        assert k0(0.14285714285714285) == 9
         # the float 1/theta + 1 rounds to 1.0 from theta = 2^53 on
         assert k0(2.0**52) == k0(2.0**53) == k0(1e100) == 2
 
@@ -262,6 +275,15 @@ class TestContractionPower:
         assert rho_norm_h(0.4, 4, 1.0) < 1.0
         for h in (0.1, 1.0, 10.0):
             assert rho_norm_h(2.0, 2, h) < 1.0
+
+    @settings(max_examples=500)
+    @given(theta=st.one_of(_near_reciprocals(), st.floats(-744.44, 709.78).map(math.exp)))
+    @example(theta=0.3333333333333333)  # 1/theta rounds to 3.0: ceil(3.0) + 1 is one short
+    @example(theta=0.14285714285714285)
+    @example(theta=5e-324)
+    def test_k0_of_the_double_it_is_given(self, theta):
+        assume(0.0 < theta < math.inf)
+        assert k0(theta) == math.ceil(1 / Fraction(theta)) + 1
 
     @given(theta=st.floats(0.01, 10.0), h=lengths)
     def test_norm_below_one_from_k0(self, theta, h):

@@ -10,6 +10,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -696,9 +697,10 @@ class TestEstimateCommand:
 class TestNormsCommand:
     # sha256 of `norms --theta 0.7 --h 1.5 --k-max 7` stdout with these extra flags; the
     # last, |theta_hat - theta| h <= 1e-3 (the gammainc form), was computed before
-    # gammainc came from scipy.special's ufunc extension alone
+    # gammainc came from scipy.special's ufunc extension alone.  The first prints
+    # operator_distance_H 0.129071579276214, the double nearest its mpmath value
     GOLDEN = {
-        ("--theta-hat", "0.9"): "062ac0409662f3d7da638244839322036cbb8716505efaad42d1da48ca2d0dad",
+        ("--theta-hat", "0.9"): "0a23f1d93413451b78961b905e062ef4b626112e7e814af012c7d361150f908a",
         ("--format", "csv"): "4612ce0f60e79f47f92380ca0e08154c70b51beb393171d0161378a2e8e44fbd",
         ("--theta-hat", "0.7001"):
             "9e08fab65c53a43696c5491f4a0047eb118887c6c9c3de69ba3d7aa9de4a3c5e",
@@ -735,6 +737,13 @@ class TestNormsCommand:
             norms = [float(line.split(",")[4]) for line in text.splitlines()[1:]]
         assert norms[0] == pytest.approx(7.0710678118654752e-155, rel=1e-14, abs=0.0)
         assert norms[1:] == [0.0] * 9
+
+    def test_subnormal_rate(self, capsys):
+        # 1/theta overflows a double: k0 is taken in integers, the integral term is h
+        assert main(["norms", "--theta", "1e-320", "--h", "1"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["k0"] == math.ceil(1 / Fraction(1e-320)) + 1
+        assert doc["norms"][0]["rho_norm_H"] == pytest.approx(math.sqrt(2.0), rel=1e-15, abs=0.0)
 
     def test_out_creates_missing_directories(self, tmp_path, capsys):
         out = tmp_path / "a" / "b" / "norms.csv"
@@ -809,7 +818,6 @@ class TestNormsCommand:
         "argv",
         [
             ["norms", "--theta", "nan", "--h", "1"],
-            ["norms", "--theta", "1e-320", "--h", "1"],  # k0 = ceil(1/theta + 1) overflows
             ["norms", "--theta", "inf", "--h", "1"],
             ["norms", "--theta", "inf", "--h", "1", "--format", "csv"],
             ["norms", "--theta", "0.7", "--h", "1", "--theta-hat", "nan"],
