@@ -5,7 +5,13 @@ The process solves the Langevin equation
     d xi_t = theta * (mu - xi_t) dt + sigma dW_t,    theta, sigma > 0,
 
 and is stationary Gaussian with mean ``mu`` and covariance
-``sigma^2/(2 theta) * exp(-theta |t - s|)``.  Two samplers are provided: the
+``sigma^2/(2 theta) * exp(-theta |t - s|)``.  Every variance here is sigma^2 times
+D(theta, t) = int_0^t exp(-2 theta s) ds, taken from the one helper
+``_decay_integral`` at t = dt (the exact transition), t = min(t, s) (the
+conditional covariance) or t = inf (the stationary law, D = 0.5/theta), and
+multiplied by sigma one factor at a time: no sigma^2 is formed, so no moment
+raises for a positive finite sigma, and the sds keep their digits where sigma^2
+would overflow or underflow.  Two samplers are provided: the
 Euler-Maruyama discretization (the scheme used by the Monte Carlo harness)
 and the exact Gaussian transition (used as a distributional oracle).
 
@@ -164,9 +170,25 @@ def check_positive(**values: float) -> None:
         raise DomainError(f"must be positive and finite: {', '.join(bad)}")
 
 
+def _decay_integral(rate: float, h: float) -> float:
+    """int_0^h exp(-2 rate t) dt = -expm1(-x) / 2 / rate with x = rate h 2; h below x = 2^-53.
+
+    x is formed without 2 rate, which may overflow where x does not, and the halving comes
+    first, so the quotient is finite wherever the integral is.  Below x = 2^-53 the integral
+    is h (1 - x/2 + ...), so h is its correctly rounded value, also where rate h is subnormal.
+    """
+    x = rate * h * 2.0
+    return -math.expm1(-x) / 2.0 / rate if x >= 2.0**-53 else h
+
+
 @dataclass(frozen=True)
 class OuParams:
-    """Drift/scale parameters (theta, mu, sigma), theta and sigma positive."""
+    """Drift/scale parameters (theta, mu, sigma), theta and sigma positive.
+
+    The stationary variance is sigma (sigma D(theta, inf)) and the std
+    sigma sqrt(D(theta, inf)), with D(theta, inf) = 0.5/theta from ``_decay_integral``;
+    both are inf below theta = 2.8e-309, where 0.5/theta overflows.
+    """
 
     theta: float
     mu: float = 0.0
@@ -179,24 +201,24 @@ class OuParams:
 
     @property
     def stationary_variance(self) -> float:
-        return self.sigma**2 / (2.0 * self.theta)
+        return self.sigma * (self.sigma * _decay_integral(self.theta, math.inf))
 
     @property
     def stationary_std(self) -> float:
-        return math.sqrt(self.stationary_variance)
+        return self.sigma * math.sqrt(_decay_integral(self.theta, math.inf))
 
 
 def check_euler_stable(thetas, dt: float) -> None:
-    """Raise DomainError unless the Euler factor 1 - theta dt lies strictly inside (-1, 1).
+    """Raise DomainError unless theta dt < 2, for theta and dt positive.
 
-    Outside it the Euler recursion does not contract and its paths grow
+    That is the Euler factor 1 - theta dt strictly inside (-1, 1), tested on the
+    product: below theta dt = 2^-54 the factor rounds to 1.0, which the product does
+    not.  Outside it the Euler recursion does not contract and its paths grow
     without bound; the one test for experiment configs and ``simulate``.
     """
-    unstable = [t for t in thetas if abs(1.0 - t * dt) >= 1.0]
+    unstable = [t for t in thetas if t * dt >= 2.0]
     if unstable:
-        raise DomainError(
-            f"euler scheme diverges for theta={unstable} at dt={dt}: need |1 - theta*dt| < 1"
-        )
+        raise DomainError(f"euler scheme diverges: theta*dt >= 2 for theta={unstable} at dt={dt}")
 
 
 def grid_multiple(value: float, step: float) -> int | None:
@@ -262,13 +284,15 @@ class SamplePath:
 
 
 def stationary_density(params: OuParams, x):
-    """Stationary probability density sqrt(theta/(pi sigma^2)) exp(-theta (x-mu)^2/sigma^2).
+    """Stationary probability density exp(-z^2/2) / (std sqrt(2 pi)), z = (x - mu)/std.
 
-    This is the N(mu, sigma^2/(2 theta)) density; it integrates to one.
+    This is the N(mu, std^2) density, std = ``params.stationary_std``, so
+    std^2 = sigma^2/(2 theta); it integrates to one.  Taken through std, it forms no
+    sigma^2, which overflows or underflows beyond sigma = 1e+-154.
     """
-    x = np.asarray(x, dtype=float)
-    z = np.sqrt(params.theta / (math.pi * params.sigma**2))
-    out = z * np.exp(-params.theta * (x - params.mu) ** 2 / params.sigma**2)
+    std = params.stationary_std
+    z = (np.asarray(x, dtype=float) - params.mu) / std
+    out = np.exp(-0.5 * z * z) / (std * math.sqrt(2.0 * math.pi))
     return out if out.ndim else float(out)
 
 
@@ -286,15 +310,16 @@ def conditional_moments(params: OuParams, c: float, t: float, s: float):
     Returns ``(mean_t, cov_ts)`` with
 
         mean_t = mu + exp(-theta t) (c - mu)
-        cov_ts = sigma^2/(2 theta) exp(-theta |t-s|) + (c^2 - 2 c mu + mu^2) exp(-theta (s+t))
+        cov_ts = sigma^2 D(theta, min(t, s)) exp(-theta |t-s|)
+               = sigma^2/(2 theta) (exp(-theta |t-s|) - exp(-theta (t+s))),
+
+    which does not depend on c, and is 0 at t = s = 0.
     """
     if t < 0.0 or s < 0.0:
         raise DomainError("conditional moments require t, s >= 0")
-    th, mu = params.theta, params.mu
+    th, mu, sigma = params.theta, params.mu, params.sigma
     mean_t = mu + math.exp(-th * t) * (c - mu)
-    cov_ts = params.stationary_variance * math.exp(-th * abs(t - s)) + (
-        c * c - 2.0 * c * mu + mu * mu
-    ) * math.exp(-th * (s + t))
+    cov_ts = sigma * (sigma * _decay_integral(th, min(t, s))) * math.exp(-th * abs(t - s))
     return mean_t, cov_ts
 
 
@@ -353,17 +378,15 @@ def exact_transition(params: OuParams, dt: float) -> tuple[float, float]:
     """One-step coefficients of the exact transition over a step of length dt.
 
     Returns ``(decay, innovation_sd)`` such that
-    xi_{t+dt} = mu + decay * (xi_t - mu) + innovation_sd * Z with Z ~ N(0,1).
-    At dt = 0 this degenerates to (1, 0): the state passes through unchanged.
+    xi_{t+dt} = mu + decay * (xi_t - mu) + innovation_sd * Z with Z ~ N(0,1):
+    decay = exp(-theta dt) and innovation_sd = sigma sqrt(D(theta, dt)), which keeps
+    its digits at a small theta dt (it is sigma sqrt(dt) below theta dt = 2^-54) and
+    is finite wherever the sd is.  At dt = 0 this degenerates to (1, 0): the state
+    passes through unchanged.
     """
     if dt < 0.0:
         raise DomainError("step length must be nonnegative")
-    decay = math.exp(-params.theta * dt)
-    try:
-        var = params.sigma**2 * (1.0 - math.exp(-2.0 * params.theta * dt)) / (2.0 * params.theta)
-    except OverflowError:  # float ** raises where * would give inf
-        raise DomainError(f"sigma={params.sigma}: sigma^2 overflows") from None
-    return decay, math.sqrt(max(var, 0.0))
+    return math.exp(-params.theta * dt), params.sigma * math.sqrt(_decay_integral(params.theta, dt))
 
 
 def sample_exact(

@@ -12,6 +12,9 @@ The mpmath formulas, with x = 2 theta h:
 * operator_distance_b: |exp(-a t) - exp(-b t)| at t = min(t*, h), with
   t* = ln(b/a)/(b - a)
 * asymptotic_std, lil_envelope, gaussian_tail_bound: their docstring formulas
+* exact_sd: sigma sqrt(-expm1(-2 theta dt) / (2 theta))
+* conditional_covariance: sigma^2 / (2 theta) (exp(-theta |t - s|) - exp(-theta (t + s)))
+* density: exp(-theta (x - mu)^2 / sigma^2) / (sigma sqrt(pi / theta))
 
 Most allowances are a few units in the last place.  The wider ones name their
 cause: the rounded argument of an exponential or the near-rate series'
@@ -23,14 +26,34 @@ from decimal import Decimal, localcontext
 import pytest
 
 from oufar import (
+    OuParams,
     asymptotic_std,
+    conditional_moments,
+    exact_transition,
     gaussian_tail_bound,
     lil_envelope,
     operator_distance_b,
     operator_distance_h,
     rho_norm_b,
     rho_norm_h,
+    stationary_density,
 )
+
+
+def exact_sd(theta, dt, sigma=1.0):
+    """The innovation sd of ``exact_transition``."""
+    return exact_transition(OuParams(theta=theta, sigma=sigma), dt)[1]
+
+
+def conditional_covariance(theta, mu, sigma, c, t, s):
+    """The covariance of ``conditional_moments``."""
+    return conditional_moments(OuParams(theta=theta, mu=mu, sigma=sigma), c, t, s)[1]
+
+
+def density(theta, sigma, x):
+    """``stationary_density`` at mu = 0."""
+    return stationary_density(OuParams(theta=theta, sigma=sigma), x)
+
 
 # the far-rate argv of `oufar norms` whose theta h overflows: theta, theta_hat, h
 _FAR = (8.878258163447155e146, 1.135208346256096e-128, 1.1568154093207658e222)
@@ -99,6 +122,19 @@ _TABLE = {
         ((2.0, 3.0), "0.324652467358349729797068137472", 1e-15),
         ((0.1, 1.0), "1.92874984796392848972979257561e-22", 1e-14),  # exp(-50.000000000000003)
         ((1.0, 30.0), "3.69388306848725621879342752457e-196", 1e-15),
+    ],
+    exact_sd: [  # (theta, dt[, sigma])
+        ((1e-17, 0.02), "0.141421356237309506337988416813", 1e-15),  # exp(-2 theta dt) is 1.0
+        ((1e-10, 0.02), "0.141421356237168084995893360774", 1e-15),
+        ((0.4, 0.02), "0.140857551912893922763344549257", 1e-15),
+        ((1.0, 0.02, 1e200), "1.40018857386562023371581165693e199", 1e-15),  # sigma^2 overflows
+    ],
+    conditional_covariance: [  # (theta, mu, sigma, c, t, s)
+        ((0.7, 1.5, 2.0, -2.0, 0.5, 2.0), "0.503325159030600694813996253004", 5e-16),
+    ],
+    density: [  # (theta, sigma, x)
+        ((1.0, 1e-200, 0.0), "5.64189583547756297046924954236e199", 5e-16),  # sigma^2 underflows
+        ((1.0, 1e200, 0.0), "5.64189583547756304024336625775e-201", 1e-15),  # sigma^2 overflows
     ],
 }
 

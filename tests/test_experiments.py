@@ -111,7 +111,7 @@ class TestConfigValidation:
         ExperimentConfig(thetas=(200.0,), horizons=(500.0,), dt=0.02, scheme="exact")
 
     def test_rejects_exact_scheme_with_infinite_stationary_variance(self):
-        # sigma^2 / (2 theta) overflows: the stationary start would not be finite
+        # D(theta, inf) = 0.5 / theta overflows: the stationary start would not be finite
         with pytest.raises(DomainError, match="stationary variance"):
             ExperimentConfig(thetas=(1.0, 5e-324), horizons=(10.0,), scheme="exact")
         ExperimentConfig(thetas=(1e-300,), horizons=(10.0,), scheme="exact")
@@ -491,7 +491,9 @@ class TestGoldenBytes:
     """Report sha256 pinned from the whole-path sampler; each 6e5-step path spans 16 chunks.
 
     The band_coverage, emse and lil_coverage pins were taken from the per-report
-    reducers that the shared table reducer replaced.
+    reducers that the shared table reducer replaced.  The exact emse and normality pins
+    were retaken when the exact innovation sd became sigma sqrt(D(theta, dt)), which
+    moved its last bit at these rates; the former sd brings back the former pins.
     """
 
     PINS = {
@@ -501,9 +503,9 @@ class TestGoldenBytes:
         ("euler", "normality"): "7671a1eeaf4ac964d468e20fde363781f02b4af8b42addaff786f9845d22281d",
         ("euler", "lil_coverage"): "d2b0cedbae652150edf36b3a947038049dce66847f838ac373e4a91dde705060",
         ("exact", "band_coverage"): "66091602fde5f3f5522c10c6832687bab34ed8a209515ab3a35a6fa1868b4127",
-        ("exact", "emse"): "6354e4b18a25b7363d9a2ed6e158bde1a74fd4e5a9f932cc209d57709a02f941",
+        ("exact", "emse"): "e1e40d436092356fc957aa10df693f75246544df1c36abcc7057f360f520d0f8",
         ("exact", "predictor_bound"): "e3009ba763b62e884f0b51f047826eba0353ba9cb77e9d4ad489219a415db3b8",
-        ("exact", "normality"): "3094ce20a5429bdd2c96ffaf14c888289c50e2ea053173a2c8f66a38a6f6c16a",
+        ("exact", "normality"): "cda66074650a030e176dbcf16fb141072865ab3cefa47070e4fc7f31e531cc66",
         ("exact", "lil_coverage"): "6756f29342b833d775e543d6e3b3f62e6a738fbbe494c9b387ae23a289045185",
     }
 

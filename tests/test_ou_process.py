@@ -138,7 +138,11 @@ class TestConditionalMoments:
     def test_closed_form_point(self):
         mean, cov = conditional_moments(OuParams(theta=1.0), c=2.0, t=1.0, s=1.0)
         assert mean == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
-        assert cov == pytest.approx(0.5 + 4.0 * math.exp(-2.0), rel=1e-12)
+        assert cov == pytest.approx(0.5 * (1.0 - math.exp(-2.0)), rel=1e-12)
+
+    def test_no_variance_at_the_conditioning_time(self):
+        # 0 whatever c: an expanded (c - mu)^2 would also lose c - mu = 1 beside mu = 1e8
+        assert conditional_moments(OuParams(theta=1.0, mu=1e8), c=1e8 + 1, t=0.0, s=0.0)[1] == 0.0
 
     def test_negative_time_rejected(self):
         with pytest.raises(DomainError):
@@ -203,6 +207,21 @@ class TestSamplers:
             products = values[:, 0] * values[:, j]
             se = products.std(ddof=1) / math.sqrt(reps)
             assert abs(products.mean() - covariance(p, 0.0, lag)) <= 3.0 * se
+
+    def test_exact_paths_from_a_point_match_the_conditional_moments(self):
+        p = OuParams(theta=1.0, mu=0.5, sigma=1.3)
+        g = TimeGrid(2.0, 0.02)
+        reps, c = 4000, 2.0
+        values = np.empty((reps, g.n_steps + 1))
+        for r in range(reps):
+            values[r] = sample_exact(p, g, np.random.default_rng(70_000 + r), x0=c).values
+        for t, s in ((1.0, 1.0), (0.5, 2.0)):
+            i, j = int(round(t / g.dt)), int(round(s / g.dt))
+            mean_t, cov_ts = conditional_moments(p, c, t, s)
+            mean_s, _ = conditional_moments(p, c, s, s)
+            products = (values[:, i] - mean_t) * (values[:, j] - mean_s)
+            se = products.std(ddof=1) / math.sqrt(reps)
+            assert abs(products.mean() - cov_ts) <= 3.0 * se
 
     @pytest.mark.parametrize("sampler,kwargs", [(sample_euler, {"x0": 0.0}), (sample_exact, {"stationary": True})])
     def test_bit_determinism(self, sampler, kwargs):

@@ -253,14 +253,15 @@ class TestPathCsvStreaming:
     # sha256 of `oufar simulate --theta 0.7 --t-end 200 --dt 0.02 --seed 1` CSV bytes
     # with these extra flags; the first two were computed with the whole-text writer
     # before the block writer replaced it, the others before `simulate` had one
-    # sampler call per scheme
+    # sampler call per scheme.  The exact pins were retaken when the exact innovation
+    # sd became sigma sqrt(D(theta, dt)); the former sd brings back the former pins
     GOLDEN = {
         "--scheme euler": "48673391a9f30491ab92e8c89ad4a57bfd839eab0c8de4fa05fbc3ae3e990909",
-        "--scheme exact": "8eb31f83a432b30b18cea59b100760efb2638d3b1644a183e61a270214fbebf1",
+        "--scheme exact": "c83d921d26b5b07bc4aeefeaa918dd9b47b635bc381bb18cbffec7208ab35e91",
         "--scheme exact --stationary":
-            "257cadfb75139f0648e807cd547f2acbaf1eea6021884e6cdbc2994e5737b0df",
+            "f97b9ab0f9f2dcce08062fa9875408ee9648e04cbd221aaec69ea7b66fabe588",
         "--scheme exact --x0 0.5":
-            "37135804d18f3b92446956b157bfbe171c3f2d81d0ebfa38ac4c88886b4d0c30",
+            "13b6cbd17f67a5fe937b76b797f0bc43cee4da694a337e297cd4daf43f5c1017",
         "--scheme euler --x0 -1.25 --mu 0.3 --sigma 2":
             "0142214902fca260a874345e37fc89cd26306a967a47a7d08923f714c6e1564a",
     }
@@ -571,6 +572,26 @@ class TestSimulateCommand:
         assert capsys.readouterr().err.startswith(f"error: --out {out} must be a regular file")
         assert list(tmp_path.iterdir()) == [out]
 
+    def test_exact_scheme_takes_a_sigma_whose_square_overflows(self, tmp_path):
+        # its innovation sd is sigma sqrt(D(theta, dt)) = 1.4e199: no sigma^2 is formed
+        out = tmp_path / "out"
+        assert main(["simulate", "--theta", "1", "--sigma", "1e200", "--t-end", "10",
+                     "--dt", "0.02", "--scheme", "exact", "--seed", "1", "--out", str(out)]) == 0
+        values, _ = read_path_csv(out)
+        assert np.all(np.isfinite(values)) and np.max(np.abs(values)) > 1e198
+
+    def test_both_schemes_draw_noise_at_a_tiny_theta_dt(self, tmp_path):
+        # theta dt = 2e-19: the Euler factor and the exact decay round to 1.0, and the
+        # exact sd is sqrt(dt) to rounding, so both schemes write the same random walk
+        values = {}
+        for scheme in ("euler", "exact"):
+            out = tmp_path / f"{scheme}.csv"
+            assert main(["simulate", "--theta", "1e-17", "--t-end", "0.1", "--dt", "0.02",
+                         "--scheme", scheme, "--seed", "1", "--out", str(out)]) == 0
+            values[scheme], _ = read_path_csv(out)
+        assert np.any(values["exact"] != 0.0)
+        assert values["euler"].tobytes() == values["exact"].tobytes()
+
     def test_stationary_requires_exact(self, tmp_path):
         code = main(["simulate", "--theta", "1", "--t-end", "1", "--dt", "0.02",
                      "--stationary", "--seed", "1", "--out", str(tmp_path / "x.csv")])
@@ -831,9 +852,6 @@ class TestNormsCommand:
             # finite flags, an overflowing path
             ["simulate", "--theta", "1", "--sigma", "1e308", "--t-end", "10", "--dt", "0.02",
              "--seed", "1"],
-            # sigma**2 overflows in the exact transition
-            ["simulate", "--theta", "1", "--sigma", "1e200", "--t-end", "10", "--dt", "0.02",
-             "--scheme", "exact", "--seed", "1"],
         ],
     )
     def test_nonfinite_or_overflowing_flags_exit_2(self, tmp_path, capsys, argv):
@@ -1102,7 +1120,7 @@ class TestExperimentCommand:
             pytest.param(json.dumps({"thetas": [0.7], "horizons": [100.0] * 65537}),
                          id="65537-horizons"),
             '{"thetas":[0.7],"horizons":[100.0],"replicates":4294967297}',
-            # the exact scheme's stationary variance 1 / (2 theta) overflows
+            # the exact scheme's stationary variance, D(theta, inf) = 0.5 / theta, overflows
             pytest.param('{"thetas":[5e-324],"horizons":[10.0],"scheme":"exact"}',
                          id="exact-stationary-overflow"),
         ],
