@@ -19,9 +19,7 @@ from .experiments import (
 )
 from .functional import (
     FunctionalSegment,
-    RhoOperator,
     SegmentGrid,
-    apply_rho,
     apply_rho_power,
     atom_indicator,
     b_norm,
@@ -95,13 +93,11 @@ __all__ = [
     "lil_envelope",
     "SegmentGrid",
     "FunctionalSegment",
-    "RhoOperator",
     "segment_path",
     "h_norm",
     "b_norm",
     "atom_indicator",
     "trapezoid_quad",
-    "apply_rho",
     "apply_rho_power",
     "rho_norm_h",
     "rho_norm_h_discrete",

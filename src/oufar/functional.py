@@ -81,11 +81,6 @@ class FunctionalSegment:
         return float(self.values[-1])
 
 
-def _check_same_grid(a: SegmentGrid, b: SegmentGrid) -> None:
-    if a.h != b.h or a.m != b.m:
-        raise GridMismatch(f"segment grids differ: ({a.h}, {a.m}) vs ({b.h}, {b.m})")
-
-
 def trapezoid_quad(values: np.ndarray, dx: float) -> float:
     """Composite trapezoid sum; the one quadrature used across the package."""
     values = np.asarray(values, dtype=float)
@@ -94,18 +89,8 @@ def trapezoid_quad(values: np.ndarray, dx: float) -> float:
     return float(dx * (0.5 * values[0] + np.sum(values[1:-1]) + 0.5 * values[-1]))
 
 
-def h_norm(seg: FunctionalSegment, atom_only: bool = False) -> float:
-    """sqrt(Q(f^2) + f(h)^2) with Q the trapezoid rule on the segment grid.
-
-    ``atom_only=True`` treats the interior integral as exactly zero; it is
-    only valid for functions supported on the endpoint atom (all interior
-    nodes zero) and exists so the atom indicator has unit norm exactly
-    rather than up to one trapezoid cell.
-    """
-    if atom_only:
-        if np.any(seg.values[:-1] != 0.0):
-            raise ValueError("atom_only applies to functions supported on the atom")
-        return abs(seg.end_value)
+def h_norm(seg: FunctionalSegment) -> float:
+    """sqrt(Q(f^2) + f(h)^2) with Q the trapezoid rule on the segment grid."""
     interior = trapezoid_quad(seg.values**2, seg.grid.dt)
     return math.sqrt(interior + seg.end_value**2)
 
@@ -126,34 +111,19 @@ def atom_indicator(grid: SegmentGrid) -> FunctionalSegment:
     return FunctionalSegment(grid=grid, values=values)
 
 
-@dataclass(frozen=True)
-class RhoOperator:
-    """Autocorrelation operator x -> exp(-theta t) x(h) on a segment grid."""
-
-    theta: float
-    grid: SegmentGrid
-
-    def __post_init__(self):
-        check_positive(theta=self.theta)
-
-
 def _check_power(k: int) -> None:
     """Raise DomainError unless the operator power k is an integer >= 1 (bool excluded)."""
     if not (isinstance(k, numbers.Integral) and not isinstance(k, bool) and k >= 1):
         raise DomainError(f"power must be an integer >= 1, got {k!r}")
 
 
-def apply_rho(op: RhoOperator, x: FunctionalSegment) -> FunctionalSegment:
-    """(rho x)(t) = exp(-theta t) x(h) at every node: rho^1, whose factor 1.0 x(h) is exact."""
-    return apply_rho_power(op, 1, x)
+def apply_rho_power(theta: float, k: int, x: FunctionalSegment) -> FunctionalSegment:
+    """(rho^k x)(t) = exp(-theta t) rho_norm_b(theta, k, h) x(h) at the nodes of x's grid.
 
-
-def apply_rho_power(op: RhoOperator, k: int, x: FunctionalSegment) -> FunctionalSegment:
-    """k-fold composition: (rho^k x)(t) = exp(-theta t) rho_norm_b(theta, k, h) x(h)."""
-    _check_same_grid(op.grid, x.grid)
-    factor = rho_norm_b(op.theta, k, op.grid.h) * x.end_value
-    values = np.exp(-op.theta * op.grid.times()) * factor
-    return FunctionalSegment(grid=x.grid, values=values)
+    The checks of theta and k are ``rho_norm_b``'s; at k = 1 its factor 1.0 x(h) is exact.
+    """
+    factor = rho_norm_b(theta, k, x.grid.h) * x.end_value
+    return FunctionalSegment(grid=x.grid, values=np.exp(-theta * x.grid.times()) * factor)
 
 
 def rho_norm_h(theta: float, k: int, h: float) -> float:
@@ -173,7 +143,7 @@ def rho_norm_h_discrete(theta: float, k: int, grid: SegmentGrid) -> float:
     """Discrete-grid oracle for ``rho_norm_h``.
 
     rho^k(x) depends on x only through x(h), so the discrete operator norm is
-    attained by the atom indicator (unit norm in atom-only mode) and equals
+    attained by the atom indicator and equals
 
         sqrt(Q(exp(-2 theta t)) + exp(-2 theta h)) * exp(-theta (k-1) h)
 
@@ -194,11 +164,13 @@ def rho_norm_b(theta: float, k: int, h: float) -> float:
     t = 0), so the value is <= 1 always and equals 1 exactly for k = 1.
     The exact value for k >= 2 follows from the same witness; only the
     upper bound <= 1 is classical.  ``rho_norm_h`` and ``apply_rho_power``
-    take the decay of rho^k from here.
+    take the decay of rho^k from here.  The exponent is theta (k-1) h, or
+    (theta h) (k-1) where theta (k-1) overflows and the exponent need not.
     """
     check_positive(theta=theta, h=h)
     _check_power(k)
-    return math.exp(-theta * (k - 1) * h)
+    rate = theta * (k - 1)
+    return math.exp(-(rate * h if rate < math.inf else theta * h * (k - 1)))
 
 
 def k0(theta: float) -> int:
@@ -319,9 +291,10 @@ def innovation(x_n: FunctionalSegment, x_prev: FunctionalSegment, theta: float) 
     For consecutive blocks of one path, eps_n(0) = X_n(0) - X_{n-1}(h) = 0
     exactly because the boundary sample is shared.
     """
-    _check_same_grid(x_n.grid, x_prev.grid)
-    op = RhoOperator(theta=theta, grid=x_n.grid)
-    values = x_n.values - apply_rho(op, x_prev).values
+    a, b = x_n.grid, x_prev.grid
+    if a != b:
+        raise GridMismatch(f"segment grids differ: ({a.h}, {a.m}) vs ({b.h}, {b.m})")
+    values = x_n.values - apply_rho_power(theta, 1, x_prev).values
     return FunctionalSegment(grid=x_n.grid, values=values)
 
 

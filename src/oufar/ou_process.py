@@ -324,12 +324,16 @@ def conditional_moments(params: OuParams, c: float, t: float, s: float):
 
 
 def gaussian_tail_bound(sigma: float, x):
-    """Upper bound exp(-x^2/(2 sigma^2)) for P(|N(0, sigma^2)| >= x), x >= 0."""
+    """Upper bound exp(-z^2/2), z = x/sigma, for P(|N(0, sigma^2)| >= x), x >= 0.
+
+    Taken through z, it forms no 2 sigma^2, which underflows to 0 below sigma = 1e-162.
+    """
     check_positive(sigma=sigma)
     x = np.asarray(x, dtype=float)
     if np.any(x < 0.0):
         raise DomainError("tail bound requires x >= 0")
-    out = np.exp(-(x * x) / (2.0 * sigma * sigma))
+    z = x / sigma
+    out = np.exp(-0.5 * z * z)
     return out if out.ndim else float(out)
 
 

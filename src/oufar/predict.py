@@ -14,8 +14,7 @@ import numpy as np
 
 from .functional import (
     FunctionalSegment,
-    RhoOperator,
-    apply_rho,
+    apply_rho_power,
     operator_distance_b,
     operator_distance_h,
 )
@@ -35,8 +34,12 @@ class PredictionRecord:
 
 
 def plug_in_predict(theta_hat: float, x_prev: FunctionalSegment) -> FunctionalSegment:
-    """Forecast exp(-theta_hat t) x_prev(h); RhoOperator rejects a theta_hat not in (0, inf)."""
-    return apply_rho(RhoOperator(theta=theta_hat, grid=x_prev.grid), x_prev)
+    """Forecast exp(-theta_hat t) x_prev(h): ``apply_rho_power(theta_hat, 1, x_prev)``.
+
+    Its factor 1.0 x_prev(h) is exact.  A theta_hat that is not positive and finite
+    raises DomainError.
+    """
+    return apply_rho_power(theta_hat, 1, x_prev)
 
 
 def predict_segment(

@@ -75,6 +75,7 @@ _TABLE = {
         ((2.225073858507e-311, 1, 9.006490688420996e307), "9.48075190810917648044387981656e153",
          1e-15),  # -expm1(-x) / theta overflows
         ((1.5e-323, 1, 1.3), "1.5165750888103101254925527583", 1e-15),  # theta h is subnormal
+        ((1e308, 3, 1e-308), "0.0497870683678639548825807514859", 1e-15),  # theta (k-1) overflows
     ],
     rho_norm_b: [  # (theta, k, h)
         ((0.7, 3, 1.5), "0.122456428252981926533120915251", 1e-15),
@@ -82,6 +83,7 @@ _TABLE = {
         ((1e-17, 5, 1.0), "0.99999999999999996", 1e-15),
         ((2.0, 1000, 0.3), "4.82933738771946198601937582611e-261", 1e-13),  # exp(-599.4)
         ((1e300, 1, 1e300), "1", 0.0),
+        ((1e308, 3, 1e-308), "0.135335283236612713464903807052", 1e-15),  # theta (k-1) overflows
     ],
     operator_distance_h: [  # (theta, theta_hat, h)
         ((0.7, 0.7001, 1.5), "7.28581617242260699479341708298e-5", 1e-12),  # near: series
@@ -120,8 +122,10 @@ _TABLE = {
     gaussian_tail_bound: [  # (sigma, x)
         ((1.0, 0.5), "0.882496902584595402864892143229", 1e-15),
         ((2.0, 3.0), "0.324652467358349729797068137472", 1e-15),
-        ((0.1, 1.0), "1.92874984796392848972979257561e-22", 1e-14),  # exp(-50.000000000000003)
+        ((0.1, 1.0), "1.92874984796392848972979257561e-22", 1e-14),  # x / sigma rounds to 10
         ((1.0, 30.0), "3.69388306848725621879342752457e-196", 1e-15),
+        ((1e-200, 0.0), "1", 0.0),  # sigma^2 underflows
+        ((1e-200, 1e-200), "0.606530659712633423603799534991", 1e-15),
     ],
     exact_sd: [  # (theta, dt[, sigma])
         ((1e-17, 0.02), "0.141421356237309506337988416813", 1e-15),  # exp(-2 theta dt) is 1.0

@@ -6,11 +6,13 @@ integer >= 1: each call must raise DomainError.  The validation table calls
 the other argument checks once each and matches their messages.  The oracles
 keep the bodies of ``apply_rho_power``, ``coverage_cell`` and ``error_bound_h``
 from before they shared one copy of their formulas, and compare the two bit
-for bit on valid inputs.  ``_rate_gap`` keeps its former bits where the first
-rate is the smaller.  ``rho_norm_h`` agrees with its former body within 5e-15
-where that body does not cancel.  The near-rate branch of
-``operator_distance_h`` keeps its former body too: the unit-interval moments
-give its bits at h = 1 and agree within 1e-15 elsewhere.
+for bit on valid inputs, ``apply_rho_power`` where theta (k-1) is finite.
+``plug_in_predict`` keeps the bits of its former body, ``apply_rho_power`` at
+k = 1.  ``_rate_gap`` keeps its former bits where the first rate is the
+smaller.  ``rho_norm_h`` agrees with its former body within 5e-15 where that
+body does not cancel.  The near-rate branch of ``operator_distance_h`` keeps
+its former body too: the unit-interval moments give its bits at h = 1 and
+agree within 1e-15 elsewhere.
 """
 
 import math
@@ -29,7 +31,6 @@ from oufar import (
     FunctionalSegment,
     GridMismatch,
     OuParams,
-    RhoOperator,
     SamplePath,
     SegmentGrid,
     TimeGrid,
@@ -45,6 +46,7 @@ from oufar import (
     operator_distance_b,
     operator_distance_h,
     operator_distance_h_bound,
+    plug_in_predict,
     prediction_error_b,
     prediction_error_h,
     rho_norm_b,
@@ -53,7 +55,7 @@ from oufar import (
     trapezoid_quad,
 )
 from oufar.experiments import coverage_cell, lil_cell, z_scores
-from oufar.functional import _check_same_grid, _rate_gap
+from oufar.functional import _rate_gap
 from oufar.ou_process import _special_ufunc, check_positive
 from oufar.reporting import profile_config
 
@@ -65,8 +67,7 @@ _X = FunctionalSegment(_GRID, np.linspace(-1.0, 1.0, 9))
 _CLOSED_FORMS = {
     "OuParams": (OuParams, dict(theta=1.0, sigma=1.0), ("theta", "sigma"), ()),
     "gaussian_tail_bound": (gaussian_tail_bound, dict(sigma=1.0, x=0.5), ("sigma",), ()),
-    "RhoOperator": (RhoOperator, dict(theta=1.0, grid=_GRID), ("theta",), ()),
-    "apply_rho_power": (apply_rho_power, dict(op=RhoOperator(1.0, _GRID), k=2, x=_X), (), ("k",)),
+    "apply_rho_power": (apply_rho_power, dict(theta=1.0, k=2, x=_X), ("theta",), ("k",)),
     "rho_norm_h": (rho_norm_h, dict(theta=1.0, k=2, h=1.0), ("theta", "h"), ("k",)),
     "rho_norm_b": (rho_norm_b, dict(theta=1.0, k=2, h=1.0), ("theta", "h"), ("k",)),
     "rho_norm_h_discrete": (rho_norm_h_discrete, dict(theta=1.0, k=2, grid=_GRID), ("theta",),
@@ -214,13 +215,12 @@ def _reference_rate_gap(a: float, b: float, t: float) -> float:
         return math.exp(-b * t) * -math.expm1((b - a) * t)
 
 
-def _reference_apply_rho_power(op: RhoOperator, k: int, x: FunctionalSegment) -> FunctionalSegment:
-    """apply_rho_power before it took its decay from rho_norm_b, kept verbatim."""
+def _reference_apply_rho_power(theta: float, k: int, x: FunctionalSegment) -> FunctionalSegment:
+    """apply_rho_power before it took its decay from rho_norm_b, its formula kept verbatim."""
     if k < 1:
         raise DomainError(f"power must be >= 1, got {k}")
-    _check_same_grid(op.grid, x.grid)
-    factor = math.exp(-op.theta * (k - 1) * op.grid.h) * x.end_value
-    values = np.exp(-op.theta * op.grid.times()) * factor
+    factor = math.exp(-theta * (k - 1) * x.grid.h) * x.end_value
+    values = np.exp(-theta * x.grid.times()) * factor
     return FunctionalSegment(grid=x.grid, values=values)
 
 
@@ -342,13 +342,29 @@ class TestFormerBodies:
     @example(theta=0.7, k=1, h=1.0, m=4, end=-0.0, inner=1.0)
     @example(theta=0.7, k=3, h=1.0, m=4, end=0.0, inner=-1.0)
     def test_apply_rho_power(self, theta, k, h, m, end, inner):
+        # where theta (k - 1) overflows, the former body's decay is 0.0 and wrong
+        assume(theta * (k - 1) < math.inf)
         grid = SegmentGrid(h=h, m=m)
         values = np.full(m + 1, inner)
         values[-1] = end
-        op, x = RhoOperator(theta, grid), FunctionalSegment(grid, values)
+        x = FunctionalSegment(grid, values)
         with np.errstate(all="ignore"):
-            got = apply_rho_power(op, k, x).values
-            expected = _reference_apply_rho_power(op, k, x).values
+            got = apply_rho_power(theta, k, x).values
+            expected = _reference_apply_rho_power(theta, k, x).values
+        assert _bits(got) == _bits(expected)
+
+    @settings(max_examples=300)
+    @given(theta_hat=_RATES, h=_RATES, m=st.integers(1, 40), end=_ENDPOINTS, inner=_FINITE)
+    @example(theta_hat=0.7, h=1.0, m=4, end=-0.0, inner=1.0)
+    def test_plug_in_predict(self, theta_hat, h, m, end, inner):
+        # the former body applied rho_theta_hat once through apply_rho_power at k = 1
+        grid = SegmentGrid(h=h, m=m)
+        values = np.full(m + 1, inner)
+        values[-1] = end
+        x = FunctionalSegment(grid, values)
+        with np.errstate(all="ignore"):
+            got = plug_in_predict(theta_hat, x).values
+            expected = _reference_apply_rho_power(theta_hat, 1, x).values
         assert _bits(got) == _bits(expected)
 
     @settings(max_examples=300)

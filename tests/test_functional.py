@@ -12,10 +12,8 @@ from oufar import (
     FunctionalSegment,
     GridMismatch,
     OuParams,
-    RhoOperator,
     SegmentGrid,
     TimeGrid,
-    apply_rho,
     apply_rho_power,
     atom_indicator,
     b_norm,
@@ -97,14 +95,8 @@ class TestNorms:
     def test_atom_indicator_norm(self):
         grid = SegmentGrid(h=1.0, m=10**4)
         x0 = atom_indicator(grid)
-        assert h_norm(x0, atom_only=True) == 1.0
         # full quadrature picks up half a trapezoid cell from the last interval
         assert h_norm(x0) == pytest.approx(math.sqrt(1.0 + grid.dt / 2.0), rel=1e-12)
-
-    def test_atom_only_rejects_interior_support(self):
-        seg = _segment(1.0, 10, lambda t: np.ones_like(t))
-        with pytest.raises(ValueError):
-            h_norm(seg, atom_only=True)
 
     def test_b_norm_zero(self):
         assert b_norm(_segment(1.0, 50, lambda t: 0.0 * t)) == 0.0
@@ -125,73 +117,61 @@ class TestNorms:
 
 class TestRhoOperator:
     def test_rejects_nonpositive_rate(self):
+        x = atom_indicator(SegmentGrid(1.0, 10))
         with pytest.raises(DomainError):
-            RhoOperator(theta=0.0, grid=SegmentGrid(1.0, 10))
+            apply_rho_power(0.0, 1, x)
         with pytest.raises(DomainError):
-            RhoOperator(theta=-0.3, grid=SegmentGrid(1.0, 10))
+            apply_rho_power(-0.3, 1, x)
 
     def test_zero_endpoint_gives_zero_segment(self):
-        grid = SegmentGrid(1.0, 20)
         x = _segment(1.0, 20, lambda t: np.sin(math.pi * t))  # sin(pi) node is ~0 but not exact
         x.values[-1] = 0.0
-        out = apply_rho(RhoOperator(theta=1.0, grid=grid), x)
+        out = apply_rho_power(1.0, 1, x)
         assert np.all(out.values == 0.0)
 
     def test_output_at_zero_is_endpoint(self):
-        grid = SegmentGrid(1.0, 20)
         x = _segment(1.0, 20, lambda t: t + 0.3)
-        out = apply_rho(RhoOperator(theta=2.3, grid=grid), x)
+        out = apply_rho_power(2.3, 1, x)
         assert out.values[0] == x.values[-1]
 
     def test_point_value(self):
-        grid = SegmentGrid(1.0, 10)
         x = _segment(1.0, 10, lambda t: 2.0 * np.ones_like(t))
-        out = apply_rho(RhoOperator(theta=1.0, grid=grid), x)
+        out = apply_rho_power(1.0, 1, x)
         assert out.values[-1] == pytest.approx(2.0 * math.exp(-1.0), rel=1e-12)
 
-    def test_grid_mismatch(self):
-        with pytest.raises(GridMismatch):
-            apply_rho(RhoOperator(theta=1.0, grid=SegmentGrid(1.0, 10)), _segment(1.0, 20, np.cos))
-
     def test_rank_one_ignores_interior(self):
-        grid = SegmentGrid(1.0, 30)
-        op = RhoOperator(theta=0.8, grid=grid)
         x = _segment(1.0, 30, lambda t: np.cos(t))
-        y = FunctionalSegment(grid, x.values.copy())
+        y = FunctionalSegment(x.grid, x.values.copy())
         y.values[1:-1] = 1e6  # perturb everything except the endpoint
-        assert apply_rho(op, x).values.tobytes() == apply_rho(op, y).values.tobytes()
+        out_x, out_y = apply_rho_power(0.8, 1, x), apply_rho_power(0.8, 1, y)
+        assert out_x.values.tobytes() == out_y.values.tobytes()
 
 
 class TestRhoPower:
     def test_power_one_matches_apply(self):
-        grid = SegmentGrid(1.0, 25)
-        op = RhoOperator(theta=1.3, grid=grid)
         x = _segment(1.0, 25, lambda t: t**2 + 1.0)
-        np.testing.assert_array_equal(apply_rho_power(op, 1, x).values, apply_rho(op, x).values)
+        np.testing.assert_array_equal(
+            apply_rho_power(1.3, 1, x).values, np.exp(-1.3 * x.grid.times()) * x.end_value
+        )
 
     @pytest.mark.parametrize("k", [2, 3, 5])
     def test_composition_oracle(self, k):
-        grid = SegmentGrid(0.5, 40)
-        op = RhoOperator(theta=0.9, grid=grid)
         x = _segment(0.5, 40, lambda t: np.sin(t) + 2.0)
         composed = x
         for _ in range(k):
-            composed = apply_rho(op, composed)
+            composed = apply_rho_power(0.9, 1, composed)
         np.testing.assert_allclose(
-            apply_rho_power(op, k, x).values, composed.values, rtol=1e-12, atol=1e-15
+            apply_rho_power(0.9, k, x).values, composed.values, rtol=1e-12, atol=1e-15
         )
 
     def test_point_value(self):
-        grid = SegmentGrid(1.0, 10)
-        op = RhoOperator(theta=0.4, grid=grid)
         x = _segment(1.0, 10, lambda t: np.ones_like(t))
-        out = apply_rho_power(op, 4, x)
+        out = apply_rho_power(0.4, 4, x)
         assert out.values[0] == pytest.approx(0.30119421, rel=1e-7)
 
     def test_rejects_bad_power(self):
-        grid = SegmentGrid(1.0, 10)
         with pytest.raises(DomainError):
-            apply_rho_power(RhoOperator(theta=1.0, grid=grid), 0, atom_indicator(grid))
+            apply_rho_power(1.0, 0, atom_indicator(SegmentGrid(1.0, 10)))
 
 
 class TestOperatorNormH:
@@ -223,9 +203,8 @@ class TestOperatorNormH:
         # indicator mass at the atom realizes the norm up to O(1/m)
         for theta in (0.4, 1.0, 2.0):
             grid = SegmentGrid(h=1.0, m=10**4)
-            op = RhoOperator(theta=theta, grid=grid)
             x0 = atom_indicator(grid)
-            ratio = h_norm(apply_rho(op, x0)) / h_norm(x0)
+            ratio = h_norm(apply_rho_power(theta, 1, x0)) / h_norm(x0)
             oracle = rho_norm_h_discrete(theta, 1, grid)
             assert abs(ratio - oracle) / oracle <= 1e-4
 
@@ -396,11 +375,14 @@ class TestExponentialLipschitz:
 
 class TestInnovation:
     def test_exact_autoregression_gives_zero(self):
-        grid = SegmentGrid(1.0, 30)
         x_prev = _segment(1.0, 30, lambda t: np.cos(t) + 1.0)
-        x_n = apply_rho(RhoOperator(theta=0.6, grid=grid), x_prev)
+        x_n = apply_rho_power(0.6, 1, x_prev)
         eps = innovation(x_n, x_prev, 0.6)
         assert np.all(eps.values == 0.0)
+
+    def test_grid_mismatch(self):
+        with pytest.raises(GridMismatch):
+            innovation(_segment(1.0, 10, np.cos), _segment(1.0, 20, np.cos), 1.0)
 
     def test_starts_at_zero_for_path_segments(self):
         path = sample_exact(
@@ -433,7 +415,6 @@ class TestTruncatedMovingAverage:
         )
         segs = segment_path(path, 1.0)
         grid = segs[0].grid
-        op = RhoOperator(theta=theta, grid=grid)
         eps = [None] + [innovation(segs[n], segs[n - 1], theta) for n in range(1, len(segs))]
         k_max = 5 * k0(theta)
         start = k_max + 1
@@ -444,7 +425,7 @@ class TestTruncatedMovingAverage:
                 acc = np.zeros(grid.m + 1)
                 for k in range(trunc + 1):
                     e = eps[n - k]
-                    acc += e.values if k == 0 else apply_rho_power(op, k, e).values
+                    acc += e.values if k == 0 else apply_rho_power(theta, k, e).values
                 total += h_norm(FunctionalSegment(grid, segs[n].values - acc))
             mean_residual.append(total / (len(segs) - start))
         assert all(b < a for a, b in zip(mean_residual, mean_residual[1:]))

@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from oufar import (
     DomainError,
     FunctionalSegment,
-    RhoOperator,
     SegmentGrid,
-    apply_rho,
+    apply_rho_power,
     b_norm,
     error_bound_b,
     error_bound_h,
@@ -41,8 +40,8 @@ class TestPlugInPredict:
 
     def test_matches_operator_at_true_rate(self):
         x = _segment(1.0, 20, lambda t: np.sin(t) + 0.5)
-        op = RhoOperator(theta=0.9, grid=x.grid)
-        assert plug_in_predict(0.9, x).values.tobytes() == apply_rho(op, x).values.tobytes()
+        expected = apply_rho_power(0.9, 1, x).values
+        assert plug_in_predict(0.9, x).values.tobytes() == expected.tobytes()
 
     def test_rejects_nonpositive_rate(self):
         x = _segment(1.0, 10, lambda t: np.ones_like(t))
@@ -80,8 +79,7 @@ class TestExactErrors:
         x = _segment(1.0, 1000, lambda t: np.sin(3.0 * t) + 1.5)
         diff = FunctionalSegment(
             x.grid,
-            apply_rho(RhoOperator(theta, x.grid), x).values
-            - apply_rho(RhoOperator(theta_hat, x.grid), x).values,
+            apply_rho_power(theta, 1, x).values - apply_rho_power(theta_hat, 1, x).values,
         )
         exact = prediction_error_h(theta, theta_hat, x.values[-1], 1.0)
         assert h_norm(diff) == pytest.approx(exact, rel=1e-5)
@@ -91,8 +89,7 @@ class TestExactErrors:
         x = _segment(1.0, 1000, lambda t: np.cos(t) - 2.0)
         diff = FunctionalSegment(
             x.grid,
-            apply_rho(RhoOperator(theta, x.grid), x).values
-            - apply_rho(RhoOperator(theta_hat, x.grid), x).values,
+            apply_rho_power(theta, 1, x).values - apply_rho_power(theta_hat, 1, x).values,
         )
         exact = prediction_error_b(theta, theta_hat, x.values[-1], 1.0)
         assert b_norm(diff) == pytest.approx(exact, abs=1e-4 * abs(x.values[-1]))

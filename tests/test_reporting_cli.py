@@ -759,6 +759,13 @@ class TestNormsCommand:
         assert norms[0] == pytest.approx(7.0710678118654752e-155, rel=1e-14, abs=0.0)
         assert norms[1:] == [0.0] * 9
 
+    def test_rate_whose_power_multiple_overflows(self, capsys):
+        # theta (k - 1) overflows at k = 3 and theta h (k - 1) = 2 does not (mpmath)
+        assert main(["norms", "--theta", "1e308", "--h", "1e-308", "--k-max", "3"]) == 0
+        row = json.loads(capsys.readouterr().out)["norms"][2]
+        assert row["rho_norm_B"] == pytest.approx(0.13533528323661271, rel=1e-15, abs=0.0)
+        assert row["rho_norm_H"] == pytest.approx(0.049787068367863955, rel=1e-15, abs=0.0)
+
     def test_subnormal_rate(self, capsys):
         # 1/theta overflows a double: k0 is taken in integers, the integral term is h
         assert main(["norms", "--theta", "1e-320", "--h", "1"]) == 0
