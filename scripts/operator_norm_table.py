@@ -10,7 +10,9 @@ power k0 = ceil(1/theta + 1) is marked.
 import argparse
 import sys
 
-from oufar.functional import SegmentGrid, k0, rho_norm_b, rho_norm_h, rho_norm_h_discrete
+from oufar import GridMismatch, TimeGrid
+from oufar.functional import k0, rho_norm_b, rho_norm_h, rho_norm_h_discrete
+from oufar.ou_process import positive_finite
 
 
 def main() -> int:
@@ -22,8 +24,15 @@ def main() -> int:
         "--thetas", type=float, nargs="+", default=[0.1, 0.4, 0.7, 1.0, 2.0, 5.0]
     )
     args = parser.parse_args()
-
-    grid = SegmentGrid(h=args.h, m=args.m)
+    if args.m < 1:
+        parser.error(f"--m must be at least 1, got {args.m}")
+    bad = [x for x in (args.h, *args.thetas) if not positive_finite(x)]
+    if bad:
+        parser.error(f"--h and --thetas must be positive and finite, got {bad}")
+    try:
+        grid = TimeGrid(t_end=args.h, dt=args.h / args.m)
+    except GridMismatch as exc:  # h / m underflows
+        parser.error(f"no grid of {args.m} steps on [0, {args.h}]: {exc}")
     print(f"h = {args.h}, oracle grid m = {args.m}")
     print(f"{'theta':>7} {'k':>3} {'norm_H':>12} {'oracle':>12} {'rel gap':>10} {'norm_B':>10}")
     for theta in args.thetas:
@@ -31,7 +40,8 @@ def main() -> int:
         for k in range(1, args.k_max + 1):
             closed = rho_norm_h(theta, k, args.h)
             oracle = rho_norm_h_discrete(theta, k, grid)
-            gap = abs(oracle - closed) / closed
+            # the closed form underflows to 0 at a large theta (k - 1) h: the gap is then absolute
+            gap = abs(oracle - closed) / closed if closed else abs(oracle - closed)
             mark = " <- k0" if k == cut else ""
             print(
                 f"{theta:>7.2f} {k:>3} {closed:>12.6f} {oracle:>12.6f} "

@@ -19,7 +19,6 @@ from .experiments import (
 )
 from .functional import (
     FunctionalSegment,
-    SegmentGrid,
     apply_rho_power,
     atom_indicator,
     b_norm,
@@ -91,7 +90,6 @@ __all__ = [
     "asymptotic_std",
     "confidence_band",
     "lil_envelope",
-    "SegmentGrid",
     "FunctionalSegment",
     "segment_path",
     "h_norm",

@@ -1,8 +1,10 @@
 """Functional layer: path segmentation, norms, and the autocorrelation operator.
 
-A path on [0, T] is cut into blocks X_n(t) = xi_{nh + t}, 0 <= t <= h.  The
-blocks form an autoregression X_n = rho_theta(X_{n-1}) + eps_n driven by the
-rank-one operator (rho_theta x)(t) = exp(-theta t) x(h).  Two norms are used:
+A path on [0, T] is cut into blocks X_n(t) = xi_{nh + t}, 0 <= t <= h.  A block
+is a ``FunctionalSegment``: its values at the m + 1 nodes of a ``TimeGrid`` on
+[0, h] with step h/m, the grid type of the path itself.  The blocks form an
+autoregression X_n = rho_theta(X_{n-1}) + eps_n driven by the rank-one operator
+(rho_theta x)(t) = exp(-theta t) x(h).  Two norms are used:
 
 * ``h_norm``: sqrt(int_0^h f^2 dt + f(h)^2), the L2 norm under Lebesgue
   measure plus a unit point mass at the right endpoint.  The atom is carried
@@ -30,50 +32,24 @@ import numpy as np
 from .errors import DomainError, GridMismatch
 from .ou_process import (
     SamplePath,
+    TimeGrid,
     _decay_integral,
     _special_ufunc,
     check_positive,
     grid_multiple,
-    positive_finite,
+    grid_values,
 )
-
-
-@dataclass(frozen=True)
-class SegmentGrid:
-    """Nodes j*h/m, j = 0..m, on [0, h]; the last node carries the unit atom."""
-
-    h: float
-    m: int
-
-    def __post_init__(self):
-        if not positive_finite(self.h):
-            raise GridMismatch(f"segment length must be positive and finite, got {self.h}")
-        if self.m < 1:
-            raise GridMismatch(f"need at least one subdivision, got m={self.m}")
-
-    @property
-    def dt(self) -> float:
-        return self.h / self.m
-
-    def times(self) -> np.ndarray:
-        return np.arange(self.m + 1) * (self.h / self.m)
 
 
 @dataclass(eq=False)
 class FunctionalSegment:
-    """One functional block: m+1 node values, final entry is the value at h."""
+    """One functional block on the grid [0, h], h = grid.t_end: its last value is f(h)."""
 
-    grid: SegmentGrid
+    grid: TimeGrid
     values: np.ndarray
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.m + 1,):
-            raise GridMismatch(
-                f"segment needs {self.grid.m + 1} values, got {self.values.shape}"
-            )
-        if not np.all(np.isfinite(self.values)):
-            raise ValueError("segment values must be finite")
+        self.values = grid_values(self.grid, self.values, "segment")
 
     @property
     def end_value(self) -> float:
@@ -90,7 +66,7 @@ def trapezoid_quad(values: np.ndarray, dx: float) -> float:
 
 
 def h_norm(seg: FunctionalSegment) -> float:
-    """sqrt(Q(f^2) + f(h)^2) with Q the trapezoid rule on the segment grid."""
+    """sqrt(Q(f^2) + f(h)^2) with Q the trapezoid rule on the segment's grid."""
     interior = trapezoid_quad(seg.values**2, seg.grid.dt)
     return math.sqrt(interior + seg.end_value**2)
 
@@ -100,13 +76,13 @@ def b_norm(seg: FunctionalSegment) -> float:
     return float(np.max(np.abs(seg.values)))
 
 
-def atom_indicator(grid: SegmentGrid) -> FunctionalSegment:
+def atom_indicator(grid: TimeGrid) -> FunctionalSegment:
     """Indicator of a Lebesgue-null set containing h: zero except at the last node.
 
     It has unit norm under the endpoint-atom measure and attains the
     operator norm of the autocorrelation operator.
     """
-    values = np.zeros(grid.m + 1)
+    values = np.zeros(grid.n_steps + 1)
     values[-1] = 1.0
     return FunctionalSegment(grid=grid, values=values)
 
@@ -120,9 +96,10 @@ def _check_power(k: int) -> None:
 def apply_rho_power(theta: float, k: int, x: FunctionalSegment) -> FunctionalSegment:
     """(rho^k x)(t) = exp(-theta t) rho_norm_b(theta, k, h) x(h) at the nodes of x's grid.
 
-    The checks of theta and k are ``rho_norm_b``'s; at k = 1 its factor 1.0 x(h) is exact.
+    h is ``x.grid.t_end``.  The checks of theta and k are ``rho_norm_b``'s; at k = 1 its
+    factor 1.0 x(h) is exact.
     """
-    factor = rho_norm_b(theta, k, x.grid.h) * x.end_value
+    factor = rho_norm_b(theta, k, x.grid.t_end) * x.end_value
     return FunctionalSegment(grid=x.grid, values=np.exp(-theta * x.grid.times()) * factor)
 
 
@@ -139,22 +116,23 @@ def rho_norm_h(theta: float, k: int, h: float) -> float:
     return decay * math.sqrt(_decay_integral(theta, h) + math.exp(-theta * h * 2.0))
 
 
-def rho_norm_h_discrete(theta: float, k: int, grid: SegmentGrid) -> float:
-    """Discrete-grid oracle for ``rho_norm_h``.
+def rho_norm_h_discrete(theta: float, k: int, grid: TimeGrid) -> float:
+    """Discrete-grid oracle for ``rho_norm_h`` on the block grid [0, h], h = grid.t_end.
 
     rho^k(x) depends on x only through x(h), so the discrete operator norm is
     attained by the atom indicator and equals
 
-        sqrt(Q(exp(-2 theta t)) + exp(-2 theta h)) * exp(-theta (k-1) h)
+        rho_norm_b(theta, k, h) * sqrt(Q(exp(-2 theta t)) + exp(-2 theta h))
 
     with Q the trapezoid rule on the grid.  Agreement with the closed form is
-    O((h/m)^2), the quadrature error.
+    O((h/m)^2), the quadrature error, with m = grid.n_steps.  The exponents are
+    (theta t) 2, not (2 theta) t, which overflows above theta = 9e307, and the decay
+    and the checks of theta and k are ``rho_norm_b``'s.
     """
-    check_positive(theta=theta)
-    _check_power(k)
-    t = grid.times()
-    q = trapezoid_quad(np.exp(-2.0 * theta * t), grid.dt)
-    return math.sqrt(q + math.exp(-2.0 * theta * grid.h)) * math.exp(-theta * (k - 1) * grid.h)
+    h = grid.t_end
+    decay = rho_norm_b(theta, k, h)
+    q = trapezoid_quad(np.exp(-(theta * grid.times()) * 2.0), grid.dt)
+    return decay * math.sqrt(q + math.exp(-(theta * h) * 2.0))
 
 
 def rho_norm_b(theta: float, k: int, h: float) -> float:
@@ -293,7 +271,7 @@ def innovation(x_n: FunctionalSegment, x_prev: FunctionalSegment, theta: float) 
     """
     a, b = x_n.grid, x_prev.grid
     if a != b:
-        raise GridMismatch(f"segment grids differ: ({a.h}, {a.m}) vs ({b.h}, {b.m})")
+        raise GridMismatch(f"segment grids differ: {a} vs {b}")
     values = x_n.values - apply_rho_power(theta, 1, x_prev).values
     return FunctionalSegment(grid=x_n.grid, values=values)
 
@@ -301,8 +279,9 @@ def innovation(x_n: FunctionalSegment, x_prev: FunctionalSegment, theta: float) 
 def segment_path(path: SamplePath, h: float) -> list[FunctionalSegment]:
     """Cut a path into blocks X_n(t) = xi_{nh+t}, n = 0 .. floor(T/h) - 1.
 
-    ``h`` must be an integer multiple of the path step (1e-9 relative) and
-    T >= h.  Consecutive blocks share the boundary sample, so
+    ``h`` must be an integer multiple m of the path step (1e-9 relative) and
+    T >= h.  Every block is on ``TimeGrid(t_end=h, dt=h / m)``, whose nodes are
+    j (h/m), j = 0..m.  Consecutive blocks share the boundary sample, so
     X_n(0) == X_{n-1}(h) bit-exactly.
     """
     dt = path.grid.dt
@@ -312,7 +291,7 @@ def segment_path(path: SamplePath, h: float) -> list[FunctionalSegment]:
     n_segments = path.grid.n_steps // m
     if n_segments < 1:
         raise GridMismatch(f"path of length {path.grid.t_end} too short for segments of {h}")
-    grid = SegmentGrid(h=h, m=m)
+    grid = TimeGrid(t_end=h, dt=h / m)
     return [
         FunctionalSegment(grid=grid, values=path.values[n * m : (n + 1) * m + 1])
         for n in range(n_segments)

@@ -261,6 +261,21 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) * self.dt
 
 
+def grid_values(grid: TimeGrid, values, what: str) -> np.ndarray:
+    """``values`` as float64, one per node of ``grid``, every one finite.
+
+    The one check of the values of a path and of a block; ``what`` names them in the
+    messages.  A wrong count raises GridMismatch, a non-finite value DomainError.
+    """
+    values = np.asarray(values, dtype=float)
+    if values.shape != (grid.n_steps + 1,):
+        raise GridMismatch(f"{what} needs {grid.n_steps + 1} values, got {values.shape}")
+    # min and max propagate NaN, so both are finite iff every value is
+    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+        raise DomainError(f"{what} values must be finite")
+    return values
+
+
 @dataclass(eq=False)
 class SamplePath:
     """Discretized trajectory on a TimeGrid, first value at t=0."""
@@ -271,14 +286,7 @@ class SamplePath:
     scheme: str
 
     def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        if self.values.shape != (self.grid.n_steps + 1,):
-            raise GridMismatch(
-                f"path needs {self.grid.n_steps + 1} values, got {self.values.shape}"
-            )
-        # min and max propagate NaN, so both are finite iff every value is
-        if not (math.isfinite(self.values.min()) and math.isfinite(self.values.max())):
-            raise DomainError("path values must be finite")
+        self.values = grid_values(self.grid, self.values, "path")
         if self.scheme not in SCHEMES:
             raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
 

@@ -47,7 +47,7 @@ def predict_segment(
 ) -> PredictionRecord:
     """Build a PredictionRecord; with theta_true given, fills the exact errors."""
     predicted = plug_in_predict(theta_hat, x_prev)
-    h = x_prev.grid.h
+    h = x_prev.grid.t_end
     err_h = err_b = None
     if theta_true is not None:
         err_h = prediction_error_h(theta_true, theta_hat, x_prev.end_value, h)

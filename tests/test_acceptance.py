@@ -39,7 +39,7 @@ class TestCriterion1OperatorNormExactness:
             for h in LENGTHS_1:
                 if (theta, h) == (5.0, 5.0):
                     continue  # gate exceeded there; covered by the xfail below
-                grid = of.SegmentGrid(h=h, m=10**4)
+                grid = of.TimeGrid(t_end=h, dt=h / 10**4)
                 for k in POWERS_1:
                     closed = of.rho_norm_h(theta, k, h)
                     oracle = of.rho_norm_h_discrete(theta, k, grid)
@@ -69,7 +69,7 @@ class TestCriterion1OperatorNormExactness:
         "error term exceeds the 1e-6 gate at theta*h = 25",
     )
     def test_extreme_grid_point_at_stated_gate(self):
-        grid = of.SegmentGrid(h=5.0, m=10**4)
+        grid = of.TimeGrid(t_end=5.0, dt=5.0 / 10**4)
         for k in POWERS_1:
             closed = of.rho_norm_h(5.0, k, 5.0)
             oracle = of.rho_norm_h_discrete(5.0, k, grid)

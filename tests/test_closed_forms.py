@@ -4,9 +4,10 @@ The rejection table calls every public closed form with one rate, length or
 horizon made infinite, NaN, zero or negative, or with a power that is not an
 integer >= 1: each call must raise DomainError.  The validation table calls
 the other argument checks once each and matches their messages.  The oracles
-keep the bodies of ``apply_rho_power``, ``coverage_cell`` and ``error_bound_h``
-from before they shared one copy of their formulas, and compare the two bit
-for bit on valid inputs, ``apply_rho_power`` where theta (k-1) is finite.
+keep the bodies of ``apply_rho_power``, ``rho_norm_h_discrete``, ``coverage_cell``
+and ``error_bound_h`` from before they shared one copy of their formulas, and
+compare the two bit for bit on valid inputs, ``apply_rho_power`` where theta (k-1)
+is finite and ``rho_norm_h_discrete`` where 2 theta is finite too.
 ``plug_in_predict`` keeps the bits of its former body, ``apply_rho_power`` at
 k = 1.  ``_rate_gap`` keeps its former bits where the first rate is the
 smaller.  ``rho_norm_h`` agrees with its former body within 5e-15 where that
@@ -32,7 +33,6 @@ from oufar import (
     GridMismatch,
     OuParams,
     SamplePath,
-    SegmentGrid,
     TimeGrid,
     apply_rho_power,
     asymptotic_std,
@@ -59,7 +59,7 @@ from oufar.functional import _rate_gap
 from oufar.ou_process import _special_ufunc, check_positive
 from oufar.reporting import profile_config
 
-_GRID = SegmentGrid(h=1.0, m=8)
+_GRID = TimeGrid(t_end=1.0, dt=1.0 / 8)
 _X = FunctionalSegment(_GRID, np.linspace(-1.0, 1.0, 9))
 
 # closed form -> (callable, a valid call's keyword arguments, its rates, lengths and
@@ -118,11 +118,12 @@ _VALIDATIONS = {
                                 DomainError, "requires x >= 0"),
     "exact_transition-dt<0": (exact_transition, dict(params=OuParams(theta=1.0), dt=-0.02),
                               DomainError, "step length must be nonnegative"),
-    "SegmentGrid-m=0": (SegmentGrid, dict(h=1.0, m=0), GridMismatch, "at least one subdivision"),
+    "TimeGrid-shorter-than-a-step": (TimeGrid, dict(t_end=1.0, dt=2.0), GridMismatch,
+                                     "not an integer multiple of dt"),
     "FunctionalSegment-count": (FunctionalSegment, dict(grid=_GRID, values=np.zeros(8)),
                                 GridMismatch, "segment needs 9 values"),
     "FunctionalSegment-nan": (FunctionalSegment, dict(grid=_GRID, values=np.full(9, math.nan)),
-                              ValueError, "segment values must be finite"),
+                              DomainError, "segment values must be finite"),
     "trapezoid_quad-one-node": (trapezoid_quad, dict(values=[1.0], dx=0.5), GridMismatch,
                                 "at least two nodes"),
     "ExperimentConfig-h": (ExperimentConfig, dict(thetas=(0.7,), horizons=(10.0,), h=0.03),
@@ -165,7 +166,7 @@ class TestRejection:
     @pytest.mark.parametrize("h", [math.inf, math.nan, 0.0, -1.0])
     def test_segment_grid_raises_grid_mismatch(self, h):
         with pytest.raises(GridMismatch):
-            SegmentGrid(h=h, m=4)
+            TimeGrid(t_end=h, dt=h / 4)
 
     @pytest.mark.parametrize("theta", [2.47e-318, 5e-324])
     def test_k0_of_a_subnormal_rate(self, theta):
@@ -197,6 +198,17 @@ def _bits(value):
     return np.asarray(value, dtype=float).tobytes()
 
 
+def _block_grid(h: float, m: int) -> TimeGrid:
+    """TimeGrid(t_end=h, dt=h / m), or a rejected example where no such grid exists.
+
+    That is where h / m underflows to 0, or to a subnormal too coarse for m steps to make h.
+    """
+    try:
+        return TimeGrid(t_end=h, dt=h / m)
+    except GridMismatch:
+        assume(False)
+
+
 def _reference_rho_norm_h(theta: float, k: int, h: float) -> float:
     """rho_norm_h before it took its decay from rho_norm_b, kept verbatim."""
     if not (theta > 0.0 and h > 0.0):
@@ -205,6 +217,18 @@ def _reference_rho_norm_h(theta: float, k: int, h: float) -> float:
         raise DomainError(f"power must be >= 1, got {k}")
     base = math.sqrt((1.0 + math.exp(-2.0 * theta * h) * (2.0 * theta - 1.0)) / (2.0 * theta))
     return math.exp(-theta * (k - 1) * h) * base
+
+
+def _reference_rho_norm_h_discrete(theta: float, k: int, grid: TimeGrid) -> float:
+    """rho_norm_h_discrete before it took its decay from rho_norm_b, its formula kept verbatim.
+
+    Its h is ``grid.t_end``.
+    """
+    t = grid.times()
+    q = trapezoid_quad(np.exp(-2.0 * theta * t), grid.dt)
+    return math.sqrt(q + math.exp(-2.0 * theta * grid.t_end)) * math.exp(
+        -theta * (k - 1) * grid.t_end
+    )
 
 
 def _reference_rate_gap(a: float, b: float, t: float) -> float:
@@ -219,7 +243,7 @@ def _reference_apply_rho_power(theta: float, k: int, x: FunctionalSegment) -> Fu
     """apply_rho_power before it took its decay from rho_norm_b, its formula kept verbatim."""
     if k < 1:
         raise DomainError(f"power must be >= 1, got {k}")
-    factor = math.exp(-theta * (k - 1) * x.grid.h) * x.end_value
+    factor = math.exp(-theta * (k - 1) * x.grid.t_end) * x.end_value
     values = np.exp(-theta * x.grid.times()) * factor
     return FunctionalSegment(grid=x.grid, values=values)
 
@@ -327,6 +351,19 @@ class TestFormerBodies:
             assert abs(got - expected) <= 5e-15 * expected
 
     @settings(max_examples=300)
+    @given(theta=_RATES, k=st.integers(1, 10**6), h=_RATES, m=st.integers(1, 40))
+    @example(theta=0.7, k=3, h=1.0, m=4)
+    @example(theta=8e307, k=1, h=1e-308, m=4)  # 2 theta is finite, theta (k - 1) = 0
+    def test_rho_norm_h_discrete(self, theta, k, h, m):
+        # where 2 theta or theta (k - 1) overflows, the former body is NaN or its decay 0.0
+        assume(theta * 2.0 < math.inf and theta * (k - 1) < math.inf)
+        grid = _block_grid(h, m)
+        with np.errstate(all="ignore"):
+            got = rho_norm_h_discrete(theta, k, grid)
+            expected = _reference_rho_norm_h_discrete(theta, k, grid)
+        assert _bits(got) == _bits(expected)
+
+    @settings(max_examples=300)
     @given(a=_RATES, b=_RATES, t=_RATES)
     @example(a=0.7, b=0.9, t=1.5)
     @example(a=1.0, b=800.0, t=1.0)
@@ -344,7 +381,7 @@ class TestFormerBodies:
     def test_apply_rho_power(self, theta, k, h, m, end, inner):
         # where theta (k - 1) overflows, the former body's decay is 0.0 and wrong
         assume(theta * (k - 1) < math.inf)
-        grid = SegmentGrid(h=h, m=m)
+        grid = _block_grid(h, m)
         values = np.full(m + 1, inner)
         values[-1] = end
         x = FunctionalSegment(grid, values)
@@ -358,7 +395,7 @@ class TestFormerBodies:
     @example(theta_hat=0.7, h=1.0, m=4, end=-0.0, inner=1.0)
     def test_plug_in_predict(self, theta_hat, h, m, end, inner):
         # the former body applied rho_theta_hat once through apply_rho_power at k = 1
-        grid = SegmentGrid(h=h, m=m)
+        grid = _block_grid(h, m)
         values = np.full(m + 1, inner)
         values[-1] = end
         x = FunctionalSegment(grid, values)

@@ -1,4 +1,5 @@
 import math
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -12,7 +13,6 @@ from oufar import (
     FunctionalSegment,
     GridMismatch,
     OuParams,
-    SegmentGrid,
     TimeGrid,
     apply_rho_power,
     atom_indicator,
@@ -47,7 +47,7 @@ def _near_reciprocals(draw):
 
 
 def _segment(h, m, fn):
-    grid = SegmentGrid(h=h, m=m)
+    grid = TimeGrid(t_end=h, dt=h / m)
     return FunctionalSegment(grid=grid, values=fn(grid.times()))
 
 
@@ -93,7 +93,7 @@ class TestNorms:
         )
 
     def test_atom_indicator_norm(self):
-        grid = SegmentGrid(h=1.0, m=10**4)
+        grid = TimeGrid(t_end=1.0, dt=1.0 / 10**4)
         x0 = atom_indicator(grid)
         # full quadrature picks up half a trapezoid cell from the last interval
         assert h_norm(x0) == pytest.approx(math.sqrt(1.0 + grid.dt / 2.0), rel=1e-12)
@@ -110,14 +110,14 @@ class TestNorms:
         assert b_norm(seg) == pytest.approx(2.0, abs=5e-3)
 
     def test_trapezoid_matches_closed_form(self):
-        grid = SegmentGrid(h=2.0, m=10**4)
+        grid = TimeGrid(t_end=2.0, dt=2.0 / 10**4)
         q = trapezoid_quad(np.exp(grid.times()), grid.dt)
         assert q == pytest.approx(math.exp(2.0) - 1.0, rel=1e-8)
 
 
 class TestRhoOperator:
     def test_rejects_nonpositive_rate(self):
-        x = atom_indicator(SegmentGrid(1.0, 10))
+        x = atom_indicator(TimeGrid(1.0, 1.0 / 10))
         with pytest.raises(DomainError):
             apply_rho_power(0.0, 1, x)
         with pytest.raises(DomainError):
@@ -171,7 +171,7 @@ class TestRhoPower:
 
     def test_rejects_bad_power(self):
         with pytest.raises(DomainError):
-            apply_rho_power(1.0, 0, atom_indicator(SegmentGrid(1.0, 10)))
+            apply_rho_power(1.0, 0, atom_indicator(TimeGrid(1.0, 1.0 / 10)))
 
 
 class TestOperatorNormH:
@@ -187,14 +187,24 @@ class TestOperatorNormH:
 
     @pytest.mark.parametrize("theta", [0.4, 1.0, 2.0])
     def test_discrete_oracle_agreement(self, theta):
-        grid = SegmentGrid(h=1.0, m=10**4)
+        grid = TimeGrid(t_end=1.0, dt=1.0 / 10**4)
         for k in (1, 2, 5):
             closed = rho_norm_h(theta, k, 1.0)
             oracle = rho_norm_h_discrete(theta, k, grid)
             assert abs(oracle - closed) / closed <= 1e-6
 
+    @pytest.mark.parametrize("k, norm", [(1, 0.3678794411714424), (3, 0.049787068367863965)])
+    def test_discrete_oracle_where_twice_the_rate_overflows(self, k, norm):
+        # 2 theta = inf: (2 theta) t was inf * 0 = NaN at t = 0, and theta (k - 1) inf
+        grid = TimeGrid(t_end=1e-308, dt=1e-308 / 4)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            oracle = rho_norm_h_discrete(1e308, k, grid)
+        assert rho_norm_h(1e308, k, 1e-308) == norm
+        assert abs(oracle - norm) <= 1e-12 * norm
+
     def test_oracle_k_scaling_exact(self):
-        grid = SegmentGrid(h=1.0, m=100)
+        grid = TimeGrid(t_end=1.0, dt=1.0 / 100)
         for k in (2, 3, 7):
             ratio = rho_norm_h_discrete(0.7, k, grid) / rho_norm_h_discrete(0.7, 1, grid)
             assert ratio == pytest.approx(math.exp(-0.7 * (k - 1)), rel=1e-14)
@@ -202,7 +212,7 @@ class TestOperatorNormH:
     def test_witness_attains_oracle(self):
         # indicator mass at the atom realizes the norm up to O(1/m)
         for theta in (0.4, 1.0, 2.0):
-            grid = SegmentGrid(h=1.0, m=10**4)
+            grid = TimeGrid(t_end=1.0, dt=1.0 / 10**4)
             x0 = atom_indicator(grid)
             ratio = h_norm(apply_rho_power(theta, 1, x0)) / h_norm(x0)
             oracle = rho_norm_h_discrete(theta, 1, grid)
@@ -422,7 +432,7 @@ class TestTruncatedMovingAverage:
         for trunc in range(k_max + 1):
             total = 0.0
             for n in range(start, len(segs)):
-                acc = np.zeros(grid.m + 1)
+                acc = np.zeros(grid.n_steps + 1)
                 for k in range(trunc + 1):
                     e = eps[n - k]
                     acc += e.values if k == 0 else apply_rho_power(theta, k, e).values

@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from oufar import (
     DomainError,
     FunctionalSegment,
-    SegmentGrid,
+    TimeGrid,
     apply_rho_power,
     b_norm,
     error_bound_b,
@@ -24,7 +24,7 @@ endpoints = st.floats(-10.0, 10.0)
 
 
 def _segment(h, m, fn):
-    grid = SegmentGrid(h=h, m=m)
+    grid = TimeGrid(t_end=h, dt=h / m)
     return FunctionalSegment(grid=grid, values=fn(grid.times()))
 
 
