@@ -44,7 +44,7 @@ def main() -> int:
             gap = abs(oracle - closed) / closed if closed else abs(oracle - closed)
             mark = " <- k0" if k == cut else ""
             print(
-                f"{theta:>7.2f} {k:>3} {closed:>12.6f} {oracle:>12.6f} "
+                f"{theta:>7g} {k:>3} {closed:>12.6f} {oracle:>12.6f} "
                 f"{gap:>10.2e} {rho_norm_b(theta, k, args.h):>10.6f}{mark}"
             )
     return 0

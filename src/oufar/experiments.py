@@ -27,8 +27,7 @@ reports and CSV schemas of ``reporting`` and the desk/full profiles all
 come from it.  ``run_experiment`` is the one runner and the one caller of
 ``collect_cells``: it returns every report of a kind, in table order, from
 one simulation of its grid, and draws no path when ``simulated`` already
-holds that grid.  ``collect_cells`` builds each (theta, T) cell as soon as
-the pool has yielded the cell's last replicate.
+holds that grid.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from __future__ import annotations
 import math
 import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
-from itertools import islice, product
+from itertools import count, product
 from typing import Callable
 
 import numpy as np
@@ -275,21 +274,6 @@ def _stream_path(
     return theta_ito_from_sums(numerator, sum_sq, n_steps, dt).theta_hat, x_boundary
 
 
-def _replicate(config: ExperimentConfig, theta: float, t_end: float, seed: int):
-    """Simulate one path, estimate theta, grab the last block-boundary value."""
-    # value at time (T/h - 1) * h, the boundary where the last block starts;
-    # ExperimentConfig checked that each of these ratios is a grid multiple
-    steps_per_block = grid_multiple(config.h, config.dt)
-    n_blocks = grid_multiple(t_end, config.h)
-    return _stream_path(
-        config,
-        OuParams(theta=theta),
-        grid_multiple(t_end, config.dt),
-        (n_blocks - 1) * steps_per_block,
-        np.random.default_rng(seed),
-    )
-
-
 def _grid_cells(config: ExperimentConfig) -> list[tuple[tuple[int, float], tuple[int, float]]]:
     """((theta_index, theta), (t_index, T)) of every cell: theta first, then T."""
     return list(product(enumerate(config.thetas), enumerate(config.horizons)))
@@ -300,22 +284,37 @@ def collect_cells(config: ExperimentConfig, n_workers: int = 1) -> list[CellData
 
     One pool of ``max(n_workers, 1)`` worker threads serves the whole grid,
     one worker included, so each thread and its scratch buffer live until the
-    last replicate.  Results come back in replicate order whatever thread ran
-    them, and a cell is built as soon as its last replicate arrives.
+    last replicate.  Each worker takes the next index j from one counter and
+    writes (theta_hat, x_prev_h) of replicate j % N of cell j // N into one
+    array, 16 bytes a replicate; the cells are built when the workers return.
     """
     n, cells = config.replicates, _grid_cells(config)
-    jobs = [
-        (theta, t_end, derive_replicate_seed(config.master_seed, ti, hi, r))
-        for (ti, theta), (hi, t_end) in cells
-        for r in range(n)
-    ]
-    with ThreadPoolExecutor(max_workers=max(n_workers, 1)) as pool:
-        results = pool.map(lambda job: _replicate(config, *job), jobs)
-        # (theta_hat, x_prev_h) pairs of the cell's n replicates -> two arrays
-        return [
-            CellData(theta, t_end, *map(np.array, zip(*islice(results, n))))
-            for (_, theta), (_, t_end) in cells
-        ]
+    n_jobs, results = len(cells) * n, np.empty((len(cells), 2, n))
+    # per cell: its indices, its OuParams, T/dt steps and the step (T/h - 1) h/dt where the
+    # last block starts; ExperimentConfig checked that each of these ratios is a grid multiple
+    steps_per_block = grid_multiple(config.h, config.dt)
+    cell_args = [(ti, hi, OuParams(theta=theta), grid_multiple(t_end, config.dt),
+                  (grid_multiple(t_end, config.h) - 1) * steps_per_block)
+                 for (ti, theta), (hi, t_end) in cells]
+    indices = count()  # its next() runs in C under the interpreter lock: no j is taken twice
+
+    def work() -> None:
+        while (j := next(indices)) < n_jobs:
+            c, r = divmod(j, n)
+            ti, hi, params, n_steps, boundary = cell_args[c]
+            rng = np.random.default_rng(derive_replicate_seed(config.master_seed, ti, hi, r))
+            results[c, :, r] = _stream_path(config, params, n_steps, boundary, rng)
+
+    n_threads = max(n_workers, 1)
+    with ThreadPoolExecutor(max_workers=n_threads) as pool:
+        workers = [pool.submit(work) for _ in range(n_threads)]
+        try:
+            wait(workers, return_when=FIRST_EXCEPTION)
+        finally:
+            n_jobs = 0  # work() reads this cell: after an error or an interrupt, no j is taken
+    for worker in workers:
+        worker.result()  # re-raises a worker's exception
+    return [CellData(theta, t_end, *results[c]) for c, ((_, theta), (_, t_end)) in enumerate(cells)]
 
 
 # aggregation seams, also used directly by tests with synthetic estimates

@@ -1,6 +1,7 @@
 import hashlib
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -22,7 +23,6 @@ from oufar import (
     theta_ito_from_values,
 )
 from oufar.experiments import (
-    _replicate,
     _stream_path,
     collect_cells,
     coverage_cell,
@@ -176,6 +176,50 @@ class TestDeterminism:
         a = report_json_text(run_experiment("emse", SMALL)[0])
         b = report_json_text(run_experiment("emse", SMALL)[0])
         assert a == b
+
+
+class TestReplicatePool:
+    """Workers take replicate indices from one counter and keep nothing per replicate."""
+
+    def test_memory_does_not_grow_with_replicates(self):
+        # 10,000 one-step replicates: a job or a Future per replicate would trace
+        # tens of MiB, the results array is 160 kB
+        config = ExperimentConfig(thetas=(0.7,), horizons=(0.02,), h=0.02, replicates=10_000)
+        tracemalloc.start()
+        try:
+            (cell,) = collect_cells(config, n_workers=2)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert cell.theta_hats.size == 10_000
+        assert peak < 4 * 2**20
+
+    @pytest.mark.parametrize("n_workers", [1, 4])
+    def test_worker_error_is_raised_and_stops_the_pool(self, monkeypatch, n_workers):
+        # 20,000 one-step replicates; replicate 2 of cell (0, 1), index 10,002, raises,
+        # and the workers take no index after it instead of running the rest of the grid
+        config = ExperimentConfig(thetas=(0.7,), horizons=(0.02, 0.04), h=0.02,
+                                  replicates=10_000, master_seed=3)
+        bad = np.random.default_rng(derive_replicate_seed(3, 0, 1, 2)).bit_generator.state
+        real, calls = exp._stream_path, []
+
+        def failing(config, params, n_steps, boundary, rng):
+            calls.append(None)
+            if rng.bit_generator.state == bad:
+                raise RuntimeError("replicate 2 of cell 1")
+            return real(config, params, n_steps, boundary, rng)
+
+        monkeypatch.setattr(exp, "_stream_path", failing)
+        with pytest.raises(RuntimeError, match="replicate 2 of cell 1"):
+            collect_cells(config, n_workers=n_workers)
+        assert 10_003 <= len(calls) < 15_000
+
+    def test_more_workers_than_replicates(self):
+        config = ExperimentConfig(thetas=(0.7,), horizons=(20.0,), replicates=3, master_seed=11)
+        (serial,) = collect_cells(config, n_workers=1)
+        (threaded,) = collect_cells(config, n_workers=8)
+        assert serial.theta_hats.tobytes() == threaded.theta_hats.tobytes()
+        assert serial.x_prev_h.tobytes() == threaded.x_prev_h.tobytes()
 
 
 class TestAggregationSeams:
@@ -432,20 +476,23 @@ class TestStreamingOracle:
     @pytest.mark.parametrize("h", [1.0, 12.0])  # h = T puts the last boundary at index 0
     def test_replicate_matches_one_shot(self, monkeypatch, scheme, h):
         monkeypatch.setattr(exp, "_CHUNK_STEPS", 128)
-        config = ExperimentConfig(thetas=(0.7,), horizons=(12.0,), h=h, scheme=scheme)
+        config = ExperimentConfig(thetas=(0.7,), horizons=(12.0,), h=h, replicates=1,
+                                  scheme=scheme, master_seed=61)
         boundary = round((12.0 - h) / config.dt)
-        assert _replicate(config, 0.7, 12.0, 61) == _one_shot(config, 0.7, 600, boundary, 61)
+        (cell,) = collect_cells(config)
+        seed = derive_replicate_seed(61, 0, 0, 0)
+        assert (cell.theta_hats[0], cell.x_prev_h[0]) == _one_shot(config, 0.7, 600, boundary, seed)
 
     def test_zero_path_is_a_counted_failure(self, monkeypatch):
         monkeypatch.setattr(exp, "_CHUNK_STEPS", 128)
         zero_euler = lambda p, g, rng, x0: sample_euler(p, g, ZeroNoise(rng), x0)  # noqa: E731
         monkeypatch.setattr(exp, "sample_euler", zero_euler)
         config = ExperimentConfig(thetas=(0.7,), horizons=(20.0,), replicates=4, master_seed=67)
-        theta_hat, x_prev = _replicate(config, 0.7, 20.0, 1)
-        expected_theta, expected_x = _one_shot(config, 0.7, 1000, 950, 1, zero_noise=True)
-        assert math.isnan(theta_hat) and math.isnan(expected_theta)
-        assert x_prev == expected_x == 0.0
         (cell,) = collect_cells(config)
+        seed = derive_replicate_seed(67, 0, 0, 0)
+        expected_theta, expected_x = _one_shot(config, 0.7, 1000, 950, seed, zero_noise=True)
+        assert math.isnan(cell.theta_hats[0]) and math.isnan(expected_theta)
+        assert cell.x_prev_h[0] == expected_x == 0.0
         assert cell.failures == 4
 
     @pytest.mark.parametrize("cap", [128, 136])

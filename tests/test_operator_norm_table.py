@@ -38,10 +38,12 @@ def test_bad_flag_is_a_usage_error(argv):
 
 
 def test_table_rows():
-    proc = _run("--m", "100", "--k-max", "2", "--thetas", "0.4", "1e300")
+    proc = _run("--m", "100", "--k-max", "2", "--thetas", "0.001", "0.4", "1e300")
     assert proc.returncode == 0, proc.stderr
     lines = proc.stdout.splitlines()
     assert lines[0] == "h = 1.0, oracle grid m = 100"
     # at theta = 1e300, k = 2 both norms underflow to 0: an absolute gap of 0, no division
-    assert len(lines) == 2 + 2 * 2
+    assert len(lines) == 2 + 3 * 2
+    # theta labels keep their significant digits in 7 columns
+    assert [line[:7] for line in lines[2::2]] == ["  0.001", "    0.4", " 1e+300"]
     assert lines[-1].split()[1:5] == ["2", "0.000000", "0.000000", "0.00e+00"]

@@ -1,0 +1,35 @@
+"""Fingerprints of the upstream streams that the desk report pins rest on.
+
+The desk pins (CI step "Desk report pins", perfbench) were taken with numpy
+2.4.6 and scipy 1.17.1.  They depend on numpy's PCG64 seeding and
+``Generator.standard_normal`` stream, which numpy does not promise to keep
+across feature releases (NEP 19), and on the arithmetic of scipy's
+``_linear_filter``.  When a pin fails and these tests pass, oufar moved;
+when one of these fails too, the named upstream stream moved.
+"""
+
+import hashlib
+
+import numpy as np
+
+from oufar import derive_replicate_seed
+from oufar import ou_process
+
+
+def _sha256(x: np.ndarray) -> str:
+    return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()
+
+
+def test_normal_stream_of_the_first_desk_replicate():
+    rng = np.random.default_rng(derive_replicate_seed(20260810, 0, 0, 0))
+    assert _sha256(rng.standard_normal(2**16)) == (
+        "b4ebc06c8044fc67ae4e1c4f97bd07b28365ead2724429951b908839bb895b39"
+    )
+
+
+def test_linear_filter_arithmetic():
+    # exactly rounded input (integers over 97), so only the filter's arithmetic is pinned
+    x = ((np.arange(2**16) * 7919) % 1000 - 499.5) / 97.0
+    assert _sha256(ou_process.lfilter([1.0], [1.0, -0.986], x)) == (
+        "3c139b036f72e905ed096f14b5688baa0aab7e1779a7d3a8760c00f329940071"
+    )
