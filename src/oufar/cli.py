@@ -15,6 +15,8 @@ prints one ``error:`` line:
     3  GridMismatch     grid mismatch or unreadable input
     4  ZeroDenominator  the estimator denominator vanished
     5  OSError          output could not be written
+  130  Ctrl-C           interrupted (KeyboardInterrupt); every file written
+                        so far is complete, each renamed into place
 
 Every read converts its own OSError first, so an OSError that reaches
 ``main`` is a failed write.  Any other exception is a bug and keeps its
@@ -29,6 +31,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -201,7 +204,8 @@ def _cmd_simulate(args) -> None:
         else:  # a stationary start ignores x0
             path = sample_exact(params, grid, rng, x0=args.x0, stationary=args.stationary)
     init_doc = {"init": "stationary"} if args.stationary else {"x0": args.x0}
-    write_path_csv(path, out, seed=args.seed, extra=init_doc)
+    provenance = {"seed": args.seed, "scheme": args.scheme, "params": asdict(params), **init_doc}
+    write_path_csv(path, out, provenance)
 
 
 def _estimate_doc(est: ThetaEstimate) -> dict:
@@ -331,6 +335,9 @@ def main(argv=None) -> int:
         message = f"cannot write {args.out or 'stdout'}: {exc}" if isinstance(exc, OSError) else exc
         print(f"error: {message}", file=sys.stderr)
         return code
+    except KeyboardInterrupt:  # a pool stops before this, and every file is whole or absent
+        print("error: interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -1,8 +1,9 @@
 """Functional layer: path segmentation, norms, and the autocorrelation operator.
 
 A path on [0, T] is cut into blocks X_n(t) = xi_{nh + t}, 0 <= t <= h.  A block
-is a ``FunctionalSegment``: its values at the m + 1 nodes of a ``TimeGrid`` on
-[0, h] with step h/m, the grid type of the path itself.  The blocks form an
+is a ``FunctionalSegment``, the paper's name for ``ou_process.SamplePath``, the
+type of the path itself: its values at the m + 1 nodes of a ``TimeGrid`` on
+[0, h] with step h/m, and ``end_value``, its f(h).  The blocks form an
 autoregression X_n = rho_theta(X_{n-1}) + eps_n driven by the rank-one operator
 (rho_theta x)(t) = exp(-theta t) x(h).  Two norms are used:
 
@@ -25,7 +26,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,24 +37,11 @@ from .ou_process import (
     _special_ufunc,
     check_positive,
     grid_multiple,
-    grid_values,
 )
 
 
-@dataclass(eq=False)
-class FunctionalSegment:
-    """One functional block on the grid [0, h], h = grid.t_end: its last value is f(h)."""
-
-    grid: TimeGrid
-    values: np.ndarray
-
-    def __post_init__(self):
-        self.values = grid_values(self.grid, self.values, "segment")
-
-    @property
-    def end_value(self) -> float:
-        """f(h), the coordinate the autocorrelation operator acts through."""
-        return float(self.values[-1])
+# a block is a path on [0, h]: the paper's name for the one value type
+FunctionalSegment = SamplePath
 
 
 def trapezoid_quad(values: np.ndarray, dx: float) -> float:

@@ -13,7 +13,8 @@ multiplied by sigma one factor at a time: no sigma^2 is formed, so no moment
 raises for a positive finite sigma, and the sds keep their digits where sigma^2
 would overflow or underflow.  Two samplers are provided: the
 Euler-Maruyama discretization (the scheme used by the Monte Carlo harness)
-and the exact Gaussian transition (used as a distributional oracle).
+and the exact Gaussian transition (used as a distributional oracle).  Each returns
+a ``SamplePath``, a grid and its values alone: a caller keeps what drew the path.
 
 Both samplers are thin calls of one kernel, ``_ar1``: it draws a block of
 standard normals into the thread's ``scratch`` buffer, scales and shifts
@@ -261,34 +262,29 @@ class TimeGrid:
         return np.arange(self.n_steps + 1) * self.dt
 
 
-def grid_values(grid: TimeGrid, values, what: str) -> np.ndarray:
-    """``values`` as float64, one per node of ``grid``, every one finite.
-
-    The one check of the values of a path and of a block; ``what`` names them in the
-    messages.  A wrong count raises GridMismatch, a non-finite value DomainError.
-    """
-    values = np.asarray(values, dtype=float)
-    if values.shape != (grid.n_steps + 1,):
-        raise GridMismatch(f"{what} needs {grid.n_steps + 1} values, got {values.shape}")
-    # min and max propagate NaN, so both are finite iff every value is
-    if not (math.isfinite(values.min()) and math.isfinite(values.max())):
-        raise DomainError(f"{what} values must be finite")
-    return values
-
-
 @dataclass(eq=False)
 class SamplePath:
-    """Discretized trajectory on a TimeGrid, first value at t=0."""
+    """Values at the nodes of a TimeGrid, first at t=0: a path, or a block (FunctionalSegment).
+
+    A wrong count of values raises GridMismatch, a non-finite value DomainError.
+    """
 
     grid: TimeGrid
     values: np.ndarray
-    params: OuParams | None
-    scheme: str
 
     def __post_init__(self):
-        self.values = grid_values(self.grid, self.values, "path")
-        if self.scheme not in SCHEMES:
-            raise ValueError(f"scheme must be one of {SCHEMES}, got {self.scheme!r}")
+        values = np.asarray(self.values, dtype=float)
+        if values.shape != (self.grid.n_steps + 1,):
+            raise GridMismatch(f"path needs {self.grid.n_steps + 1} values, got {values.shape}")
+        # min and max propagate NaN, so both are finite iff every value is
+        if not (math.isfinite(values.min()) and math.isfinite(values.max())):
+            raise DomainError("path values must be finite")
+        self.values = values
+
+    @property
+    def end_value(self) -> float:
+        """The last value: a block's f(h), the coordinate the autocorrelation operator acts on."""
+        return float(self.values[-1])
 
 
 def stationary_density(params: OuParams, x):
@@ -383,7 +379,7 @@ def sample_euler(
     dt, theta = grid.dt, params.theta
     shift = theta * params.mu * dt
     values = _ar1(grid.n_steps, x0, 1.0 - theta * dt, (math.sqrt(dt), params.sigma), shift, rng)
-    return SamplePath(grid=grid, values=values, params=params, scheme="euler")
+    return SamplePath(grid, values)
 
 
 def exact_transition(params: OuParams, dt: float) -> tuple[float, float]:
@@ -419,4 +415,4 @@ def sample_exact(
     if stationary:
         x0 = params.mu + params.stationary_std * rng.standard_normal()
     values = _ar1(grid.n_steps, float(x0), decay, (sd,), params.mu * (1.0 - decay), rng)
-    return SamplePath(grid=grid, values=values, params=params, scheme="exact")
+    return SamplePath(grid, values)

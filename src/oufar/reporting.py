@@ -19,6 +19,9 @@ CSV schemas (header line included, LF line endings):
 * lil_coverage:        ``theta,T,N,multiplier,lil_coverage,failures``
 * standardized_errors: ``theta,T,replicate,z`` (``normality.csv`` too)
 
+A path CSV's ``.meta.json`` sidecar holds the provenance its caller passes
+(``simulate``: seed, scheme, params, start) plus the grid and the versions.
+
 The report tables take their columns from ``experiments.REPORTS``.
 
 Experiment configuration files are JSON objects whose keys mirror
@@ -32,7 +35,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, fields
+from dataclasses import fields
 from itertools import chain, islice
 from pathlib import Path
 
@@ -215,11 +218,10 @@ def _path_csv_blocks(path: SamplePath):
         yield "".join(map(_PATH_ROW, (np.arange(i, j) * dt).tolist(), values[i:j].tolist()))
 
 
-def path_sidecar(path: SamplePath, seed: int, extra: dict | None = None) -> dict:
+def path_sidecar(path: SamplePath, provenance: dict) -> dict:
+    """The caller's ``provenance``, the grid, the versions and a config_hash of them all."""
     doc = {
-        "seed": seed,
-        "scheme": path.scheme,
-        "params": None if path.params is None else asdict(path.params),
+        **provenance,
         "t_end": path.grid.t_end,
         "dt": path.grid.dt,
         "n_steps": path.grid.n_steps,
@@ -227,18 +229,16 @@ def path_sidecar(path: SamplePath, seed: int, extra: dict | None = None) -> dict
         "rng": RNG_ALGORITHM,
         "schema_version": SCHEMA_VERSION,
     }
-    if extra:
-        doc.update(extra)
     doc["config_hash"] = _sha256(doc)
     return doc
 
 
-def write_path_csv(path: SamplePath, outfile, seed: int, extra: dict | None = None) -> None:
-    """Write the ``t,xi`` CSV plus a ``.meta.json`` sidecar with full provenance."""
+def write_path_csv(path: SamplePath, outfile, provenance: dict) -> None:
+    """Write the ``t,xi`` CSV plus a ``.meta.json`` sidecar (``path_sidecar``)."""
     outfile = Path(outfile)
     atomic_write(outfile, _path_csv_blocks(path))
     sidecar = outfile.with_suffix(outfile.suffix + ".meta.json")
-    atomic_write(sidecar, [json_text(path_sidecar(path, seed, extra))])
+    atomic_write(sidecar, [json_text(path_sidecar(path, provenance))])
 
 
 def _rows(f):

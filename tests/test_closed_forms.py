@@ -111,9 +111,6 @@ _BAD_BAND_KS = (math.inf, -math.inf, math.nan, -1.0)
 _VALIDATIONS = {
     "OuParams-mu=inf": (OuParams, dict(theta=1.0, mu=math.inf), DomainError, "mu must be finite"),
     "OuParams-mu=nan": (OuParams, dict(theta=1.0, mu=math.nan), DomainError, "mu must be finite"),
-    "SamplePath-scheme": (SamplePath, dict(grid=TimeGrid(t_end=1.0, dt=0.5), values=np.zeros(3),
-                                           params=None, scheme="milstein"),
-                          ValueError, "scheme must be one of"),
     "gaussian_tail_bound-x<0": (gaussian_tail_bound, dict(sigma=1.0, x=[0.5, -1e-300]),
                                 DomainError, "requires x >= 0"),
     "exact_transition-dt<0": (exact_transition, dict(params=OuParams(theta=1.0), dt=-0.02),
@@ -121,9 +118,9 @@ _VALIDATIONS = {
     "TimeGrid-shorter-than-a-step": (TimeGrid, dict(t_end=1.0, dt=2.0), GridMismatch,
                                      "not an integer multiple of dt"),
     "FunctionalSegment-count": (FunctionalSegment, dict(grid=_GRID, values=np.zeros(8)),
-                                GridMismatch, "segment needs 9 values"),
+                                GridMismatch, "path needs 9 values"),
     "FunctionalSegment-nan": (FunctionalSegment, dict(grid=_GRID, values=np.full(9, math.nan)),
-                              DomainError, "segment values must be finite"),
+                              DomainError, "path values must be finite"),
     "trapezoid_quad-one-node": (trapezoid_quad, dict(values=[1.0], dx=0.5), GridMismatch,
                                 "at least two nodes"),
     "ExperimentConfig-h": (ExperimentConfig, dict(thetas=(0.7,), horizons=(10.0,), h=0.03),

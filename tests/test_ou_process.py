@@ -82,9 +82,9 @@ class TestTimeGrid:
         from oufar import SamplePath
 
         with pytest.raises(GridMismatch):
-            SamplePath(TimeGrid(1.0, 0.5), np.zeros(5), OuParams(theta=1.0), "euler")
+            SamplePath(TimeGrid(1.0, 0.5), np.zeros(5))
         with pytest.raises(ValueError):
-            SamplePath(TimeGrid(1.0, 0.5), np.array([0.0, np.inf, 0.0]), None, "euler")
+            SamplePath(TimeGrid(1.0, 0.5), np.array([0.0, np.inf, 0.0]))
 
 
 class TestStationaryDensity:

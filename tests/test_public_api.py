@@ -1,8 +1,9 @@
 """The public list: ``oufar.__all__`` names each export once, and a star import binds it.
 
-A block of a path is plain values on the path's own grid type, ``TimeGrid``.
+A block of a path is a path on its own ``TimeGrid``: ``FunctionalSegment`` is ``SamplePath``.
 """
 
+import dataclasses
 import inspect
 import math
 
@@ -39,6 +40,18 @@ def test_segment_grid_is_gone():
     assert not hasattr(oufar.functional, "SegmentGrid")
 
 
+def test_a_block_is_a_sample_path():
+    assert oufar.FunctionalSegment is oufar.SamplePath
+    assert oufar.functional.FunctionalSegment is oufar.ou_process.SamplePath
+    assert not hasattr(oufar.ou_process, "grid_values")
+
+
+def test_a_sample_path_is_its_grid_and_values():
+    assert [f.name for f in dataclasses.fields(SamplePath)] == ["grid", "values"]
+    path = oufar.sample_euler(OuParams(theta=1.0), TimeGrid(1.0, 0.5), np.random.default_rng(3))
+    assert type(path) is SamplePath and path.end_value == path.values[-1]
+
+
 def test_blocks_are_on_a_time_grid():
     grid = TimeGrid(t_end=10.0, dt=0.02)
     path = oufar.sample_exact(OuParams(theta=1.0), grid, np.random.default_rng(3))
@@ -64,7 +77,7 @@ def test_non_finite_values_raise_domain_error(bad):
     values = np.zeros(5)
     values[2] = bad
     grid = TimeGrid(t_end=1.0, dt=0.25)
-    with pytest.raises(DomainError, match="segment values must be finite"):
+    with pytest.raises(DomainError, match="path values must be finite"):
         FunctionalSegment(grid=grid, values=values)
     with pytest.raises(DomainError, match="path values must be finite"):
-        SamplePath(grid=grid, values=values, params=None, scheme="euler")
+        SamplePath(grid=grid, values=values)

@@ -119,13 +119,20 @@ class TestPathCsv:
     def test_round_trip_exact(self, tmp_path):
         path = _make_path()
         out = tmp_path / "p.csv"
-        write_path_csv(path, out, seed=1)
+        write_path_csv(path, out, {"seed": 1})
         values, dt = read_path_csv(out)
         np.testing.assert_array_equal(values, path.values)
         assert dt == 0.02
         meta = json.loads((tmp_path / "p.csv.meta.json").read_text())
-        assert meta["seed"] == 1 and meta["scheme"] == "euler"
-        assert meta["params"]["theta"] == 1.0
+        assert meta["seed"] == 1 and meta["n_steps"] == 250
+
+    def test_sidecar_holds_the_given_provenance_and_the_grid(self, tmp_path):
+        out = tmp_path / "p.csv"
+        write_path_csv(_make_path(), out, {"seed": 3})
+        meta = json.loads((tmp_path / "p.csv.meta.json").read_text())
+        assert set(meta) == {"seed", "t_end", "dt", "n_steps", "version", "rng",
+                             "schema_version", "config_hash"}
+        assert (meta["seed"], meta["t_end"], meta["dt"], meta["n_steps"]) == (3, 5.0, 0.02, 250)
 
     def test_rejects_bad_header(self, tmp_path):
         bad = tmp_path / "bad.csv"
@@ -281,10 +288,9 @@ class TestPathCsvStreaming:
         tiny = np.nextafter(0.0, 1.0)
         values = np.array([-0.0, 0.0, tiny, -tiny, 2.2250738585072009e-308, 1e308, -1e308,
                            np.finfo(float).max, -np.finfo(float).max, 1.0])
-        path = SamplePath(grid=TimeGrid(0.5 * (values.size - 1), 0.5), values=values,
-                          params=None, scheme="euler")
+        path = SamplePath(grid=TimeGrid(0.5 * (values.size - 1), 0.5), values=values)
         out = tmp_path / "p.csv"
-        write_path_csv(path, out, seed=0)
+        write_path_csv(path, out, {"seed": 0})
         assert out.read_text() == "".join(reporting._path_csv_blocks(path))
         got, dt = read_path_csv(out)
         assert got.tobytes() == values.tobytes()  # the sign of -0.0 included
@@ -292,7 +298,7 @@ class TestPathCsvStreaming:
 
     def test_reader_holds_the_values_and_one_block(self, tmp_path):
         out = tmp_path / "p.csv"
-        write_path_csv(_make_path(t_end=5000.0), out, seed=1)  # 2.5e5 + 1 rows
+        write_path_csv(_make_path(t_end=5000.0), out, {"seed": 1})  # 2.5e5 + 1 rows
         tracemalloc.start()
         try:
             held = tracemalloc.get_traced_memory()[0]
@@ -321,7 +327,7 @@ class TestPathCsvStreaming:
         if existed:
             out.write_text("old contents\n")
         with pytest.raises(RuntimeError):
-            write_path_csv(_make_path(), out, seed=1)
+            write_path_csv(_make_path(), out, {"seed": 1})
         assert len(calls) == 17
         assert sorted(p.name for p in tmp_path.iterdir()) == (["p.csv"] if existed else [])
         if existed:
@@ -926,6 +932,20 @@ class TestExperimentCommand:
         assert len(calls) == 1
         for name, text in expected.items():
             assert (out / name).read_text() == text
+
+    def test_interrupt_exits_130_with_one_error_line(self, tmp_path, monkeypatch, capsys):
+        import oufar.experiments as exp
+
+        def interrupted(*args, **kwargs):
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(exp, "collect_cells", interrupted)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL))
+        out = tmp_path / "results"
+        assert main(["experiment", "emse", "--config", str(cfg), "--out", str(out)]) == 130
+        assert capsys.readouterr().err == "error: interrupted\n"
+        assert not out.exists()
 
     def test_short_normality_horizon_exits_2_before_simulating(self, tmp_path, monkeypatch, capsys):
         import oufar.experiments as exp
