@@ -3,7 +3,11 @@
 Subcommands: ``simulate`` (write a path CSV + provenance sidecar),
 ``estimate`` (MLE of theta from a path CSV), ``norms`` (operator norm /
 distance tables), and ``experiment`` (Monte Carlo reports of one experiment
-kind, or of ``all`` kinds in turn).
+kind, or of ``all`` kinds in turn).  ``experiment`` hands ``--threads`` to
+``run_experiment``, which sizes the pool, and simulates each distinct config
+once.  Before drawing it prints a stderr ``note:`` for each exact-scheme
+theta whose estimand (1 - exp(-theta dt)) / dt is more than one sd of
+theta_hat from theta at the largest horizon; no exit code or report changes.
 
 Exit codes.  A command returns nothing on success and raises one of the
 package's errors on failure; ``main`` alone turns it into an exit code and
@@ -45,10 +49,15 @@ from .experiments import (
     # lil_coverage only for that wrap (ROADMAP item 1 removes both)
     lil_coverage,  # noqa: F401
     run_experiment,
-    simulation_grid,
 )
 from .functional import k0, operator_distance_b, operator_distance_h, rho_norm_b, rho_norm_h
-from .mle import ThetaEstimate, _endpoint_form, theta_endpoint_from_values, theta_ito_from_values
+from .mle import (
+    ThetaEstimate,
+    _endpoint_form,
+    asymptotic_std,
+    theta_endpoint_from_values,
+    theta_ito_from_values,
+)
 from .ou_process import (
     SCHEMES,
     OuParams,
@@ -124,7 +133,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp = sub.add_parser("experiment", help="run a Monte Carlo experiment")
     p_exp.add_argument(
         "kind", choices=(*EXPERIMENTS, "all"),
-        help="an experiment kind, or all of them in turn (each distinct grid simulated once)",
+        help="an experiment kind, or all of them in turn (each distinct config simulated once)",
     )
     src = p_exp.add_mutually_exclusive_group(required=True)
     src.add_argument("--config", help="JSON config file (keys mirror ExperimentConfig)")
@@ -140,13 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--yes", action="store_true", help="confirm an expensive run")
     p_exp.set_defaults(run=_cmd_experiment)
     return parser
-
-
-def _usable_cpus() -> int:
-    """CPUs this process may run on: its affinity mask where the OS has one."""
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
 
 
 def _physical_memory() -> float:
@@ -302,21 +304,32 @@ def _cmd_experiment(args) -> None:
     if args.out is None:
         raise DomainError("no output directory (set --out or out_dir in the config)")
 
-    grids = {simulation_grid(config): config for config in configs.values()}
-    steps = sum(map(estimated_steps, grids.values()))
+    distinct = dict.fromkeys(configs.values())  # each is simulated once, in kind order
+    steps = sum(map(estimated_steps, distinct))
+    for config in distinct:
+        if config.scheme != "exact":
+            continue
+        # an exact-scheme theta_hat converges to (1 - exp(-theta dt)) / dt: say where that
+        # bias exceeds the sd of theta_hat at the largest horizon, where the band is narrowest
+        t_max = max(config.horizons)
+        for theta in config.thetas:
+            target = -math.expm1(-theta * config.dt) / config.dt
+            bias, sd = abs(theta - target), asymptotic_std(theta, t_max)
+            if bias > sd:
+                sds = bias / sd if sd > 0.0 else math.inf
+                print(f"note: theta={theta:g} on the exact scheme: theta_hat estimates "
+                      f"(1 - exp(-theta dt)) / dt = {target:.4g}, {sds:.3g} sd of theta_hat "
+                      f"from theta at T={t_max:g} (bias: Tang and Chen, J. Econometrics 149, "
+                      "2009)", file=sys.stderr)
     if profile == "full" or steps > _COST_GUARD_STEPS:
-        print(f"planned work: {steps:.3e} simulation steps on {len(grids)} grid(s)",
+        print(f"planned work: {steps:.3e} simulation steps on {len(distinct)} grid(s)",
               file=sys.stderr)
         if not args.yes:
             raise DomainError("this is expensive; re-run with --yes to confirm")
 
-    simulated = {}  # simulation grid -> its replicates: kinds on one grid share them
+    simulated = {}  # config -> its replicates: kinds on one config share them
     for kind, config in configs.items():
-        # one pool runs every replicate of the grid: more threads than those
-        # jobs or than cores would only wait
-        jobs = len(config.thetas) * len(config.horizons) * config.replicates
-        n_workers = max(min(args.threads, jobs, _usable_cpus()), 1)
-        reports = _RUNNERS[kind](config, n_workers=n_workers, simulated=simulated)
+        reports = _RUNNERS[kind](config, n_workers=args.threads, simulated=simulated)
         paths = [write_report(r, args.out, formats=formats) for r in reports]
         print(
             f"wrote {paths[0].get('json') or paths[0].get('csv')} "

@@ -26,14 +26,15 @@ report entry holds its cell fields and CSV columns.  The CLI's kinds, the
 reports and CSV schemas of ``reporting`` and the desk/full profiles all
 come from it.  ``run_experiment`` is the one runner and the one caller of
 ``collect_cells``: it returns every report of a kind, in table order, from
-one simulation of its grid, and draws no path when ``simulated`` already
-holds that grid.
+one simulation of its grid, sizes that simulation's pool, and draws no path
+when ``simulated`` already holds its config.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+import os
 import time
 from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
 from dataclasses import dataclass, fields
@@ -299,11 +300,18 @@ def collect_cells(config: ExperimentConfig, n_workers: int = 1) -> list[CellData
     indices = count()  # its next() runs in C under the interpreter lock: no j is taken twice
 
     def work() -> None:
-        while (j := next(indices)) < n_jobs:
-            c, r = divmod(j, n)
-            ti, hi, params, n_steps, boundary = cell_args[c]
-            rng = np.random.default_rng(derive_replicate_seed(config.master_seed, ti, hi, r))
-            results[c, :, r] = _stream_path(config, params, n_steps, boundary, rng)
+        nonlocal n_jobs
+        try:
+            while (j := next(indices)) < n_jobs:
+                c, r = divmod(j, n)
+                ti, hi, params, n_steps, boundary = cell_args[c]
+                rng = np.random.default_rng(derive_replicate_seed(config.master_seed, ti, hi, r))
+                results[c, :, r] = _stream_path(config, params, n_steps, boundary, rng)
+        except BaseException:
+            # stop the other workers now: the caller may wait many switch intervals for the
+            # interpreter lock before its own stop below
+            n_jobs = j
+            raise
 
     n_threads = max(n_workers, 1)
     with ThreadPoolExecutor(max_workers=n_threads) as pool:
@@ -506,12 +514,6 @@ EXPERIMENTS = {
 REPORTS = {name: r for e in EXPERIMENTS.values() for name, r in e.reports.items()}
 
 
-def simulation_grid(config: ExperimentConfig) -> tuple:
-    """The config fields that fix ``collect_cells(config)``: equal grids, equal replicates."""
-    return (config.thetas, config.horizons, config.dt, config.replicates, config.h,
-            config.scheme, config.master_seed)
-
-
 def _cell(report: Report, config: ExperimentConfig, cd: CellData) -> dict:
     values = report.reduce(config, cd) if cd.completed.any() else (math.nan,) * len(report.stats)
     return {
@@ -535,27 +537,37 @@ def check_report(name: str, config: ExperimentConfig) -> None:
         _cell(REPORTS[name], config, CellData(theta, t_end, empty, empty))
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the OS has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def run_experiment(kind: str, config: ExperimentConfig, n_workers: int = 1,
-                   simulated: dict[tuple, list[CellData]] | None = None) -> list[ExperimentReport]:
+                   simulated: dict[ExperimentConfig, list[CellData]] | None = None
+                   ) -> list[ExperimentReport]:
     """Every report of experiment ``kind``, in table order, from one simulation.
 
     Each report is first checked on the grid (``check_report``), so a config
-    that one of them rejects draws no path.  ``simulated`` maps
-    ``simulation_grid`` of earlier configs to their replicates: a grid found
-    there is not drawn again, and a grid drawn here is added to it, so kinds
-    on one grid share one simulation.  The first report's wall time includes
-    the simulation when this call draws it; each other report's time is its
-    own reduction.
+    that one of them rejects draws no path.  The pool's ``n_workers``, which
+    each report records, is capped at the grid's replicates and the usable
+    CPUs: more threads would only wait.  ``simulated`` maps earlier configs
+    to their replicates: a config found there is not drawn again, and a
+    config drawn here is added to it, so kinds on one config share one
+    simulation.  The first report's wall time includes the simulation when
+    this call draws it; each other report's time is its own reduction.
     """
     reports = EXPERIMENTS[kind].reports
     for name in reports:
         check_report(name, config)
+    jobs = len(config.thetas) * len(config.horizons) * config.replicates
+    n_workers = max(min(n_workers, jobs, _usable_cpus()), 1)
     simulated = {} if simulated is None else simulated
-    grid = simulation_grid(config)
     start = time.perf_counter()
-    if grid not in simulated:
-        simulated[grid] = collect_cells(config, n_workers=n_workers)
-    data = simulated[grid]
+    if config not in simulated:
+        simulated[config] = collect_cells(config, n_workers=n_workers)
+    data = simulated[config]
     failures = sum(cd.failures for cd in data)
     done = []
     for name, report in reports.items():

@@ -1,5 +1,7 @@
 import hashlib
+import json
 import math
+import os
 import sys
 import tracemalloc
 
@@ -32,7 +34,7 @@ from oufar.experiments import (
     predictor_cell,
     z_scores,
 )
-from oufar.reporting import report_json_text
+from oufar.reporting import report_json_text, write_report
 from zero_noise import ZeroNoise
 
 SMALL = ExperimentConfig(
@@ -137,7 +139,26 @@ class TestRunExperiment:
             assert [r.kind for r in reports] == list(exp.EXPERIMENTS[kind].reports)
             assert [report_json_text(r) for r in reports] == fresh[kind]
         assert len(calls) == 1
-        assert list(simulated) == [exp.simulation_grid(config)]
+        assert list(simulated) == [config]
+
+    @pytest.mark.parametrize("affinity, expected", [({0}, 1), ({0, 5}, 2), (set(range(8)), 3)])
+    def test_pool_capped_at_replicates_and_cpus(self, tmp_path, monkeypatch, affinity, expected):
+        # 8 threads asked for 3 replicates: the pool gets min(3, usable CPUs), and the
+        # report and its run record say so
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        seen, real = [], exp.collect_cells
+
+        def recording(config, n_workers):
+            seen.append(n_workers)
+            return real(config, n_workers=1)
+
+        monkeypatch.setattr(exp, "collect_cells", recording)
+        config = ExperimentConfig(thetas=(1.0,), horizons=(10.0,), replicates=3)
+        (report,) = exp.run_experiment("emse", config, n_workers=8)
+        assert seen == [expected]
+        assert report.n_workers == expected
+        write_report(report, tmp_path)
+        assert json.loads((tmp_path / "emse.run.json").read_text())["n_workers"] == expected
 
     def test_rejected_report_draws_nothing(self, monkeypatch):
         monkeypatch.setattr(exp, "collect_cells", lambda *a, **k: pytest.fail("paths drawn"))

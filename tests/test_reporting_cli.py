@@ -15,7 +15,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 import oufar.cli as cli
@@ -31,7 +31,7 @@ from oufar import (
 )
 from oufar.cli import main
 from oufar.errors import GridMismatch
-from oufar.experiments import EXPERIMENTS, PROFILES, check_report
+from oufar.experiments import EXPERIMENTS, PROFILES, CellData, check_report
 from oufar.ou_process import SamplePath, grid_multiple
 from oufar.reporting import (
     atomic_write,
@@ -435,6 +435,28 @@ class TestResolverOracle:
     def test_matches_per_kind_resolver(self, kinds, doc, overrides):
         expected = _resolve_outcome(_reference_resolve, kinds, doc, overrides)
         assert _resolve_outcome(resolve_cli_config, kinds, doc, overrides) == expected
+
+    @staticmethod
+    def _draws(configs):
+        """Simulations ``all`` runs keyed by config, and keyed by the former seven grid fields."""
+        grids = {(c.thetas, c.horizons, c.dt, c.replicates, c.h, c.scheme, c.master_seed)
+                 for c in configs.values()}
+        return len(set(configs.values())), len(grids)
+
+    @pytest.mark.parametrize("profile", PROFILES)
+    def test_config_key_shares_every_profile_grid(self, profile):
+        configs = resolve_cli_config(tuple(EXPERIMENTS), {"profile": profile})[0]
+        by_config, by_grid = self._draws(configs)
+        assert by_config == by_grid
+
+    # about 1 document in 35 is valid for every kind
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+    @given(doc=_DOCUMENTS)
+    def test_config_key_shares_every_document_grid(self, doc):
+        resolved = _resolve_outcome(resolve_cli_config, tuple(EXPERIMENTS), doc, {})
+        assume(resolved is not None)
+        by_config, by_grid = self._draws(resolved[0])
+        assert by_config == by_grid
 
     def test_rejects_what_the_per_kind_resolver_rejects(self):
         doc = {"thetas": [1.0], "horizons": [2.0]}  # only normality rejects it
@@ -874,6 +896,16 @@ class TestNormsCommand:
         assert not out.exists()
 
 
+def _exact_estimates(config, n_workers=1):
+    """``collect_cells`` without paths: every replicate estimates theta exactly."""
+    r = config.replicates
+    return [
+        CellData(theta, t_end, np.full(r, theta), np.zeros(r))
+        for theta in config.thetas
+        for t_end in config.horizons
+    ]
+
+
 class TestExperimentCommand:
     def test_config_file_run(self, tmp_path):
         cfg = tmp_path / "cfg.json"
@@ -993,33 +1025,100 @@ class TestExperimentCommand:
     ):
         import oufar.experiments as exp
 
-        def exact_estimates(config, n_workers=1):
-            # no paths: every replicate estimates theta exactly
-            r = config.replicates
-            return [
-                exp.CellData(theta, t_end, np.full(r, theta), np.zeros(r))
-                for theta in config.thetas
-                for t_end in config.horizons
-            ]
-
         calls = []
 
         def counting(*args, **kwargs):
             calls.append(args)
-            return exact_estimates(*args, **kwargs)
+            return _exact_estimates(*args, **kwargs)
 
         monkeypatch.setattr(exp, "collect_cells", counting)
         out = tmp_path / "r"
         assert main(["experiment", "all", "--profile", profile, "--out", str(out), "--yes"]) == 0
         # the full band-coverage and normality grids are identical
         assert len(calls) == grids
-        distinct = {exp.simulation_grid(profile_config(k, profile)) for k in exp.EXPERIMENTS}
+        distinct = {profile_config(k, profile) for k in exp.EXPERIMENTS}
         assert len(distinct) == grids
         assert len(list(out.glob("*.run.json"))) == len(exp.REPORTS)
         if profile == "full":
             kinds = ("band-coverage", "emse", "predictor-bound")
             steps = sum(estimated_steps(profile_config(k, "full")) for k in kinds)
             assert f"planned work: {steps:.3e} simulation steps" in capsys.readouterr().err
+
+    @staticmethod
+    def _notes(err):
+        return [line for line in err.splitlines() if line.startswith("note:")]
+
+    def test_exact_scheme_bias_note(self, tmp_path, capsys):
+        # theta_hat -> (1 - exp(-5 * 0.02)) / 0.02 = 4.758, 8.38 sd of theta_hat below 5 at T = 12000
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"thetas": [5.0], "horizons": [12000.0], "scheme": "exact", "replicates": 2}))
+        assert main(["experiment", "band-coverage", "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 0
+        (note,) = self._notes(capsys.readouterr().err)
+        assert "theta=5 " in note and "= 4.758," in note and "8.38 sd" in note
+        assert "T=12000 " in note
+
+    def test_exact_scheme_notes_on_the_full_band_grid(self, tmp_path, monkeypatch, capsys):
+        # at T = 18000: theta = 5 is 10.3 sd off, theta = 2 2.65 sd, theta = 1 0.94 sd (no note)
+        import oufar.experiments as exp
+
+        monkeypatch.setattr(exp, "collect_cells", _exact_estimates)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"profile": "full", "scheme": "exact"}))
+        assert main(["experiment", "band-coverage", "--config", str(cfg),
+                     "--out", str(tmp_path / "r"), "--yes"]) == 0
+        notes = self._notes(capsys.readouterr().err)
+        assert [n.split()[1] for n in notes] == ["theta=2", "theta=5"]
+        assert "2.65 sd" in notes[0] and "10.3 sd" in notes[1]
+        assert all("T=18000 " in n for n in notes)
+
+    def test_exact_scheme_note_where_the_sd_underflows(self, tmp_path, capsys):
+        # sqrt(2 theta / T) underflows to 0 under a bias of a few ulps: the note says inf sd,
+        # and the cost guard still refuses the 1e304 steps
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"thetas": [7e-28], "horizons": [1e300], "scheme": "exact"}))
+        assert main(["experiment", "emse", "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 2
+        err = capsys.readouterr().err
+        (note,) = self._notes(err)
+        assert "inf sd" in note and "--yes" in err
+        assert not (tmp_path / "r").exists()
+
+    @pytest.mark.parametrize("grid", [
+        # desk-like thetas and horizons on the exact scheme: at most 0.63 sd
+        {"thetas": [0.4, 0.7, 1.0], "horizons": [1000.0, 4000.0, 8000.0], "scheme": "exact"},
+        # the Euler scheme's theta_hat estimates theta itself
+        {"thetas": [5.0], "horizons": [12000.0], "scheme": "euler"},
+    ])
+    def test_no_note_where_the_target_is_theta(self, tmp_path, monkeypatch, capsys, grid):
+        import oufar.experiments as exp
+
+        monkeypatch.setattr(exp, "collect_cells", _exact_estimates)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(grid))
+        assert main(["experiment", "band-coverage", "--config", str(cfg),
+                     "--out", str(tmp_path / "r")]) == 0
+        assert self._notes(capsys.readouterr().err) == []
+
+    def test_all_notes_each_exact_theta_once_before_drawing(self, tmp_path, monkeypatch, capsys):
+        import oufar.experiments as exp
+
+        err_at_draws = []
+
+        def recording(config, n_workers=1):
+            err_at_draws.append(capsys.readouterr().err)
+            return _exact_estimates(config)
+
+        monkeypatch.setattr(exp, "collect_cells", recording)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(
+            {"thetas": [2.0, 5.0], "horizons": [12000.0], "scheme": "exact", "replicates": 2}))
+        assert main(["experiment", "all", "--config", str(cfg), "--out", str(tmp_path / "r")]) == 0
+        assert len(err_at_draws) == 1  # every kind shares the one config
+        notes = self._notes(err_at_draws[0])
+        assert [n.split()[1] for n in notes] == ["theta=2", "theta=5"]
+        assert self._notes(capsys.readouterr().err) == []
 
     def test_all_rejects_a_config_any_kind_rejects(self, tmp_path, monkeypatch, capsys):
         import oufar.experiments as exp
@@ -1171,15 +1270,16 @@ class TestExperimentCommand:
 
     @staticmethod
     def _workers_chosen(tmp_path, monkeypatch, threads, replicates, thetas=1):
-        import oufar.cli as cli
+        """The ``n_workers`` of every pool that ``experiment emse --threads`` builds."""
+        import oufar.experiments as exp
 
-        seen = []
+        seen, real = [], exp.collect_cells
 
-        def recording_runner(config, n_workers, simulated):
+        def recording(config, n_workers):
             seen.append(n_workers)
-            return run_experiment("emse", config, 1)
+            return real(config, n_workers=1)
 
-        monkeypatch.setitem(cli._RUNNERS, "emse", recording_runner)
+        monkeypatch.setattr(exp, "collect_cells", recording)
         cfg = tmp_path / "cfg.json"
         grid = {"thetas": [0.7, 1.0][:thetas], "replicates": replicates}
         cfg.write_text(json.dumps(SMALL | grid))
@@ -1197,21 +1297,17 @@ class TestExperimentCommand:
     def test_worker_count_clamped(
         self, tmp_path, monkeypatch, threads, thetas, replicates, cpus, expected
     ):
-        import oufar.cli as cli
-
         # an OS without affinity masks: the CPU count caps the workers
-        monkeypatch.delattr(cli.os, "sched_getaffinity", raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
         chosen = self._workers_chosen(tmp_path, monkeypatch, threads, replicates, thetas)
         assert chosen == [expected]
 
     @pytest.mark.parametrize("threads, affinity, expected", [(8, {0}, 1), (8, {0, 3, 5}, 3), (2, {0, 3, 5}, 2)])
     def test_workers_capped_at_affinity(self, tmp_path, monkeypatch, threads, affinity, expected):
         # ``taskset -c 0`` on a many-core host: one usable CPU, one worker
-        import oufar.cli as cli
-
-        monkeypatch.setattr(cli.os, "sched_getaffinity", lambda pid: affinity, raising=False)
-        monkeypatch.setattr(cli.os, "cpu_count", lambda: 64)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: affinity, raising=False)
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
         assert self._workers_chosen(tmp_path, monkeypatch, threads, 10) == [expected]
 
 
