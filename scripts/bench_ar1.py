@@ -1,0 +1,117 @@
+#!/usr/bin/env python3
+"""Cost of each stage of one path chunk of the Monte Carlo harness, in ns per step.
+
+Run from the repository root:
+
+    python3 scripts/bench_ar1.py                    # this tree's oufar
+    python3 scripts/bench_ar1.py --src OTHER/src    # another tree's, same script
+
+Each stage is timed on chunks of 2^16 Euler steps (theta = 1, dt = 2^-6),
+the chunk length of ``experiments._stream_path``; the median over
+``--chunks`` chunks is printed as one JSON object:
+
+* ``draw``: ``standard_normal`` into the chunk's array.
+* ``scale_shift``: the numpy passes that turn the normals into innovations;
+  0 on the compiled route, whose loop does them.
+* ``recursion``: the AR(1) recursion, ``lfilter`` on the scipy route or the
+  C loop of ``_ar1.c`` (scale and shift included) on the compiled one.
+* ``ito_sums``: ``theta_ito_from_values`` on the chunk.
+* ``ar1``: one whole ``ou_process._ar1`` call, which draws, scales, shifts
+  and recurses.
+* ``stream``: one 2^20-step replicate through ``_stream_path``.
+
+A first chunk runs untimed, so a build of the compiled loop is not counted.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import math
+import statistics
+import sys
+import time
+from pathlib import Path
+
+N = 1 << 16
+
+
+def _median_ns_per_step(run, chunks: int, steps: int = N, setup=None) -> float:
+    """The median time of ``run()`` per step over ``chunks`` calls, each after an untimed ``setup()``."""
+    times = []
+    for _ in range(chunks):
+        if setup is not None:
+            setup()
+        start = time.perf_counter_ns()
+        run()
+        times.append(time.perf_counter_ns() - start)
+    return statistics.median(times) / steps
+
+
+def measure(chunks: int) -> dict:
+    import numpy as np
+
+    from oufar import ou_process
+    from oufar.experiments import ExperimentConfig, _stream_path
+    from oufar.mle import theta_ito_from_values
+
+    theta, dt = 1.0, 2.0**-6  # a 2^20-step horizon is then a whole number of blocks
+    a, scales, shift = 1.0 - theta * dt, (math.sqrt(dt), 1.0), 0.0
+    rng = np.random.default_rng(20260810)
+    ou_process._ar1(N, 0.0, a, scales, shift, rng)  # untimed: builds or loads the loop
+    loop = ou_process._ar1_loop() if hasattr(ou_process, "_ar1_loop") else None
+    v = np.empty(N + 1)
+    v[0] = 0.0
+
+    def draw():
+        rng.standard_normal(out=v[1:])
+
+    def scale_shift():
+        for factor in scales:
+            np.multiply(v[1:], factor, out=v[1:])
+        np.add(v[1:], shift, out=v[1:])
+
+    def recursion():
+        if loop is None:
+            ou_process.lfilter([1.0], [1.0, -a], v)
+        else:
+            loop(a, *scales, shift, v.ctypes.data, v.size)
+
+    # each in-place stage starts from the same values: normals, or innovations for lfilter
+    draw()
+    normals = v.copy()
+    scale_shift()
+    innovations = v.copy()
+    path = ou_process.lfilter([1.0], [1.0, -a], innovations)
+    config = ExperimentConfig(thetas=(theta,), horizons=(16 * N * dt,), dt=dt)
+    stream_rng = np.random.default_rng(1)
+    return {
+        "route": "scipy" if loop is None else "compiled",
+        "draw": _median_ns_per_step(draw, chunks),
+        "scale_shift": 0.0 if loop else _median_ns_per_step(
+            scale_shift, chunks, setup=lambda: np.copyto(v, normals)),
+        "recursion": _median_ns_per_step(
+            recursion, chunks, setup=lambda: np.copyto(v, normals if loop else innovations)),
+        "ito_sums": _median_ns_per_step(lambda: theta_ito_from_values(path, dt), chunks),
+        "ar1": _median_ns_per_step(lambda: ou_process._ar1(N, 0.0, a, scales, shift, rng), chunks),
+        "stream": _median_ns_per_step(
+            lambda: _stream_path(config, ou_process.OuParams(theta), 16 * N, 0, stream_rng),
+            max(chunks // 16, 3), 16 * N),
+    }
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--src", type=Path, default=Path(__file__).resolve().parents[1] / "src",
+                        help="directory holding the oufar package to time (default: this tree's src)")
+    parser.add_argument("--chunks", type=int, default=200, help="timed chunks per stage (default 200)")
+    args = parser.parse_args(argv)
+    if args.chunks < 1:
+        parser.error("--chunks must be at least 1")
+    sys.path.insert(0, str(args.src.resolve()))
+    print(json.dumps(measure(args.chunks)))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -17,11 +17,19 @@ and the exact Gaussian transition (used as a distributional oracle).  Each retur
 a ``SamplePath``, a grid and its values alone: a caller keeps what drew the path.
 
 Both samplers are thin calls of one kernel, ``_ar1``: it draws a block of
-standard normals into the thread's ``scratch`` buffer, scales and shifts
-them in place into the innovations, and runs the AR(1) recursion
-xi_{i+1} = a xi_i + u_i with the Euler factor a = 1 - theta dt or the exact
-decay a = exp(-theta dt).  The recursion goes through ``lfilter``, which calls
-scipy's compiled ``_linear_filter``.
+standard normals, scales and shifts them into the innovations, and runs the
+AR(1) recursion xi_{i+1} = a xi_i + u_i with the Euler factor a = 1 - theta dt
+or the exact decay a = exp(-theta dt).  It has two routes with the same bits.
+The compiled route is one pass of the C loop in ``_ar1.c`` over the path
+array.  The loop is built once per machine into the user's cache directory
+(``$XDG_CACHE_HOME/oufar``, default ``~/.cache/oufar``) with the platform
+``cc`` and loaded with ctypes on the first ``_ar1`` call, never on import.
+The scipy route scales and shifts the normals with numpy in the thread's
+``scratch`` buffer and runs the recursion through ``lfilter``, which calls
+scipy's compiled ``_linear_filter``.  It is taken where there is no
+compiler, the build or the load fails, or the loop's output on a fixed
+probe differs from the scipy route's by a bit.  ``ar1_route`` names the
+route, which is decided once per process.
 
 The scipy code this package runs comes in by one cached lookup,
 ``_scipy(extension, name, public)``, made on first use: it takes the
@@ -40,8 +48,8 @@ at all; with the other modules doing the same, a fresh ``oufar simulate``
 or ``oufar --version`` starts in about 0.3 s instead of 1.5 s (2-vCPU
 Intel Xeon; README, "Start-up cost").
 
-A path chunk's temporaries live in ``scratch``: one reusable buffer per
-thread (see there for why).
+On the scipy route, a path chunk's temporaries live in ``scratch``: one
+reusable buffer per thread (see there for why).
 """
 
 from __future__ import annotations
@@ -157,6 +165,152 @@ def lfilter(b, a, x) -> np.ndarray:
     """
     linear_filter = _scipy(_SIGTOOLS, "_linear_filter", "scipy.signal.lfilter")
     return linear_filter(np.atleast_1d(b), np.atleast_1d(a), np.asarray(x), -1)
+
+
+# -ffp-contract=off: GCC fuses a * y + w into one rounding on some targets by default
+_CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
+_kernel_lock = threading.Lock()
+_kernel: list = []  # empty until the first _ar1 call, then [the checked loop, or None]
+
+
+def _build_ar1() -> str:
+    """The file of ``_ar1.c`` compiled with ``_CC_FLAGS``, built into the cache if not there.
+
+    The cache is ``$XDG_CACHE_HOME/oufar``, or ``~/.cache/oufar`` where that
+    is unset or relative, and the name holds the sha256 of the source and
+    the flags, so an edit of either builds a new file.  A cached file is used
+    without a compiler.  Otherwise the platform ``cc`` writes a temporary
+    file that ``os.replace`` renames, under an exclusive lock on a file
+    beside it, so processes and threads racing on a first build build once,
+    and an interrupted build leaves nothing under the final name.  Raises
+    OSError where it cannot.
+    """
+    import hashlib
+
+    source = os.path.join(os.path.dirname(os.path.abspath(__file__)), "_ar1.c")
+    with open(source, "rb") as f:
+        digest = hashlib.sha256(f.read() + " ".join(_CC_FLAGS).encode()).hexdigest()
+    cache = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(cache):
+        cache = os.path.join(os.path.expanduser("~"), ".cache")
+    target = os.path.join(cache, "oufar", f"ar1-{digest[:16]}.so")
+    if os.path.exists(target):
+        return target
+    import fcntl
+    import shutil
+    import subprocess
+
+    cc = shutil.which("cc")
+    if cc is None:
+        raise OSError("no C compiler cc on PATH")
+    os.makedirs(os.path.dirname(target), exist_ok=True)
+    with open(f"{target}.lock", "w") as lock:
+        fcntl.flock(lock, fcntl.LOCK_EX)
+        if not os.path.exists(target):
+            temp = f"{target}.{os.getpid()}.tmp"
+            try:
+                subprocess.run([cc, *_CC_FLAGS, "-o", temp, source], check=True,
+                               capture_output=True, timeout=120)
+                os.replace(temp, target)
+            except subprocess.SubprocessError as error:
+                raise OSError(f"cc did not build {source}: {error}") from error
+            finally:
+                if os.path.exists(temp):
+                    os.unlink(temp)
+    return target
+
+
+def _load_ar1():
+    """The C function ``oufar_ar1`` of the built ``_ar1.c``, loaded with ctypes (unchecked)."""
+    import ctypes
+
+    loop = ctypes.CDLL(_build_ar1()).oufar_ar1
+    loop.argtypes = (ctypes.c_double,) * 4 + (ctypes.c_void_p, ctypes.c_ssize_t)
+    loop.restype = None
+    return loop
+
+
+def _scipy_ar1(v: np.ndarray, a: float, scales: tuple[float, ...], shift: float) -> np.ndarray:
+    """The path from v = [x0, Z_1, ..., Z_n] by numpy passes and ``lfilter``: a new array.
+
+    The Z_i are multiplied by the factors of ``scales`` one at a time, in
+    order (the order fixes the rounding), then shifted, all in place in v.
+    lfilter with b=[1], a=[1, -a] runs the recursion over
+    [x0, u_1, ..., u_n] in C, one multiply and one add per step, so the
+    result is bit-identical to the plain Python loop wherever no u_i is
+    -0.0 (where one is, a zero value may differ in sign; see ``_ar1.c``).
+    From a zero initial state its first output is 0.0 + x0, which carries
+    x0 into the recursion but turns -0.0 into +0.0, so xi_0 is put back
+    afterwards.
+    """
+    u = v[1:]
+    for factor in scales:
+        np.multiply(u, factor, out=u)
+    np.add(u, shift, out=u)
+    path = lfilter([1.0], [1.0, -a], v)
+    path[0] = v[0]
+    return path
+
+
+def _compiled_ar1(loop, v: np.ndarray, a: float, scales: tuple[float, ...],
+                  shift: float) -> np.ndarray:
+    """The path from v = [x0, Z_1, ..., Z_n] by one call of the C ``loop``, in place in v.
+
+    It scales, shifts and recurses as ``_scipy_ar1`` does, with its bits.  A
+    missing second factor is 1.0, by which multiplying is exact.
+    """
+    if not (v.dtype == np.float64 and v.ndim == 1 and v.size and v.flags.c_contiguous
+            and v.flags.writeable):
+        raise ValueError("the AR(1) loop needs x0 and the normals in a writable contiguous "
+                         "1-D float64 array")
+    s1, s2 = (*scales, 1.0)[:2]
+    loop(a, s1, s2, shift, v.ctypes.data, v.size)
+    return v
+
+
+def _probe_passes(loop) -> bool:
+    """Whether ``loop`` gives the scipy route's bits on a fixed probe of 4097-value paths.
+
+    The probe's normals hold zeros of both signs, and its cases take both
+    schemes' factors, signed zero shifts and starts, zero and negative a.
+    """
+    z = np.random.default_rng(0).standard_normal(4097)
+    z[::5] = -0.0
+    z[::7] = 0.0
+    cases = [
+        (1.0 - 0.7 * 0.02, (math.sqrt(0.02), 1.3), 0.0, 0.0),
+        (math.exp(-0.02), (0.14,), -0.0, -0.0),
+        (-0.0, (1.0,), -0.0, 1e6),
+        (0.0, (0.5, 2.0), 0.25, -0.0),
+        (-1.3, (1e-3, 3.0), -0.0, -2.5),
+    ]
+    for a, scales, shift, x0 in cases:
+        z[0] = x0
+        compiled = _compiled_ar1(loop, z.copy(), a, scales, shift)
+        if compiled.tobytes() != _scipy_ar1(z.copy(), a, scales, shift).tobytes():
+            return False
+    return True
+
+
+def _ar1_loop():
+    """The C loop of ``_ar1.c`` where it is built, loads and passes the probe, else None.
+
+    Decided on the first call in a process and kept; a missing compiler, a
+    failed build, an unwritable cache or a load error gives None.
+    """
+    with _kernel_lock:
+        if not _kernel:
+            try:
+                loop = _load_ar1()
+            except (OSError, AttributeError, ImportError):  # ImportError: no fcntl
+                loop = None
+            _kernel.append(loop if loop is not None and _probe_passes(loop) else None)
+    return _kernel[0]
+
+
+def ar1_route() -> str:
+    """``"compiled"`` or ``"scipy"``: the route this process's AR(1) recursions take."""
+    return "scipy" if _ar1_loop() is None else "compiled"
 
 
 def positive_finite(x: float) -> bool:
@@ -343,28 +497,22 @@ def gaussian_tail_bound(sigma: float, x):
 
 def _ar1(n: int, x0: float, a: float, scales: tuple[float, ...], shift: float,
          rng: np.random.Generator) -> np.ndarray:
-    """Values of xi_0 = x0, xi_{i+1} = a xi_i + u_i, with u_i = Z_i * scales + shift.
+    """Values of xi_0 = x0, xi_i = a xi_{i-1} + u_i, with u_i = Z_i * scales + shift.
 
     The one kernel of both samplers.  The n standard normals Z_i are drawn
-    in one block from ``rng`` into this thread's ``scratch``, after x0, and
-    multiplied by the factors of ``scales`` one at a time, in order (the
-    order fixes the rounding), then shifted, all in place.  lfilter with
-    b=[1], a=[1, -a] runs the recursion over [x0, u_0, ..., u_{n-1}] in C,
-    one multiply and one add per step, so the result is bit-identical to the
-    plain Python loop.  From a zero initial state its first output is
-    0.0 + x0, which carries x0 into the recursion but turns -0.0 into +0.0,
-    so xi_0 is put back afterwards.  The path is a new array.
+    in one block from ``rng``, after x0, and the route of ``ar1_route`` turns
+    them into the path: the compiled loop in place in a new path array, or
+    ``_scipy_ar1`` from this thread's ``scratch`` into a new array.  Either
+    way the path has the bits of ``_scipy_ar1``, xi_0 = x0 included (-0.0
+    stays -0.0), and is a new array.
     """
-    v = scratch(n + 1)
+    loop = _ar1_loop()
+    v = scratch(n + 1) if loop is None else np.empty(n + 1)
     v[0] = x0
-    u = v[1:]
-    rng.standard_normal(out=u)
-    for factor in scales:
-        np.multiply(u, factor, out=u)
-    np.add(u, shift, out=u)
-    path = lfilter([1.0], [1.0, -a], v)
-    path[0] = x0
-    return path
+    rng.standard_normal(out=v[1:])
+    if loop is None:
+        return _scipy_ar1(v, a, scales, shift)
+    return _compiled_ar1(loop, v, a, scales, shift)
 
 
 def sample_euler(

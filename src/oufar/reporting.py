@@ -3,9 +3,9 @@
 Every JSON and CSV text oufar writes is made here: strict, sorted, indent-2
 JSON (``json_text``) and CSV whose numbers have 17 significant digits, so
 every double round-trips exactly.  Deterministic artifacts (report JSON, CSV
-tables, path CSVs) never contain volatile data; wall time and worker count
-go to a separate ``*.run.json`` so re-running with the same master seed
-produces byte-identical reports.
+tables, path CSVs) never contain volatile data; wall time, worker count and
+the recursion route go to a separate ``*.run.json`` so re-running with the
+same master seed produces byte-identical reports.
 
 Every file is written atomically: into a temporary file beside the target,
 then renamed over it, so an interrupted run leaves the old file or none.
@@ -52,7 +52,7 @@ from .experiments import (
     ExperimentReport,
     check_report,
 )
-from .ou_process import SamplePath, grid_multiple
+from .ou_process import SamplePath, ar1_route, grid_multiple
 
 SCHEMA_VERSION = 1
 
@@ -172,8 +172,9 @@ def write_report(
 
     The z table of a normality report is also written as
     ``standardized_errors.csv``.  Returns the paths written.  The run file
-    records wall time and worker count and is the only file allowed to
-    differ between reruns.
+    records wall time, worker count and the route of this process's AR(1)
+    recursions (``ou_process.ar1_route``, the same bits either way), and is
+    the only file allowed to differ between reruns.
     """
     out_dir = Path(out_dir)
     paths = {"run": out_dir / f"{report.kind}.run.json"}
@@ -190,6 +191,7 @@ def write_report(
     run_doc = {
         "wall_time_s": report.wall_time_s,
         "n_workers": report.n_workers,
+        "recursion": ar1_route(),
         "finished_unix": time.time(),
     }
     atomic_write(paths["run"], [json_text(run_doc)])

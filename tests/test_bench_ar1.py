@@ -1,0 +1,29 @@
+"""``scripts/bench_ar1.py`` prints one JSON object of per-stage costs, and refuses a bad flag."""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+_SCRIPT = Path(__file__).resolve().parents[1] / "scripts" / "bench_ar1.py"
+
+
+def _run(*argv):
+    return subprocess.run([sys.executable, str(_SCRIPT), *argv], capture_output=True, text=True,
+                          timeout=300)
+
+
+def test_prints_every_stage_and_the_route():
+    proc = _run("--chunks", "2")
+    assert proc.returncode == 0, proc.stderr
+    doc = json.loads(proc.stdout)
+    assert doc["route"] in ("compiled", "scipy")
+    stages = ("draw", "scale_shift", "recursion", "ito_sums", "ar1", "stream")
+    assert sorted(doc) == sorted(("route", *stages))
+    assert all(doc[s] > 0.0 for s in stages if s != "scale_shift")
+    assert (doc["scale_shift"] == 0.0) == (doc["route"] == "compiled")
+
+
+def test_chunks_below_one_is_a_usage_error():
+    proc = _run("--chunks", "0")
+    assert proc.returncode == 2 and "--chunks" in proc.stderr

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import shutil
 import sys
 import tracemalloc
 
@@ -11,6 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oufar.experiments as exp
+import oufar.ou_process as ou_process
 from oufar import (
     EXPERIMENTS,
     DomainError,
@@ -589,3 +591,13 @@ class TestGoldenBytes:
                 digest = hashlib.sha256(report_json_text(report).encode()).hexdigest()
                 assert digest == self.PINS[scheme, report.kind]
         assert sorted(kinds) == sorted(k for s, k in self.PINS if s == scheme)
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_report_sha256_on_the_scipy_route(self, monkeypatch, tmp_path, scheme):
+        # no compiler and an empty cache: the numpy passes and lfilter give the same pins
+        monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+        monkeypatch.setattr(ou_process, "_kernel", [])
+        self.test_report_sha256(scheme)
+        assert ou_process.ar1_route() == "scipy"
+        assert list(tmp_path.iterdir()) == []

@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import shutil
 import subprocess
 import sys
 import threading
@@ -513,3 +514,195 @@ class TestScratch:
         worker.start()
         worker.join(timeout=10)
         assert len(seen) == 1 and not np.shares_memory(seen[0], self._buffer())
+
+
+def _compiled_loop():
+    """This process's checked C loop of ``_ar1.c``; the caller is skipped only where no cc exists."""
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler cc on PATH")
+    loop = ou_process._ar1_loop()
+    assert loop is not None, "cc is on PATH, but the compiled AR(1) loop was not taken"
+    return loop
+
+
+@st.composite
+def _route_cases(draw):
+    n = draw(st.sampled_from([1, 2, 127, 2**16]))
+    x0 = draw(st.one_of(st.sampled_from([0.0, -0.0, 1e6, -1e6]), st.floats(-10.0, 10.0)))
+    a = draw(st.one_of(st.sampled_from([0.0, -0.0]),
+                       st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True)))
+    dt = draw(st.floats(1e-4, 1.0))
+    if draw(st.booleans()):
+        scales = (math.sqrt(dt), draw(st.floats(0.1, 5.0)))  # Euler: sqrt(dt), then sigma
+    else:
+        scales = (draw(st.floats(1e-3, 5.0)),)  # exact: sd (the loop's second factor is 1.0)
+    shift = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0)))
+    return n, x0, a, scales, shift, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
+
+
+def _fake_cc(bin_dir: Path, body: str) -> None:
+    """A ``cc`` in ``bin_dir`` that runs the sh ``body``."""
+    bin_dir.mkdir(exist_ok=True)
+    cc = bin_dir / "cc"
+    cc.write_text(f"#!/bin/sh\n{body}\n")
+    cc.chmod(0o755)
+
+
+class TestCompiledRecursion:
+    """The C loop of ``_ar1.c`` has the scipy route's bits, and is used only where it does."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_route_cases())
+    def test_compiled_loop_equals_the_scipy_route(self, case):
+        n, x0, a, scales, shift, signed_zeros, seed = case
+        loop = _compiled_loop()
+        v = np.empty(n + 1)
+        v[0] = x0
+        np.random.default_rng(seed).standard_normal(out=v[1:])
+        if signed_zeros:  # lfilter's delay state then carries the previous input's sign
+            v[1::3] = -0.0
+            v[2::5] = 0.0
+        expected = ou_process._scipy_ar1(v.copy(), a, scales, shift)
+        assert ou_process._compiled_ar1(loop, v, a, scales, shift).tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("v", [np.zeros(0), np.zeros(9, dtype=np.float32), np.zeros(18)[::2],
+                                   np.zeros((3, 3))], ids=["empty", "float32", "strided", "2-d"])
+    def test_the_loop_takes_only_arrays_it_can_write(self, v):
+        with pytest.raises(ValueError, match="float64"):
+            ou_process._compiled_ar1(_compiled_loop(), v, 0.5, (1.0,), 0.0)
+
+    @pytest.mark.parametrize("flip, route", [(True, "scipy"), (False, "compiled")])
+    def test_a_loop_that_fails_the_probe_is_not_used(self, monkeypatch, flip, route):
+        import ctypes
+
+        _compiled_loop()
+        load = ou_process._load_ar1
+
+        def load_wrapped():
+            loop = load()
+
+            def wrapped(a, s1, s2, shift, data, n):
+                loop(a, s1, s2, shift, data, n)
+                if flip:  # the last bit of the last value
+                    ctypes.c_uint64.from_address(data + 8 * (n - 1)).value ^= 1
+            return wrapped
+
+        monkeypatch.setattr(ou_process, "_load_ar1", load_wrapped)
+        monkeypatch.setattr(ou_process, "_kernel", [])
+        assert ou_process.ar1_route() == route
+        grid = TimeGrid(t_end=2.0, dt=0.02)
+        path = sample_euler(OuParams(theta=0.7, mu=0.3), grid, np.random.default_rng(4), x0=-0.0)
+        expected = _loop_values(OuParams(theta=0.7, mu=0.3), grid, 4, "euler", -0.0, False, False)
+        assert path.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("failure", ["no compiler", "failing compiler", "unloadable output",
+                                         "unwritable cache"])
+    def test_a_failed_build_takes_the_scipy_route(self, monkeypatch, tmp_path, failure):
+        cache = tmp_path / "cache"
+        if failure == "no compiler":
+            monkeypatch.setattr(shutil, "which", lambda *args, **kwargs: None)
+        elif failure == "failing compiler":  # writes part of its output, then fails
+            _fake_cc(tmp_path / "bin", 'while [ "$1" != -o ]; do shift; done\nprintf partial > "$2"\nexit 1')
+        elif failure == "unloadable output":
+            _fake_cc(tmp_path / "bin", 'while [ "$1" != -o ]; do shift; done\nprintf garbage > "$2"')
+        else:
+            cache.write_text("a file where the cache directory would be\n")
+        monkeypatch.setenv("PATH", f"{tmp_path / 'bin'}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(cache))
+        monkeypatch.setattr(ou_process, "_kernel", [])
+        assert ou_process.ar1_route() == "scipy"
+        grid = TimeGrid(t_end=2.0, dt=0.02)
+        path = sample_exact(OuParams(theta=0.7, mu=0.3), grid, np.random.default_rng(4), x0=1.5)
+        expected = _loop_values(OuParams(theta=0.7, mu=0.3), grid, 4, "exact", 1.5, False, False)
+        assert path.values.tobytes() == expected.tobytes()
+        if failure == "failing compiler":  # nothing under the final name, no temporary file
+            assert [p.suffix for p in (cache / "oufar").iterdir()] == [".lock"]
+
+    def _counting_cc(self, tmp_path: Path, monkeypatch) -> Path:
+        """Put a ``cc`` first on PATH that logs each build, waits, then runs the real one."""
+        real = shutil.which("cc")
+        if real is None:
+            pytest.skip("no C compiler cc on PATH")
+        log = tmp_path / "builds.log"
+        _fake_cc(tmp_path / "bin", f'echo build >> "{log}"\nsleep 0.3\nexec "{real}" "$@"')
+        monkeypatch.setenv("PATH", f"{tmp_path / 'bin'}{os.pathsep}{os.environ['PATH']}")
+        monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "cache"))
+        return log
+
+    def test_threads_sampling_at_first_use_build_one_file(self, monkeypatch, tmp_path):
+        log = self._counting_cc(tmp_path, monkeypatch)
+        monkeypatch.setattr(ou_process, "_kernel", [])
+        grid = TimeGrid(t_end=20.0, dt=0.02)
+        start = threading.Barrier(8)
+        paths = [None] * 8
+
+        def sample(i):
+            start.wait()
+            paths[i] = sample_euler(OuParams(theta=1.0), grid, np.random.default_rng(i)).values
+
+        threads = [threading.Thread(target=sample, args=(i,)) for i in range(8)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert ou_process.ar1_route() == "compiled"
+        assert log.read_text() == "build\n"
+        assert sorted(p.suffix for p in (tmp_path / "cache" / "oufar").iterdir()) == [".lock", ".so"]
+        for i, values in enumerate(paths):
+            expected = _loop_values(OuParams(theta=1.0), grid, i, "euler", 0.0, False, False)
+            assert values.tobytes() == expected.tobytes()
+
+    def test_racing_builders_build_once(self, monkeypatch, tmp_path):
+        # the file lock, not this process's lock, makes the racers after the first wait
+        log = self._counting_cc(tmp_path, monkeypatch)
+        start = threading.Barrier(8)
+        built = []
+
+        def build():
+            start.wait()
+            built.append(ou_process._build_ar1())
+
+        threads = [threading.Thread(target=build) for _ in range(8)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+        assert not any(t.is_alive() for t in threads)
+        assert len(built) == 8 and len(set(built)) == 1
+        assert log.read_text() == "build\n"
+        assert sorted(p.suffix for p in (tmp_path / "cache" / "oufar").iterdir()) == [".lock", ".so"]
+
+    def test_commands_that_draw_no_path_never_run_the_loader(self, tmp_path):
+        csv = tmp_path / "p.csv"
+        csv.write_text("t,xi\n0,0\n0.5,0.25\n1,0.5\n1.5,0.125\n2,-0.25\n")
+        argvs = [
+            ["--version"],
+            ["norms", "--theta", "1", "--h", "1"],
+            ["norms", "--theta", "1", "--h", "1", "--theta-hat", "1.0001"],
+            ["estimate", "--input", str(csv), "--form", "both", "--out", str(tmp_path / "e.json")],
+            ["simulate", "--theta", "1", "--t-end", "2", "--dt", "0.5", "--seed", "1",
+             "--out", str(tmp_path / "s.csv")],
+        ]
+        undecided, codes = _run_fresh(f"""
+import contextlib, io, json
+import oufar.cli
+from oufar import ou_process
+undecided, codes = [ou_process._kernel == []], []
+for argv in {argvs!r}:
+    with contextlib.redirect_stdout(io.StringIO()):
+        try:
+            codes.append(oufar.cli.main(argv))
+        except SystemExit as exit:  # --version
+            codes.append(exit.code)
+    undecided.append(ou_process._kernel == [])
+print(json.dumps([undecided, codes]))
+""")
+        assert codes == [0] * len(argvs)
+        # simulate, the one command here that draws, decides the route
+        assert undecided == [True, True, True, True, True, False]

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 import oufar.cli as cli
 import oufar.mle as mle
+import oufar.ou_process as ou_process
 import oufar.reporting as reporting
 
 from oufar import (
@@ -917,6 +918,17 @@ class TestExperimentCommand:
         assert doc["provenance"]["master_seed"] == 5
         assert (out / "band_coverage.csv").exists()
         assert (out / "band_coverage.run.json").exists()
+
+    @pytest.mark.parametrize("forced", [None, "scipy"])
+    def test_run_record_names_the_recursion_route(self, monkeypatch, tmp_path, forced):
+        if forced:
+            monkeypatch.setattr(ou_process, "_kernel", [None])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL))
+        out = tmp_path / "results"
+        assert main(["experiment", "normality", "--config", str(cfg), "--out", str(out)]) == 0
+        routes = {json.loads(f.read_text())["recursion"] for f in out.glob("*.run.json")}
+        assert routes == {forced or ou_process.ar1_route()} and routes <= {"compiled", "scipy"}
 
     def test_thread_count_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -4,13 +4,16 @@ The desk pins (CI step "Desk report pins", perfbench) were taken with numpy
 2.4.6 and scipy 1.17.1.  They depend on numpy's PCG64 seeding and
 ``Generator.standard_normal`` stream, which numpy does not promise to keep
 across feature releases (NEP 19), and on the arithmetic of scipy's
-``_linear_filter``.  When a pin fails and these tests pass, oufar moved;
-when one of these fails too, the named upstream stream moved.
+``_linear_filter``, which oufar's compiled AR(1) loop reproduces bit for bit.
+When a pin fails and these tests pass, oufar moved; when one of these fails
+too, the named upstream stream moved.
 """
 
 import hashlib
+import shutil
 
 import numpy as np
+import pytest
 
 from oufar import derive_replicate_seed
 from oufar import ou_process
@@ -27,9 +30,20 @@ def test_normal_stream_of_the_first_desk_replicate():
     )
 
 
+# exactly rounded input (integers over 97), so only the recursion's arithmetic is pinned
+_FILTER_INPUT = ((np.arange(2**16) * 7919) % 1000 - 499.5) / 97.0
+_FILTER_SHA256 = "3c139b036f72e905ed096f14b5688baa0aab7e1779a7d3a8760c00f329940071"
+
+
 def test_linear_filter_arithmetic():
-    # exactly rounded input (integers over 97), so only the filter's arithmetic is pinned
-    x = ((np.arange(2**16) * 7919) % 1000 - 499.5) / 97.0
-    assert _sha256(ou_process.lfilter([1.0], [1.0, -0.986], x)) == (
-        "3c139b036f72e905ed096f14b5688baa0aab7e1779a7d3a8760c00f329940071"
-    )
+    assert _sha256(ou_process.lfilter([1.0], [1.0, -0.986], _FILTER_INPUT)) == _FILTER_SHA256
+
+
+def test_compiled_loop_has_the_linear_filter_arithmetic():
+    # the C loop of oufar's own _ar1.c, with unit scales and no shift, over the same input
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler cc on PATH")
+    loop = ou_process._ar1_loop()
+    assert loop is not None
+    path = ou_process._compiled_ar1(loop, _FILTER_INPUT.copy(), 0.986, (1.0,), 0.0)
+    assert _sha256(path) == _FILTER_SHA256
