@@ -8,6 +8,8 @@ kind, or of ``all`` kinds in turn).  ``experiment`` hands ``--threads`` to
 once.  Before drawing it prints a stderr ``note:`` for each exact-scheme
 theta whose estimand (1 - exp(-theta dt)) / dt is more than one sd of
 theta_hat from theta at the largest horizon; no exit code or report changes.
+``estimate`` prints one such note where the path's mean is far from 0 for a
+centred path (``_centring_note``); its JSON and exit code do not change.
 
 Exit codes.  A command returns nothing on success and raises one of the
 package's errors on failure; ``main`` alone turns it into an exit code and
@@ -86,6 +88,10 @@ _COST_GUARD_STEPS = 5 * 10**9
 
 _K_MAX = 10**5  # norms rows are held in memory; enough for k0 of any theta >= 2e-5
 
+# estimate notes a path whose mean is more than this many sd from 0 for a centred
+# path, once it spans this many relaxation times 1/theta (see _centring_note)
+_CENTRING_SDS, _CENTRING_MIN_THETA_T = 6.0, 100.0
+
 
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -114,7 +120,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_est = sub.add_parser("estimate", help="estimate theta from a path CSV", description=(
         "Estimate theta of the centred model dxi = -theta xi dt + sigma dW (mu = 0; the endpoint "
-        "form also assumes sigma = 1): a path with mu != 0 gives a meaningless estimate. On an "
+        "form also assumes sigma = 1): a path with mu != 0 gives a meaningless estimate, and a "
+        "stderr note where its mean is far from 0 for a centred path. On an "
         "exact-scheme path it converges to (1 - exp(-theta dt)) / dt, not to theta."))
     p_est.add_argument("--input", required=True)
     p_est.add_argument("--form", choices=("ito", "endpoint", "both"), default="ito")
@@ -192,7 +199,8 @@ def _cmd_simulate(args) -> None:
                           "the provenance sidecar is written beside it")
     params = OuParams(theta=args.theta, mu=args.mu, sigma=args.sigma)
     grid = TimeGrid(t_end=args.t_end, dt=args.dt)
-    # the sampler holds two float64 arrays of n_steps + 1 values: the noise and the path
+    # 16 B a value, the scipy route's need: the noise in its scratch buffer and the new path.
+    # The compiled route holds the path alone, but the route is decided at the first draw
     need, memory = 16 * (grid.n_steps + 1), _physical_memory()
     if need > memory:
         raise DomainError(f"{grid.n_steps} steps need {need / 2**30:.3g} GiB for the noise and "
@@ -222,6 +230,38 @@ def _estimate_doc(est: ThetaEstimate) -> dict:
     }
 
 
+def _centring_note(values: np.ndarray, dt: float) -> str | None:
+    """A ``note:`` line where the path's mean is far from 0 for a centred path, else None.
+
+    The mean x of the left values is compared with the sd sigma / (theta sqrt(T))
+    of a centred OU path's mean, the long-run value for the process and for its
+    Euler AR(1).  sigma^2 = sum (dxi)^2 / T; theta is the Ito estimate on the
+    path less x, whose numerator -sum y_i dy_i equals (sum (dy)^2 + y_0^2 -
+    y_n^2) / 2, so no centred copy is made.  A note needs |x| > 6 sd and theta
+    T >= 100, which rules out theta <= 0 and NaN.  As theta T grows, x / sd of a
+    centred path tends to N(0, 1): 6 sd is a false-alarm rate of 2e-9.  Centring
+    a short path removes its slow part and overstates theta, so below theta T =
+    100 no note is printed: 72,000 centred paths with theta T from 1 to 200
+    (Euler from 0 and exact stationary, dt = 0.02) drew none.
+    """
+    n, left = values.size - 1, values[:-1]
+    t_end = n * dt
+    with np.errstate(all="ignore"):  # a constant or overflowing path fails the test below
+        steps = np.diff(values)
+        sum_dsq = np.dot(steps, steps)
+        del steps  # one path-sized temporary at a time
+        mean = np.mean(left)
+        theta = (sum_dsq + (values[0] - mean) ** 2 - (values[-1] - mean) ** 2) / (
+            2.0 * n * dt * np.var(left))
+        sigma = np.sqrt(sum_dsq / t_end)
+        sds = abs(mean) * theta * math.sqrt(t_end) / sigma
+    if not (theta * t_end >= _CENTRING_MIN_THETA_T and sds > _CENTRING_SDS):
+        return None
+    return (f"note: the path's mean {mean:.4g} is {sds:.3g} sd from 0 (a centred path's mean "
+            f"has sd sigma / (theta sqrt(T)); theta {theta:.4g} and sigma {sigma:.4g} fitted "
+            "about the mean): estimate fits the centred model, mu = 0")
+
+
 def _cmd_estimate(args) -> None:
     try:
         values, dt = read_path_csv(args.input)
@@ -244,6 +284,9 @@ def _cmd_estimate(args) -> None:
         text = json_text(doc)
     except ValueError as exc:  # finite values whose squares or products overflow
         raise GridMismatch(f"{args.input}: estimator sums are not finite") from exc
+    note = _centring_note(values, dt)
+    if note is not None:
+        print(note, file=sys.stderr)
     _emit(text, args.out)
 
 

@@ -158,10 +158,12 @@ def _special_ufunc(name: str):
 def lfilter(b, a, x) -> np.ndarray:
     """``scipy.signal.lfilter(b, a, x)`` from a zero state, for 1-D x and len(a) >= 2.
 
-    The one call of the AR(1) recursion.  It calls scipy's ``_linear_filter``
-    with the arrays ``scipy.signal.lfilter`` passes it for a denominator of
-    two or more taps and no initial state; the public ``scipy.signal.lfilter``
-    takes the same positional arguments where the extension is missing.
+    The AR(1) recursion of the scipy route (``_scipy_ar1``), and so the
+    reference that ``_probe_passes`` holds the compiled loop to; the compiled
+    route does not call it.  It calls scipy's ``_linear_filter`` with the
+    arrays ``scipy.signal.lfilter`` passes it for a denominator of two or more
+    taps and no initial state; the public ``scipy.signal.lfilter`` takes the
+    same positional arguments where the extension is missing.
     """
     linear_filter = _scipy(_SIGTOOLS, "_linear_filter", "scipy.signal.lfilter")
     return linear_filter(np.atleast_1d(b), np.atleast_1d(a), np.asarray(x), -1)

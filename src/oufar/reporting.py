@@ -21,6 +21,9 @@ CSV schemas (header line included, LF line endings):
 
 A path CSV's ``.meta.json`` sidecar holds the provenance its caller passes
 (``simulate``: seed, scheme, params, start) plus the grid and the versions.
+A path CSV is written in blocks of 2^11 rows and read in one pass over
+blocks of 2^11 lines, each parsed and checked before the next is read, so
+neither side holds the whole text.
 
 The report tables take their columns from ``experiments.REPORTS``.
 
@@ -198,9 +201,9 @@ def write_report(
     return paths
 
 
-# rows per block of the path CSV writer and reader: besides the path's own
-# values they hold one block of text and row objects, never a string or a
-# Python list for the whole path.  A block of 2^11 rows keeps the reader's
+# rows per block of the path CSV writer, lines per block of its reader: besides
+# the path's own values they hold one block of text and row objects, never a
+# string or a Python list for the whole path.  Blocks of 2^11 keep the reader's
 # traced peak on 2.5e5 rows at 3.9 MiB (10.1 MiB at 2^14) in the same time.
 _BLOCK_ROWS = 1 << 11
 
@@ -243,71 +246,64 @@ def write_path_csv(path: SamplePath, outfile, provenance: dict) -> None:
     atomic_write(sidecar, [json_text(path_sidecar(path, provenance))])
 
 
-def _rows(f):
-    """The non-blank lines of the text file ``f`` after any leading blank ones.
-
-    Reads _BLOCK_ROWS file lines at a time and splits each block with
-    str.splitlines; a block ends at a newline, so the lines are those of
-    splitlines() of the whole text.  Whitespace-only lines count as blank.
-    Raises GridMismatch at a non-blank line that follows a blank one, and for
-    a file that is not UTF-8 text.
-    """
-    started = blank = False
-    try:
-        while block := list(islice(f, _BLOCK_ROWS)):
-            for line in "".join(block).splitlines():
-                if not line.strip():
-                    blank = started
-                elif blank:
-                    raise GridMismatch(f"{f.name}: blank line between rows")
-                else:
-                    started = True
-                    yield line
-    except UnicodeDecodeError as exc:
-        raise GridMismatch(f"{f.name}: not UTF-8 text ({exc})") from exc
-
-
-def _parse_rows(infile, lines: list[str]) -> np.ndarray:
-    """(m, 2) float64 array of m ``t,xi`` rows, each field parsed by float()."""
-    rows = [line.split(",") for line in lines]
-    if set(map(len, rows)) != {2}:
-        raise GridMismatch(f"{infile}: need exactly two fields per row")
-    try:
-        data = np.fromiter(map(float, chain.from_iterable(rows)), np.float64, 2 * len(rows))
-    except ValueError as exc:
-        raise GridMismatch(f"{infile}: malformed CSV row ({exc})") from exc
-    return data.reshape(-1, 2)
-
-
 def read_path_csv(infile) -> tuple[np.ndarray, float]:
     """Load a ``t,xi`` CSV; returns (values, dt) after checking uniform spacing.
 
-    The file is parsed in blocks of rows, so memory holds the values (8
-    bytes a row, twice while the blocks are joined) plus one block.  Blank
-    lines before the header and after the last row are ignored, as are
-    leading and trailing spaces; a blank line between rows is rejected.
-    Checks, in order: UTF-8 text, the header, two fields per row, each
+    One pass: each block of _BLOCK_ROWS file lines is split with
+    str.splitlines (a block ends at a newline, so its lines are those of the
+    whole text), then its rows are parsed and checked before the next block
+    is read.  Memory holds the values (8 bytes a row, twice while the blocks
+    are joined) plus one block.  Blank (whitespace-only) lines before the
+    header and after the last row are ignored, as are leading and trailing
+    spaces; a non-blank line after a blank one is rejected.  Checks: UTF-8
+    text, the header, no blank line between rows, two fields per row, each
     value a float, every value finite, and a uniform positive time step
-    (1e-9 relative).
+    (1e-9 relative).  They run in that order within a block, and block by
+    block, so of two defects in different blocks the first in the file is
+    reported; only a byte that is not UTF-8 may be reported first, as the
+    text is decoded in chunks of several kB ahead of the lines.
     """
     infile = Path(infile)
     xi_blocks, t_last, dt = [], None, None
-    with infile.open(encoding="utf-8") as f:  # universal newlines, as Path.read_text
-        rows = _rows(f)
-        if next(rows, "").strip() != "t,xi":
-            raise GridMismatch(f"{infile}: expected header 't,xi'")
-        while lines := list(islice(rows, _BLOCK_ROWS)):
-            data = _parse_rows(infile, lines)
-            if not np.isfinite(data).all():
-                raise GridMismatch(f"{infile}: values must be finite")
-            t = data[:, 0]
-            steps = np.diff(t) if t_last is None else np.diff(t, prepend=t_last)
-            if dt is None and steps.size:
-                dt = steps[0]
-            if dt is not None and (dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0))):
-                raise GridMismatch(f"{infile}: time column is not uniformly spaced")
-            t_last = t[-1]
-            xi_blocks.append(data[:, 1].copy())
+    header = blank = False  # the header was read; a blank line followed it
+    try:
+        with infile.open(encoding="utf-8") as f:  # universal newlines, as Path.read_text
+            while block := list(islice(f, _BLOCK_ROWS)):
+                rows = []
+                for line in "".join(block).splitlines():
+                    if not line.strip():
+                        blank = header
+                    elif blank:
+                        raise GridMismatch(f"{infile}: blank line between rows")
+                    elif header:
+                        rows.append(line.split(","))
+                    elif line.strip() == "t,xi":
+                        header = True
+                    else:
+                        raise GridMismatch(f"{infile}: expected header 't,xi'")
+                if not rows:
+                    continue
+                if set(map(len, rows)) != {2}:
+                    raise GridMismatch(f"{infile}: need exactly two fields per row")
+                try:
+                    data = np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
+                                       2 * len(rows)).reshape(-1, 2)
+                except ValueError as exc:
+                    raise GridMismatch(f"{infile}: malformed CSV row ({exc})") from exc
+                if not np.isfinite(data).all():
+                    raise GridMismatch(f"{infile}: values must be finite")
+                t = data[:, 0]
+                steps = np.diff(t) if t_last is None else np.diff(t, prepend=t_last)
+                if dt is None and steps.size:
+                    dt = steps[0]
+                if dt is not None and (dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0))):
+                    raise GridMismatch(f"{infile}: time column is not uniformly spaced")
+                t_last = t[-1]
+                xi_blocks.append(data[:, 1].copy())
+    except UnicodeDecodeError as exc:
+        raise GridMismatch(f"{infile}: not UTF-8 text ({exc})") from exc
+    if not header:
+        raise GridMismatch(f"{infile}: expected header 't,xi'")
     if dt is None:
         raise GridMismatch(f"{infile}: need at least two rows")
     return np.concatenate(xi_blocks), float(dt)

@@ -29,6 +29,7 @@ from oufar import (
     stationary_density,
 )
 from oufar.ou_process import SCRATCH_VALUES, grid_multiple, scratch
+from negated_noise import NegatedNoise
 from zero_noise import ZeroNoise
 
 params_st = st.builds(
@@ -279,8 +280,55 @@ def _loop_cases(draw):
     return params, n, x0, scheme, stationary, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
 
+def _documented_loop(x0, a, u, n):
+    """The arithmetic ``_ar1.c`` documents: y_0 = 0.0 + x0, y_i = a y_{i-1} + (u_{i-1} 0.0 + u_i).
+
+    u_0 is x0, and xi_0 is x0 itself, -0.0 included.
+    """
+    y, prev, out = 0.0 + x0, x0, [x0]
+    for _ in range(n):
+        y = a * y + (prev * 0.0 + u)
+        prev = u
+        out.append(y)
+    return np.array(out)
+
+
+def _plain_loop(x0, a, u, n):
+    x, out = x0, [x0]
+    for _ in range(n):
+        x = a * x + u
+        out.append(x)
+    return np.array(out)
+
+
+# (scheme, theta, x0) at dt = 0.02: Euler a = 1 - theta dt > 0 and < 0 (theta dt = 1.5),
+# exact a > 0, each from both zeros
+_NEGATIVE_ZERO_CASES = [(scheme, theta, x0) for scheme, theta in
+                        (("euler", 1.0), ("euler", 75.0), ("exact", 1.0)) for x0 in (0.0, -0.0)]
+
+
+def _negative_zero_path(scheme, theta, x0, n=6):
+    """(values, a, u) of a path with mu = -0.0 and every normal -0.0: every innovation u is -0.0."""
+    params, grid = OuParams(theta=theta, mu=-0.0), TimeGrid(t_end=n * 0.02, dt=0.02)
+    rng = NegatedNoise(ZeroNoise(np.random.default_rng(0)))
+    if scheme == "euler":
+        a = 1.0 - theta * grid.dt
+        u = -0.0 * math.sqrt(grid.dt) * params.sigma + theta * params.mu * grid.dt
+        path = sample_euler(params, grid, rng, x0=x0)
+    else:
+        a, sd = exact_transition(params, grid.dt)
+        u = -0.0 * sd + params.mu * (1.0 - a)
+        path = sample_exact(params, grid, rng, x0=x0)
+    assert math.copysign(1.0, u) == -1.0
+    return path.values, a, u
+
+
 class TestLoopOracle:
-    """Both samplers equal the scalar recursion bit for bit, signed zeros included."""
+    """Both samplers equal a scalar recursion bit for bit, signed zeros included.
+
+    The plain loop ``x = a x + u`` holds where no innovation is -0.0; where every
+    one is, the loop that ``_ar1.c`` documents holds and the plain one may not.
+    """
 
     @settings(max_examples=300, deadline=None)
     @given(_loop_cases())
@@ -298,6 +346,21 @@ class TestLoopOracle:
         assert path.values.tobytes() == expected.tobytes()
         if not stationary:
             assert math.copysign(1.0, path.values[0]) == math.copysign(1.0, x0)
+
+    @pytest.mark.parametrize("scheme,theta,x0", _NEGATIVE_ZERO_CASES)
+    def test_negative_zero_innovations_follow_the_documented_loop(self, scheme, theta, x0):
+        values, a, u = _negative_zero_path(scheme, theta, x0)
+        assert values.tobytes() == _documented_loop(x0, a, u, values.size - 1).tobytes()
+
+    def test_the_plain_loop_differs_in_a_zero_sign(self):
+        # the cases above pin the sign rule: the plain loop misses it in some zero's sign
+        differ = []
+        for scheme, theta, x0 in _NEGATIVE_ZERO_CASES:
+            values, a, u = _negative_zero_path(scheme, theta, x0)
+            plain = _plain_loop(x0, a, u, values.size - 1)
+            assert np.array_equal(values, plain)  # every value is a zero
+            differ.append(values.tobytes() != plain.tobytes())
+        assert any(differ)
 
 
 def _run_fresh(code: str):

@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import math
 import os
@@ -255,6 +256,39 @@ class TestPathCsvOracle:
         expected = _read_outcome(_reference_read_path_csv, csv)
         assert _read_outcome(read_path_csv, csv) == expected
         assert (expected is None) == (blank_at == "boundary")
+
+
+def test_reader_helpers_are_gone():
+    # read_path_csv is one loop over blocks of file lines, not a row filter and a parser
+    assert not any(hasattr(reporting, name) for name in ("_rows", "_parse_rows"))
+
+
+# a defect made of one row "t,1", each with its reader message: the lines that replace it
+_DEFECTS = {
+    "blank": (lambda t: ["", f"{t},1"], "blank line between rows"),
+    "fields": (lambda t: [f"{t},1,1"], "need exactly two fields per row"),
+    "float": (lambda t: [f"{t},abc"], "malformed CSV row"),
+    "finite": (lambda t: [f"{t},nan"], "values must be finite"),
+    "step": (lambda t: [f"{t + 0.25},1"], "time column is not uniformly spaced"),
+}
+
+
+class TestDefectOrder:
+    """Of two defects in two blocks, the reader reports the one earlier in the file."""
+
+    @pytest.mark.parametrize("first,second", list(itertools.permutations(_DEFECTS, 2)))
+    def test_first_defect_in_file_order(self, tmp_path, monkeypatch, first, second):
+        monkeypatch.setattr(reporting, "_BLOCK_ROWS", 4)
+        times = iter(range(10))
+        lines = ["t,xi", f"{next(times)},1", *_DEFECTS[first][0](next(times))]
+        while len(lines) < 4:  # the first block ends with the first defect's block
+            lines.append(f"{next(times)},1")
+        lines += _DEFECTS[second][0](next(times))  # the first line of the second block
+        lines += [f"{t},1" for t in times]
+        csv = tmp_path / "p.csv"
+        csv.write_text("\n".join(lines) + "\n")
+        with pytest.raises(GridMismatch, match=_DEFECTS[first][1]):
+            read_path_csv(csv)
 
 
 class TestPathCsvStreaming:
@@ -661,6 +695,27 @@ class TestEstimateCommand:
         assert main(["estimate", "--input", str(csv), "--form", "both"]) == 0
         assert sizes == [10001]
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.GOLDEN
+
+    @pytest.mark.parametrize("mu,t_end", [("5", "2000"), ("0", "2000"), ("5", "20")])
+    def test_a_path_far_from_centred_prints_one_note(self, tmp_path, capsys, monkeypatch, mu,
+                                                     t_end):
+        # mean 5.002: 224 sd of a centred path's mean from 0 (theta 1.006, sigma 1.004 fitted
+        # about the mean); at mu = 0 the mean is 0.2 sd from 0, and at T = 20 the fitted
+        # theta T is below 100, too short a path to judge
+        csv = tmp_path / "p.csv"
+        assert main(["simulate", "--theta", "1", "--mu", mu, "--t-end", t_end, "--dt", "0.02",
+                     "--seed", "3", "--out", str(csv)]) == 0
+        assert main(["estimate", "--input", str(csv), "--form", "both"]) == 0
+        out, err = capsys.readouterr()
+        if (mu, t_end) != ("5", "2000"):
+            assert err == ""
+            return
+        (note,) = err.splitlines()
+        assert note.startswith("note: the path's mean 5.002 is 224 sd from 0 ")
+        assert "theta 1.006 and sigma 1.004" in note
+        monkeypatch.setattr(cli, "_CENTRING_SDS", math.inf)  # the same run, with no note
+        assert main(["estimate", "--input", str(csv), "--form", "both"]) == 0
+        assert capsys.readouterr() == (out, "")
 
     def test_round_trip_recovers_theta(self, tmp_path, capsys):
         csv = tmp_path / "p.csv"
