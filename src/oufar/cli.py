@@ -343,7 +343,7 @@ def _cmd_experiment(args) -> None:
         configs, out_dir, formats, profile = resolve_cli_config(kinds, doc, overrides)
     except ValueError as exc:  # DomainError included
         raise DomainError(f"bad config: {exc}") from exc
-    args.out = args.out or out_dir  # main names it when a write fails
+    args.out = args.out or out_dir or None  # main names it when a write fails; "" is none
     if args.out is None:
         raise DomainError("no output directory (set --out or out_dir in the config)")
 

@@ -29,7 +29,9 @@ The report tables take their columns from ``experiments.REPORTS``.
 
 Experiment configuration files are JSON objects whose keys mirror
 ExperimentConfig exactly (lists for the grids); unknown keys are rejected.
-``resolve_cli_config`` resolves one such document once for all of a command's kinds.
+``resolve_cli_config`` is the one resolver: it builds every kind's config from
+its profile grid, the document's keys and the command-line flags, in that
+order, once for all of a command's kinds; ``profile_config`` is its one-kind call.
 """
 
 from __future__ import annotations
@@ -37,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import time
 from dataclasses import fields
 from itertools import chain, islice
@@ -209,6 +212,8 @@ _BLOCK_ROWS = 1 << 11
 
 _PATH_ROW = "{:.17g},{:.17g}\n".format  # the same digits as fmt()
 
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")  # the lone surrogates of surrogateescape
+
 
 def _path_csv_blocks(path: SamplePath):
     """The ``t,xi`` CSV text of ``path``: the header, then one string per row block.
@@ -260,48 +265,50 @@ def read_path_csv(infile) -> tuple[np.ndarray, float]:
     value a float, every value finite, and a uniform positive time step
     (1e-9 relative).  They run in that order within a block, and block by
     block, so of two defects in different blocks the first in the file is
-    reported; only a byte that is not UTF-8 may be reported first, as the
-    text is decoded in chunks of several kB ahead of the lines.
+    reported.  A byte that is not UTF-8 decodes to a lone surrogate
+    (surrogateescape), which a block's own check finds, so it is reported in
+    file order too although the text is decoded several kB ahead of the lines.
     """
     infile = Path(infile)
     xi_blocks, t_last, dt = [], None, None
     header = blank = False  # the header was read; a blank line followed it
-    try:
-        with infile.open(encoding="utf-8") as f:  # universal newlines, as Path.read_text
-            while block := list(islice(f, _BLOCK_ROWS)):
-                rows = []
-                for line in "".join(block).splitlines():
-                    if not line.strip():
-                        blank = header
-                    elif blank:
-                        raise GridMismatch(f"{infile}: blank line between rows")
-                    elif header:
-                        rows.append(line.split(","))
-                    elif line.strip() == "t,xi":
-                        header = True
-                    else:
-                        raise GridMismatch(f"{infile}: expected header 't,xi'")
-                if not rows:
-                    continue
-                if set(map(len, rows)) != {2}:
-                    raise GridMismatch(f"{infile}: need exactly two fields per row")
-                try:
-                    data = np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
-                                       2 * len(rows)).reshape(-1, 2)
-                except ValueError as exc:
-                    raise GridMismatch(f"{infile}: malformed CSV row ({exc})") from exc
-                if not np.isfinite(data).all():
-                    raise GridMismatch(f"{infile}: values must be finite")
-                t = data[:, 0]
-                steps = np.diff(t) if t_last is None else np.diff(t, prepend=t_last)
-                if dt is None and steps.size:
-                    dt = steps[0]
-                if dt is not None and (dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0))):
-                    raise GridMismatch(f"{infile}: time column is not uniformly spaced")
-                t_last = t[-1]
-                xi_blocks.append(data[:, 1].copy())
-    except UnicodeDecodeError as exc:
-        raise GridMismatch(f"{infile}: not UTF-8 text ({exc})") from exc
+    # universal newlines, as Path.read_text; an undecodable byte b becomes U+DC00 + b
+    with infile.open(encoding="utf-8", errors="surrogateescape") as f:
+        while block := list(islice(f, _BLOCK_ROWS)):
+            text = "".join(block)
+            if not text.isascii() and (byte := _NOT_UTF8.search(text)):
+                raise GridMismatch(f"{infile}: not UTF-8 text (byte {ord(byte[0]) - 0xDC00:#04x})")
+            rows = []
+            for line in text.splitlines():
+                if not line.strip():
+                    blank = header
+                elif blank:
+                    raise GridMismatch(f"{infile}: blank line between rows")
+                elif header:
+                    rows.append(line.split(","))
+                elif line.strip() == "t,xi":
+                    header = True
+                else:
+                    raise GridMismatch(f"{infile}: expected header 't,xi'")
+            if not rows:
+                continue
+            if set(map(len, rows)) != {2}:
+                raise GridMismatch(f"{infile}: need exactly two fields per row")
+            try:
+                data = np.fromiter(map(float, chain.from_iterable(rows)), np.float64,
+                                   2 * len(rows)).reshape(-1, 2)
+            except ValueError as exc:
+                raise GridMismatch(f"{infile}: malformed CSV row ({exc})") from exc
+            if not np.isfinite(data).all():
+                raise GridMismatch(f"{infile}: values must be finite")
+            t = data[:, 0]
+            steps = np.diff(t) if t_last is None else np.diff(t, prepend=t_last)
+            if dt is None and steps.size:
+                dt = steps[0]
+            if dt is not None and (dt <= 0 or np.any(np.abs(steps - dt) > 1e-9 * max(dt, 1.0))):
+                raise GridMismatch(f"{infile}: time column is not uniformly spaced")
+            t_last = t[-1]
+            xi_blocks.append(data[:, 1].copy())
     if not header:
         raise GridMismatch(f"{infile}: expected header 't,xi'")
     if dt is None:
@@ -315,36 +322,19 @@ def profile_config(kind: str, profile: str) -> ExperimentConfig:
         raise ValueError(f"unknown experiment kind {kind!r}; expected one of {tuple(EXPERIMENTS)}")
     if profile not in PROFILES:
         raise ValueError(f"unknown profile {profile!r}; expected one of {PROFILES}")
-    return ExperimentConfig(**EXPERIMENTS[kind].profiles[profile])
-
-
-def load_experiment_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
-    """Build an ExperimentConfig from a parsed JSON object, rejecting unknown keys.
-
-    ``overrides`` (e.g. from command-line flags) win over file values.
-    """
-    allowed = {f.name for f in fields(ExperimentConfig)}
-    unknown = set(doc) - allowed
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}; allowed: {sorted(allowed)}")
-    merged = dict(doc)
-    for key, value in (overrides or {}).items():
-        if value is not None:
-            merged[key] = value
-    missing = {"thetas", "horizons"} - set(merged)
-    if missing:
-        raise ValueError(f"config must set {sorted(missing)}")
-    return ExperimentConfig(**merged)
+    return resolve_cli_config((kind,), {"profile": profile})[0][kind]
 
 
 def resolve_cli_config(kinds, doc: dict, overrides: dict | None = None):
     """Resolve a full CLI configuration document once for experiment ``kinds``.
 
-    Beyond the ExperimentConfig fields the document may carry ``profile``
-    (desk | full | custom; desk/full pre-fill each kind's grids, remaining
-    keys then override them), ``out_dir``, and ``formats`` (subset of
-    ["json", "csv"]).  Every report of every kind is checked on its config,
-    so no path is drawn for a document that any kind rejects.
+    Beyond the ExperimentConfig fields, whose unknown keys are rejected, the
+    document may carry ``profile`` (desk | full | custom), ``out_dir``, and
+    ``formats`` (subset of ["json", "csv"]).  Each kind's config is its
+    profile grid (none under custom), then the document's keys, then the
+    ``overrides`` (e.g. command-line flags) that are not None; it must set
+    ``thetas`` and ``horizons``.  Every report of every kind is checked on
+    its config, so no path is drawn for a document that any kind rejects.
     Returns ``({kind: config}, out_dir, formats, profile)``.
     """
     if not isinstance(doc, dict):
@@ -360,10 +350,16 @@ def resolve_cli_config(kinds, doc: dict, overrides: dict | None = None):
         raise ValueError(f"formats must be a nonempty subset of ['json', 'csv']: {formats!r}")
     if profile not in (*PROFILES, "custom"):
         raise ValueError(f"unknown profile {profile!r}; expected desk, full, or custom")
+    allowed = {f.name for f in fields(ExperimentConfig)}
+    if unknown := set(body) - allowed:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}; allowed: {sorted(allowed)}")
+    body |= {key: value for key, value in (overrides or {}).items() if value is not None}
     configs = {}
     for kind in kinds:
-        defaults = EXPERIMENTS[kind].profiles.get(profile, {})
-        configs[kind] = load_experiment_config(defaults | body, overrides)
+        merged = EXPERIMENTS[kind].profiles.get(profile, {}) | body
+        if missing := {"thetas", "horizons"} - set(merged):
+            raise ValueError(f"config must set {sorted(missing)}")
+        configs[kind] = ExperimentConfig(**merged)
         for name in EXPERIMENTS[kind].reports:
             check_report(name, configs[kind])  # lil_coverage needs every T > e
     return configs, out_dir, tuple(formats), profile

@@ -11,6 +11,7 @@ import sys
 import tempfile
 import threading
 import tracemalloc
+from dataclasses import fields
 from fractions import Fraction
 from pathlib import Path
 
@@ -40,7 +41,6 @@ from oufar.reporting import (
     config_hash,
     estimated_steps,
     fmt,
-    load_experiment_config,
     profile_config,
     read_path_csv,
     report_csv_text,
@@ -270,6 +270,7 @@ _DEFECTS = {
     "float": (lambda t: [f"{t},abc"], "malformed CSV row"),
     "finite": (lambda t: [f"{t},nan"], "values must be finite"),
     "step": (lambda t: [f"{t + 0.25},1"], "time column is not uniformly spaced"),
+    "utf8": (lambda t: [f"{t},1\udcff"], "not UTF-8 text"),  # the row ends in byte 0xff
 }
 
 
@@ -286,7 +287,7 @@ class TestDefectOrder:
         lines += _DEFECTS[second][0](next(times))  # the first line of the second block
         lines += [f"{t},1" for t in times]
         csv = tmp_path / "p.csv"
-        csv.write_text("\n".join(lines) + "\n")
+        csv.write_bytes(("\n".join(lines) + "\n").encode("utf-8", "surrogateescape"))
         with pytest.raises(GridMismatch, match=_DEFECTS[first][1]):
             read_path_csv(csv)
 
@@ -388,10 +389,31 @@ class TestAtomicWrite:
 _REFERENCE_DOC_ONLY_KEYS = ("profile", "out_dir", "formats")
 
 
+def _reference_load_experiment_config(doc: dict, overrides: dict | None = None) -> ExperimentConfig:
+    """Build an ExperimentConfig from a parsed JSON object, rejecting unknown keys.
+
+    ``overrides`` (e.g. from command-line flags) win over file values.
+    """
+    allowed = {f.name for f in fields(ExperimentConfig)}
+    unknown = set(doc) - allowed
+    if unknown:
+        raise ValueError(f"unknown config keys: {sorted(unknown)}; allowed: {sorted(allowed)}")
+    merged = dict(doc)
+    for key, value in (overrides or {}).items():
+        if value is not None:
+            merged[key] = value
+    missing = {"thetas", "horizons"} - set(merged)
+    if missing:
+        raise ValueError(f"config must set {sorted(missing)}")
+    return ExperimentConfig(**merged)
+
+
 def _reference_resolve_cli_config(kind: str, doc: dict, overrides: dict | None = None):
     """The per-kind resolver that the one-pass resolver replaced, kept verbatim as its oracle.
 
-    Only its key tuple is renamed, to _REFERENCE_DOC_ONLY_KEYS.
+    It calls no resolver of the library: the profile comes from the table itself, and
+    _reference_load_experiment_config is the document loader that resolve_cli_config
+    absorbed, verbatim.  Only its key tuple is renamed, to _REFERENCE_DOC_ONLY_KEYS.
     """
     if not isinstance(doc, dict):
         raise ValueError(f"a config must be a JSON object, got {type(doc).__name__}")
@@ -405,10 +427,10 @@ def _reference_resolve_cli_config(kind: str, doc: dict, overrides: dict | None =
         raise ValueError(f"formats must be a nonempty subset of ['json', 'csv']: {formats!r}")
     body = {k: v for k, v in doc.items() if k not in _REFERENCE_DOC_ONLY_KEYS}
     if profile in PROFILES:
-        body = profile_config(kind, profile).to_dict() | body
+        body = ExperimentConfig(**EXPERIMENTS[kind].profiles[profile]).to_dict() | body
     elif profile != "custom":
         raise ValueError(f"unknown profile {profile!r}; expected desk, full, or custom")
-    return load_experiment_config(body, overrides), out_dir, tuple(formats), profile
+    return _reference_load_experiment_config(body, overrides), out_dir, tuple(formats), profile
 
 
 def _reference_resolve(kinds, doc, overrides):
@@ -506,6 +528,11 @@ class TestProfilesAndConfigLoading:
         for kind in ("band-coverage", "emse", "predictor-bound", "normality"):
             config = profile_config(kind, "desk")
             assert config.replicates == 200
+        # the resolver's one-kind call gives the table's configs
+        for kind in EXPERIMENTS:
+            for profile in PROFILES:
+                table = ExperimentConfig(**EXPERIMENTS[kind].profiles[profile])
+                assert profile_config(kind, profile) == table
 
     def test_full_profile_mirrors_published_grids(self):
         band = profile_config("band-coverage", "full")
@@ -522,10 +549,11 @@ class TestProfilesAndConfigLoading:
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(ValueError, match="unknown config keys"):
-            load_experiment_config({"thetas": [1.0], "horizons": [100.0], "x": 1})
+            resolve_cli_config(("emse",), {"thetas": [1.0], "horizons": [100.0], "x": 1})
 
     def test_overrides_win(self):
-        config = load_experiment_config(dict(SMALL), {"replicates": 99, "master_seed": None})
+        overrides = {"replicates": 99, "master_seed": None}
+        config = resolve_cli_config(("emse",), SMALL, overrides)[0]["emse"]
         assert config.replicates == 99
         assert config.master_seed == 5
 
@@ -1010,7 +1038,7 @@ class TestExperimentCommand:
     def test_normality_simulates_its_grid_once(self, tmp_path, monkeypatch):
         import oufar.experiments as exp
 
-        config = load_experiment_config(SMALL)
+        config = resolve_cli_config(("normality",), SMALL)[0]["normality"]
         # the kind's reports from the library, drawn before the count starts
         expected = {
             f"{r.kind}.json": report_json_text(r) for r in run_experiment("normality", config)
@@ -1276,6 +1304,17 @@ class TestExperimentCommand:
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMALL))
         assert main(["experiment", "band-coverage", "--config", str(cfg)]) == 2
+
+    def test_empty_out_dir_is_no_output_directory(self, tmp_path, monkeypatch, capsys):
+        # as --out "", an empty out_dir names no directory: not the current one
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(SMALL | {"out_dir": ""}))
+        cwd = tmp_path / "cwd"
+        cwd.mkdir()
+        monkeypatch.chdir(cwd)
+        assert main(["experiment", "emse", "--config", str(cfg)]) == 2
+        assert "no output directory" in capsys.readouterr().err
+        assert list(cwd.iterdir()) == []
 
     def test_bad_formats_rejected(self, tmp_path):
         cfg = tmp_path / "cfg.json"
