@@ -10,17 +10,21 @@ Each stage is timed on chunks of 2^16 Euler steps (theta = 1, dt = 2^-6),
 the chunk length of ``experiments._stream_path``; the median over
 ``--chunks`` chunks is printed as one JSON object:
 
-* ``draw``: ``standard_normal`` into the chunk's array.
+* ``draw``: numpy's ``standard_normal`` into the chunk's array.
 * ``scale_shift``: the numpy passes that turn the normals into innovations;
-  0 on the compiled route, whose loop does them.
-* ``recursion``: the AR(1) recursion, ``lfilter`` on the scipy route or the
-  C loop of ``_ar1.c`` (scale and shift included) on the compiled one.
+  0 where the C loop of ``_ar1.c`` is used, which does them.
+* ``recursion``: the AR(1) recursion over drawn normals, ``lfilter`` on the
+  scipy route or the C loop (scale and shift included) otherwise.
+* ``fused``: the C loop's own PCG64 draw with the recursion, in one call
+  (``_fused_ar1``); null unless the route is ``fused``.
 * ``ito_sums``: ``theta_ito_from_values`` on the chunk.
 * ``ar1``: one whole ``ou_process._ar1`` call, which draws, scales, shifts
-  and recurses.
+  and recurses by the process's route.
 * ``stream``: one 2^20-step replicate through ``_stream_path``.
 
-A first chunk runs untimed, so a build of the compiled loop is not counted.
+``route`` is ``ou_process.ar1_route()``.  A first chunk runs untimed, so a
+build of the C loop is not counted.  The script also runs on trees whose
+``_ar1.c`` has no draw of its own (``--src``), which report ``fused`` null.
 """
 
 from __future__ import annotations
@@ -59,7 +63,11 @@ def measure(chunks: int) -> dict:
     a, scales, shift = 1.0 - theta * dt, (math.sqrt(dt), 1.0), 0.0
     rng = np.random.default_rng(20260810)
     ou_process._ar1(N, 0.0, a, scales, shift, rng)  # untimed: builds or loads the loop
-    loop = ou_process._ar1_loop() if hasattr(ou_process, "_ar1_loop") else None
+    route = ou_process.ar1_route()
+    if hasattr(ou_process, "_ar1_kernel"):
+        loop = ou_process._ar1_kernel()[0]
+    else:  # a tree without the fused draw
+        loop = ou_process._ar1_loop()
     v = np.empty(N + 1)
     v[0] = 0.0
 
@@ -75,7 +83,10 @@ def measure(chunks: int) -> dict:
         if loop is None:
             ou_process.lfilter([1.0], [1.0, -a], v)
         else:
-            loop(a, *scales, shift, v.ctypes.data, v.size)
+            ou_process._compiled_ar1(loop, v, a, scales, shift)
+
+    def fused():
+        ou_process._fused_ar1(loop, v, a, scales, shift, rng.bit_generator)
 
     # each in-place stage starts from the same values: normals, or innovations for lfilter
     draw()
@@ -86,12 +97,13 @@ def measure(chunks: int) -> dict:
     config = ExperimentConfig(thetas=(theta,), horizons=(16 * N * dt,), dt=dt)
     stream_rng = np.random.default_rng(1)
     return {
-        "route": "scipy" if loop is None else "compiled",
+        "route": route,
         "draw": _median_ns_per_step(draw, chunks),
         "scale_shift": 0.0 if loop else _median_ns_per_step(
             scale_shift, chunks, setup=lambda: np.copyto(v, normals)),
         "recursion": _median_ns_per_step(
             recursion, chunks, setup=lambda: np.copyto(v, normals if loop else innovations)),
+        "fused": _median_ns_per_step(fused, chunks) if route == "fused" else None,
         "ito_sums": _median_ns_per_step(lambda: theta_ito_from_values(path, dt), chunks),
         "ar1": _median_ns_per_step(lambda: ou_process._ar1(N, 0.0, a, scales, shift, rng), chunks),
         "stream": _median_ns_per_step(

@@ -179,8 +179,8 @@ def write_report(
     The z table of a normality report is also written as
     ``standardized_errors.csv``.  Returns the paths written.  The run file
     records wall time, worker count and the route of this process's AR(1)
-    recursions (``ou_process.ar1_route``, the same bits either way), and is
-    the only file allowed to differ between reruns.
+    paths (``ou_process.ar1_route``: fused, compiled or scipy, the same bits
+    every way), and is the only file allowed to differ between reruns.
     """
     out_dir = Path(out_dir)
     paths = {"run": out_dir / f"{report.kind}.run.json"}
@@ -213,6 +213,7 @@ _BLOCK_ROWS = 1 << 11
 _PATH_ROW = "{:.17g},{:.17g}\n".format  # the same digits as fmt()
 
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")  # the lone surrogates of surrogateescape
+_NOT_ASCII = re.compile("[^\x00-\x7f]")
 
 
 def _path_csv_blocks(path: SamplePath):
@@ -261,9 +262,10 @@ def read_path_csv(infile) -> tuple[np.ndarray, float]:
     are joined) plus one block.  Blank (whitespace-only) lines before the
     header and after the last row are ignored, as are leading and trailing
     spaces; a non-blank line after a blank one is rejected.  Checks: UTF-8
-    text, the header, no blank line between rows, two fields per row, each
-    value a float, every value finite, and a uniform positive time step
-    (1e-9 relative).  They run in that order within a block, and block by
+    text, ASCII text (``float`` would read other Unicode digits, and
+    ``str.strip`` drop other Unicode spaces), the header, no blank line
+    between rows, two fields per row, each value a float, every value
+    finite, and a uniform positive time step (1e-9 relative).  They run in that order within a block, and block by
     block, so of two defects in different blocks the first in the file is
     reported.  A byte that is not UTF-8 decodes to a lone surrogate
     (surrogateescape), which a block's own check finds, so it is reported in
@@ -276,8 +278,13 @@ def read_path_csv(infile) -> tuple[np.ndarray, float]:
     with infile.open(encoding="utf-8", errors="surrogateescape") as f:
         while block := list(islice(f, _BLOCK_ROWS)):
             text = "".join(block)
-            if not text.isascii() and (byte := _NOT_UTF8.search(text)):
-                raise GridMismatch(f"{infile}: not UTF-8 text (byte {ord(byte[0]) - 0xDC00:#04x})")
+            if not text.isascii():
+                if byte := _NOT_UTF8.search(text):
+                    raise GridMismatch(
+                        f"{infile}: not UTF-8 text (byte {ord(byte[0]) - 0xDC00:#04x})")
+                # float() takes any Unicode digit and str.strip any Unicode space
+                char = _NOT_ASCII.search(text)[0]
+                raise GridMismatch(f"{infile}: not ASCII text (character U+{ord(char):04X})")
             rows = []
             for line in text.splitlines():
                 if not line.strip():

@@ -601,3 +601,13 @@ class TestGoldenBytes:
         self.test_report_sha256(scheme)
         assert ou_process.ar1_route() == "scipy"
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("scheme", ["euler", "exact"])
+    def test_report_sha256_on_the_compiled_route(self, monkeypatch, scheme):
+        # the loop's own draw refused: numpy draws the normals, the C loop recurses
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH")
+        monkeypatch.setattr(ou_process, "_fused_probe_passes", lambda loop: False)
+        monkeypatch.setattr(ou_process, "_kernel", [])
+        self.test_report_sha256(scheme)
+        assert ou_process.ar1_route() == "compiled"

@@ -583,7 +583,7 @@ def _compiled_loop():
     """This process's checked C loop of ``_ar1.c``; the caller is skipped only where no cc exists."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
-    loop = ou_process._ar1_loop()
+    loop = ou_process._ar1_kernel()[0]
     assert loop is not None, "cc is on PATH, but the compiled AR(1) loop was not taken"
     return loop
 
@@ -611,6 +611,116 @@ def _fake_cc(bin_dir: Path, body: str) -> None:
     cc.chmod(0o755)
 
 
+_PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
+
+
+def _faulty_draw(load, fault):
+    """A ``_load_ar1`` whose loop, when it draws, flips one value's last bit or lags one step."""
+    import ctypes
+
+    def load_wrapped():
+        loop = load()
+
+        def wrapped(a, s1, s2, shift, data, n, pcg):
+            loop(a, s1, s2, shift, data, n, pcg)
+            if pcg is None:
+                return
+            if fault == "a flipped bit":
+                ctypes.c_uint64.from_address(data + 8 * (n - 1)).value ^= 1
+            else:  # step back: state = (state - inc) / multiplier mod 2^128
+                words = (ctypes.c_uint64 * 4).from_address(pcg)
+                state, inc = words[1] << 64 | words[0], words[3] << 64 | words[2]
+                state = (state - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
+                words[0], words[1] = state & (1 << 64) - 1, state >> 64
+        return wrapped
+    return load_wrapped
+
+
+def _reference_draw(seed, n, x0, a, scales, shift, buffered):
+    """(path, generator) of ``standard_normal(out=)``, ``_scipy_ar1``: the fused route's reference."""
+    rng = np.random.default_rng(seed)
+    if buffered:  # leaves half of a 64-bit word in the state's uinteger
+        rng.integers(0, 10, dtype=np.uint32)
+    v = np.empty(n + 1)
+    v[0] = x0
+    rng.standard_normal(out=v[1:])
+    return ou_process._scipy_ar1(v, a, scales, shift), rng
+
+
+def _fused_loop():
+    """This process's C loop, where ``_ar1`` uses its own draw; skipped only where no cc exists."""
+    loop = _compiled_loop()
+    assert ou_process.ar1_route() == "fused", "the compiled loop's draw failed its probe"
+    return loop
+
+
+class TestFusedDraw:
+    """The loop's own PCG64 draw leaves the bits and the state of ``standard_normal``."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(_route_cases(), st.one_of(st.sampled_from([1, 2, 2**16]), st.integers(1, 2**16)))
+    def test_fused_route_equals_standard_normal_then_the_scipy_route(self, case, n):
+        _, x0, a, scales, shift, buffered, seed = case
+        expected, numpy = _reference_draw(seed, n, x0, a, scales, shift, buffered)
+        rng = np.random.default_rng(seed)
+        if buffered:
+            rng.integers(0, 10, dtype=np.uint32)
+        v = np.full(n + 1, np.nan)  # v[1:] are not read
+        v[0] = x0
+        ou_process._fused_ar1(_fused_loop(), v, a, scales, shift, rng.bit_generator)
+        assert v.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == numpy.bit_generator.state
+
+    def test_the_probe_takes_the_wedge_and_the_tail(self, monkeypatch):
+        _fused_loop()
+        counts = []
+        fused_ar1 = ou_process._fused_ar1
+
+        def counted(*args):
+            counts.append(fused_ar1(*args))
+            return counts[-1]
+
+        monkeypatch.setattr(ou_process, "_fused_ar1", counted)
+        monkeypatch.setattr(ou_process, "_kernel", [])
+        assert ou_process.ar1_route() == "fused"
+        assert len(counts) == len(ou_process._PROBE_CASES)
+        for seed, (wedges, tails) in enumerate(counts):
+            # every tail draw, and no other, is at least r = 3.654... from 0
+            rng = np.random.default_rng(seed)
+            if seed == 1:
+                rng.integers(10, dtype=np.uint32)
+            z = rng.standard_normal(ou_process._FUSED_PROBE_STEPS)
+            assert wedges > 0 and tails > 0
+            assert tails == np.count_nonzero(np.abs(z) >= 3.6541528853610088)
+
+    @pytest.mark.parametrize("kind", ["MT19937", "PCG64DXSM", "ZeroNoise", "NegatedNoise"])
+    def test_other_generators_keep_numpy_draw(self, monkeypatch, kind):
+        _fused_loop()
+
+        def refused(*args):
+            raise AssertionError("the fused draw was taken")
+
+        monkeypatch.setattr(ou_process, "_fused_ar1", refused)
+
+        def make():
+            if kind in ("MT19937", "PCG64DXSM"):
+                return np.random.Generator(getattr(np.random, kind)(9))
+            wrapper = ZeroNoise if kind == "ZeroNoise" else NegatedNoise
+            return wrapper(np.random.default_rng(9))
+
+        params, grid = OuParams(theta=0.7, mu=0.3), TimeGrid(t_end=20.0, dt=0.02)
+        rng, twin = make(), make()
+        path = sample_exact(params, grid, rng, x0=-0.0)
+        decay, sd = exact_transition(params, grid.dt)
+        v = np.empty(grid.n_steps + 1)
+        v[0] = -0.0
+        twin.standard_normal(out=v[1:])
+        expected = ou_process._scipy_ar1(v, decay, (sd,), params.mu * (1.0 - decay))
+        assert path.values.tobytes() == expected.tobytes()
+        if kind in ("MT19937", "PCG64DXSM"):  # the same state after: the same next words
+            assert np.array_equal(rng.bit_generator.random_raw(4), twin.bit_generator.random_raw(4))
+
+
 class TestCompiledRecursion:
     """The C loop of ``_ar1.c`` has the scipy route's bits, and is used only where it does."""
 
@@ -634,7 +744,7 @@ class TestCompiledRecursion:
         with pytest.raises(ValueError, match="float64"):
             ou_process._compiled_ar1(_compiled_loop(), v, 0.5, (1.0,), 0.0)
 
-    @pytest.mark.parametrize("flip, route", [(True, "scipy"), (False, "compiled")])
+    @pytest.mark.parametrize("flip, route", [(True, "scipy"), (False, "fused")])
     def test_a_loop_that_fails_the_probe_is_not_used(self, monkeypatch, flip, route):
         import ctypes
 
@@ -644,9 +754,9 @@ class TestCompiledRecursion:
         def load_wrapped():
             loop = load()
 
-            def wrapped(a, s1, s2, shift, data, n):
-                loop(a, s1, s2, shift, data, n)
-                if flip:  # the last bit of the last value
+            def wrapped(a, s1, s2, shift, data, n, pcg):
+                loop(a, s1, s2, shift, data, n, pcg)
+                if flip and pcg is None:  # the last bit of the last value
                     ctypes.c_uint64.from_address(data + 8 * (n - 1)).value ^= 1
             return wrapped
 
@@ -657,6 +767,21 @@ class TestCompiledRecursion:
         path = sample_euler(OuParams(theta=0.7, mu=0.3), grid, np.random.default_rng(4), x0=-0.0)
         expected = _loop_values(OuParams(theta=0.7, mu=0.3), grid, 4, "euler", -0.0, False, False)
         assert path.values.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("fault", ["a flipped bit", "the state one step behind"])
+    def test_a_draw_that_fails_its_probe_is_not_used(self, monkeypatch, fault):
+        _compiled_loop()
+        monkeypatch.setattr(ou_process, "_load_ar1", _faulty_draw(ou_process._load_ar1, fault))
+        monkeypatch.setattr(ou_process, "_kernel", [])
+        assert ou_process.ar1_route() == "compiled"
+        grid = TimeGrid(t_end=2.0, dt=0.02)
+        rng = np.random.default_rng(4)
+        path = sample_euler(OuParams(theta=0.7, mu=0.3), grid, rng, x0=-0.0)
+        expected = _loop_values(OuParams(theta=0.7, mu=0.3), grid, 4, "euler", -0.0, False, False)
+        assert path.values.tobytes() == expected.tobytes()
+        twin = np.random.default_rng(4)
+        twin.standard_normal(grid.n_steps)
+        assert rng.bit_generator.state == twin.bit_generator.state
 
     @pytest.mark.parametrize("failure", ["no compiler", "failing compiler", "unloadable output",
                                          "unwritable cache"])
@@ -714,7 +839,7 @@ class TestCompiledRecursion:
         finally:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
-        assert ou_process.ar1_route() == "compiled"
+        assert ou_process.ar1_route() == "fused"
         assert log.read_text() == "build\n"
         assert sorted(p.suffix for p in (tmp_path / "cache" / "oufar").iterdir()) == [".lock", ".so"]
         for i, values in enumerate(paths):

@@ -271,6 +271,7 @@ _DEFECTS = {
     "finite": (lambda t: [f"{t},nan"], "values must be finite"),
     "step": (lambda t: [f"{t + 0.25},1"], "time column is not uniformly spaced"),
     "utf8": (lambda t: [f"{t},1\udcff"], "not UTF-8 text"),  # the row ends in byte 0xff
+    "ascii": (lambda t: [f"{t},\u0661"], r"not ASCII text \(character U\+0661\)"),  # Arabic-Indic 1
 }
 
 
@@ -791,6 +792,17 @@ class TestEstimateCommand:
     def test_unreadable_exits_3(self, tmp_path):
         assert main(["estimate", "--input", str(tmp_path / "missing.csv")]) == 3
 
+    @pytest.mark.parametrize("text,char", [
+        ("t,xi\n0,\u0661\n0.02,\u0662\n0.04,1\u00a0\n", "U+0661"),  # Arabic-Indic digits
+        ("t,xi\n0,1\n0.02,2\n0.04,1\u00a0\n", "U+00A0"),  # a no-break space
+    ], ids=["digits", "no-break-space"])
+    def test_non_ascii_input_exits_3(self, tmp_path, capsys, text, char):
+        csv = tmp_path / "unicode.csv"
+        csv.write_text(text, encoding="utf-8")
+        assert main(["estimate", "--input", str(csv)]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == "" and f"not ASCII text (character {char})" in captured.err
+
     def test_non_utf8_input_exits_3(self, tmp_path, capsys):
         csv = tmp_path / "binary.csv"
         csv.write_bytes(b"t,xi\n0,\xff\xfe\x80\n")
@@ -1002,16 +1014,22 @@ class TestExperimentCommand:
         assert (out / "band_coverage.csv").exists()
         assert (out / "band_coverage.run.json").exists()
 
-    @pytest.mark.parametrize("forced", [None, "scipy"])
+    @pytest.mark.parametrize("forced", [None, "compiled", "scipy"])
     def test_run_record_names_the_recursion_route(self, monkeypatch, tmp_path, forced):
-        if forced:
-            monkeypatch.setattr(ou_process, "_kernel", [None])
+        if forced == "compiled":
+            loop = ou_process._ar1_kernel()[0]
+            if loop is None:
+                pytest.skip("no compiled AR(1) loop on this machine")
+            monkeypatch.setattr(ou_process, "_kernel", [loop, False])
+        elif forced:
+            monkeypatch.setattr(ou_process, "_kernel", [None, False])
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMALL))
         out = tmp_path / "results"
         assert main(["experiment", "normality", "--config", str(cfg), "--out", str(out)]) == 0
         routes = {json.loads(f.read_text())["recursion"] for f in out.glob("*.run.json")}
-        assert routes == {forced or ou_process.ar1_route()} and routes <= {"compiled", "scipy"}
+        assert routes == {forced or ou_process.ar1_route()}
+        assert routes <= {"fused", "compiled", "scipy"}
 
     def test_thread_count_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

@@ -5,8 +5,11 @@ The desk pins (CI step "Desk report pins", perfbench) were taken with numpy
 ``Generator.standard_normal`` stream, which numpy does not promise to keep
 across feature releases (NEP 19), and on the arithmetic of scipy's
 ``_linear_filter``, which oufar's compiled AR(1) loop reproduces bit for bit.
-When a pin fails and these tests pass, oufar moved; when one of these fails
-too, the named upstream stream moved.
+The loop's own PCG64 ziggurat draw (the fused route) is a copy of numpy's
+stream, so it is pinned to the same sha256.  When a pin fails and these tests
+pass, oufar moved; when one of these fails too, the named upstream stream
+moved: numpy's, if its normal stream fails and the copy's passes, and the
+copy, if only the copy's fails.
 """
 
 import hashlib
@@ -23,11 +26,31 @@ def _sha256(x: np.ndarray) -> str:
     return hashlib.sha256(np.ascontiguousarray(x, dtype="<f8").tobytes()).hexdigest()
 
 
+_NORMAL_SHA256 = "b4ebc06c8044fc67ae4e1c4f97bd07b28365ead2724429951b908839bb895b39"
+
+
+def _first_desk_replicate_rng():
+    return np.random.default_rng(derive_replicate_seed(20260810, 0, 0, 0))
+
+
+def _compiled_loop():
+    if shutil.which("cc") is None:
+        pytest.skip("no C compiler cc on PATH")
+    loop = ou_process._ar1_kernel()[0]
+    assert loop is not None
+    return loop
+
+
 def test_normal_stream_of_the_first_desk_replicate():
-    rng = np.random.default_rng(derive_replicate_seed(20260810, 0, 0, 0))
-    assert _sha256(rng.standard_normal(2**16)) == (
-        "b4ebc06c8044fc67ae4e1c4f97bd07b28365ead2724429951b908839bb895b39"
-    )
+    assert _sha256(_first_desk_replicate_rng().standard_normal(2**16)) == _NORMAL_SHA256
+
+
+def test_fused_draw_copies_the_normal_stream():
+    # a = 0, unit scales, no shift: each path value is its normal, a nonzero one exactly
+    v = np.zeros(2**16 + 1)
+    ou_process._fused_ar1(_compiled_loop(), v, 0.0, (1.0,), 0.0,
+                          _first_desk_replicate_rng().bit_generator)
+    assert _sha256(v[1:]) == _NORMAL_SHA256
 
 
 # exactly rounded input (integers over 97), so only the recursion's arithmetic is pinned
@@ -41,9 +64,5 @@ def test_linear_filter_arithmetic():
 
 def test_compiled_loop_has_the_linear_filter_arithmetic():
     # the C loop of oufar's own _ar1.c, with unit scales and no shift, over the same input
-    if shutil.which("cc") is None:
-        pytest.skip("no C compiler cc on PATH")
-    loop = ou_process._ar1_loop()
-    assert loop is not None
-    path = ou_process._compiled_ar1(loop, _FILTER_INPUT.copy(), 0.986, (1.0,), 0.0)
+    path = ou_process._compiled_ar1(_compiled_loop(), _FILTER_INPUT.copy(), 0.986, (1.0,), 0.0)
     assert _sha256(path) == _FILTER_SHA256
