@@ -11,20 +11,20 @@ the chunk length of ``experiments._stream_path``; the median over
 ``--chunks`` chunks is printed as one JSON object:
 
 * ``draw``: numpy's ``standard_normal`` into the chunk's array.
-* ``scale_shift``: the numpy passes that turn the normals into innovations;
-  0 where the C loop of ``_ar1.c`` is used, which does them.
-* ``recursion``: the AR(1) recursion over drawn normals, ``lfilter`` on the
-  scipy route or the C loop (scale and shift included) otherwise.
-* ``fused``: the C loop's own PCG64 draw with the recursion, in one call
-  (``_fused_ar1``); null unless the route is ``fused``.
+* ``scale_shift``: the numpy passes that turn the normals into innovations.
+* ``recursion``: ``lfilter`` over the innovations.  These three are the
+  scipy route's stages.
+* ``fused``: the C loop of ``_ar1.c`` drawing from PCG64 and recursing, in
+  one call (``_fused_ar1``); null unless the route is ``fused``.
 * ``ito_sums``: ``theta_ito_from_values`` on the chunk.
 * ``ar1``: one whole ``ou_process._ar1`` call, which draws, scales, shifts
   and recurses by the process's route.
 * ``stream``: one 2^20-step replicate through ``_stream_path``.
 
 ``route`` is ``ou_process.ar1_route()``.  A first chunk runs untimed, so a
-build of the C loop is not counted.  The script also runs on trees whose
-``_ar1.c`` has no draw of its own (``--src``), which report ``fused`` null.
+build of the C loop is not counted.  The script also runs on older trees
+(``--src``): on those whose ``_ar1_kernel()`` returns a (loop, fused) pair,
+and on those without the fused draw, which report ``fused`` null.
 """
 
 from __future__ import annotations
@@ -64,10 +64,8 @@ def measure(chunks: int) -> dict:
     rng = np.random.default_rng(20260810)
     ou_process._ar1(N, 0.0, a, scales, shift, rng)  # untimed: builds or loads the loop
     route = ou_process.ar1_route()
-    if hasattr(ou_process, "_ar1_kernel"):
-        loop = ou_process._ar1_kernel()[0]
-    else:  # a tree without the fused draw
-        loop = ou_process._ar1_loop()
+    kernel = ou_process._ar1_kernel() if route == "fused" else None
+    loop = kernel[0] if isinstance(kernel, tuple) else kernel  # an older tree's (loop, fused)
     v = np.empty(N + 1)
     v[0] = 0.0
 
@@ -79,16 +77,10 @@ def measure(chunks: int) -> dict:
             np.multiply(v[1:], factor, out=v[1:])
         np.add(v[1:], shift, out=v[1:])
 
-    def recursion():
-        if loop is None:
-            ou_process.lfilter([1.0], [1.0, -a], v)
-        else:
-            ou_process._compiled_ar1(loop, v, a, scales, shift)
-
     def fused():
         ou_process._fused_ar1(loop, v, a, scales, shift, rng.bit_generator)
 
-    # each in-place stage starts from the same values: normals, or innovations for lfilter
+    # scale_shift, in place, starts from the same normals each time
     draw()
     normals = v.copy()
     scale_shift()
@@ -99,10 +91,10 @@ def measure(chunks: int) -> dict:
     return {
         "route": route,
         "draw": _median_ns_per_step(draw, chunks),
-        "scale_shift": 0.0 if loop else _median_ns_per_step(
+        "scale_shift": _median_ns_per_step(
             scale_shift, chunks, setup=lambda: np.copyto(v, normals)),
         "recursion": _median_ns_per_step(
-            recursion, chunks, setup=lambda: np.copyto(v, normals if loop else innovations)),
+            lambda: ou_process.lfilter([1.0], [1.0, -a], innovations), chunks),
         "fused": _median_ns_per_step(fused, chunks) if route == "fused" else None,
         "ito_sums": _median_ns_per_step(lambda: theta_ito_from_values(path, dt), chunks),
         "ar1": _median_ns_per_step(lambda: ou_process._ar1(N, 0.0, a, scales, shift, rng), chunks),

@@ -1,22 +1,22 @@
 /* The AR(1) loop of oufar's samplers (ou_process._ar1), in place on v[0..n-1].
  *
- * v[0] is x0 and v[1..] hold standard normals z_i; each becomes the path value
- * y_i = a y_{i-1} + u_i with u_i = (z_i s1) s2 + shift, one rounding per
- * operation in this order, from y_0 = 0.0 + x0.  The result has the bits of
- * scipy's lfilter([1], [1, -a]) over w = [x0, u_1, ...]: its delay state
- * after input w_{i-1} is w_{i-1} 0 - y_{i-1} (-a), which is a y_{i-1} except
- * that a zero product takes the sign of w_{i-1} 0.  Adding w_{i-1} 0 to u_i
- * instead gives every sum the same bits and keeps it off the multiply-add
- * chain on y.  Build with -ffp-contract=off: a fused multiply-add rounds once.
+ * v[0] is x0.  The loop draws standard normals z_1, z_2, ... and writes the
+ * path value y_i = a y_{i-1} + u_i to v[i], with u_i = (z_i s1) s2 + shift,
+ * one rounding per operation in this order, from y_0 = 0.0 + x0; v[1..] are
+ * not read.  The result has the bits of scipy's lfilter([1], [1, -a]) over
+ * w = [x0, u_1, ...]: its delay state after input w_{i-1} is
+ * w_{i-1} 0 - y_{i-1} (-a), which is a y_{i-1} except that a zero product
+ * takes the sign of w_{i-1} 0.  Adding w_{i-1} 0 to u_i instead gives every
+ * sum the same bits and keeps it off the multiply-add chain on y.  Build with
+ * -ffp-contract=off: a fused multiply-add rounds once.
  *
- * With pcg NULL the z_i are read from v[1..].  Otherwise the loop draws them
- * itself, as numpy's Generator.standard_normal does from a PCG64 bit
- * generator, and v[1..] are not read.  pcg[0..3] hold the 128-bit state and
- * increment as low and high 64-bit words; the state is advanced in place, so
- * the call leaves the bits and the state of standard_normal(out=v[1:])
- * followed by the loop above.  pcg[4] and pcg[5] are incremented once per
- * entry into the ziggurat's wedge and tail, the two slow paths.  Link with
- * -lm for log1p and exp.
+ * The z_i are drawn as numpy's Generator.standard_normal draws them from a
+ * PCG64 bit generator.  pcg[0..3] hold the 128-bit state and increment as low
+ * and high 64-bit words; the state is advanced in place, so the call leaves
+ * the bits and the state of standard_normal(out=v[1:]) followed by the
+ * recursion above.  pcg[4] and pcg[5] are incremented once per entry into the
+ * ziggurat's wedge and tail, the two slow paths.  Link with -lm for log1p and
+ * exp.
  *
  * The generator is PCG64, XSL-RR 128/64 (M. E. O'Neill, "PCG: A family of
  * simple fast space-efficient statistically good algorithms for random
@@ -379,46 +379,29 @@ static __attribute__((noinline)) double ziggurat(struct pcg64 *g, uint64_t r)
     }
 }
 
-/* the loop for both sources of z_i; inlined twice, so neither loop tests g */
-static inline __attribute__((always_inline)) void
-recurse(double a, double s1, double s2, double shift, double *v, ptrdiff_t n, struct pcg64 *g)
+void oufar_ar1(double a, double s1, double s2, double shift, double *v, ptrdiff_t n,
+               uint64_t *pcg)
 {
+    struct pcg64 g = {((u128)pcg[1] << 64) | pcg[0], ((u128)pcg[3] << 64) | pcg[2], 0, 0};
+    u128 state = g.state;
     double y = 0.0 + v[0], prev = v[0];
-    u128 state = g ? g->state : 0;
     for (ptrdiff_t i = 1; i < n; i++) {
         double z;
-        if (g) {
-            uint64_t r = next_uint64(&state, g->inc);
-            if (__builtin_expect(rabs_of(r) < ki[layer(r)], 1)) {
-                z = candidate(r);
-            } else {
-                g->state = state;
-                z = ziggurat(g, r);
-                state = g->state;
-            }
+        uint64_t r = next_uint64(&state, g.inc);
+        if (__builtin_expect(rabs_of(r) < ki[layer(r)], 1)) {
+            z = candidate(r);
         } else {
-            z = v[i];
+            g.state = state;
+            z = ziggurat(&g, r);
+            state = g.state;
         }
         double u = z * s1 * s2 + shift;
         y = a * y + (prev * 0.0 + u);
         prev = u;
         v[i] = y;
     }
-    if (g)
-        g->state = state;
-}
-
-void oufar_ar1(double a, double s1, double s2, double shift, double *v, ptrdiff_t n,
-               uint64_t *pcg)
-{
-    if (pcg == NULL) {
-        recurse(a, s1, s2, shift, v, n, NULL);
-        return;
-    }
-    struct pcg64 g = {((u128)pcg[1] << 64) | pcg[0], ((u128)pcg[3] << 64) | pcg[2], 0, 0};
-    recurse(a, s1, s2, shift, v, n, &g);
-    pcg[0] = (uint64_t)g.state;
-    pcg[1] = (uint64_t)(g.state >> 64);
+    pcg[0] = (uint64_t)state;
+    pcg[1] = (uint64_t)(state >> 64);
     pcg[4] += g.wedges;
     pcg[5] += g.tails;
 }

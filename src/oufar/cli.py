@@ -200,8 +200,7 @@ def _cmd_simulate(args) -> None:
     params = OuParams(theta=args.theta, mu=args.mu, sigma=args.sigma)
     grid = TimeGrid(t_end=args.t_end, dt=args.dt)
     # 16 B a value, the scipy route's need: the noise in its scratch buffer and the new path.
-    # The fused and compiled routes hold the path alone, but the route is decided at the
-    # first draw
+    # The fused route holds the path alone, but the route is decided at the first draw
     need, memory = 16 * (grid.n_steps + 1), _physical_memory()
     if need > memory:
         raise DomainError(f"{grid.n_steps} steps need {need / 2**30:.3g} GiB for the noise and "

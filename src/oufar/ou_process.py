@@ -19,24 +19,22 @@ a ``SamplePath``, a grid and its values alone: a caller keeps what drew the path
 Both samplers are thin calls of one kernel, ``_ar1``: it draws a block of
 standard normals, scales and shifts them into the innovations, and runs the
 AR(1) recursion xi_{i+1} = a xi_i + u_i with the Euler factor a = 1 - theta dt
-or the exact decay a = exp(-theta dt).  It has three routes with the same bits.
+or the exact decay a = exp(-theta dt).  It has two routes with the same bits.
 The fused route is one pass of the C loop in ``_ar1.c`` that draws the normals
 itself from the generator's PCG64 state, as ``Generator.standard_normal``
 does, and recurses as it goes; it is taken for a ``np.random.Generator`` on
 an ``np.random.PCG64`` bit generator (the harness's ``default_rng``).  The
-compiled route is the same loop over normals that numpy drew into the path
-array, for every other generator.  The loop is built once per machine into
-the user's cache directory (``$XDG_CACHE_HOME/oufar``, default
-``~/.cache/oufar``) with the platform ``cc`` and loaded with ctypes on the
-first ``_ar1`` call, never on import.  The scipy route scales and shifts the
-normals with numpy in the thread's ``scratch`` buffer and runs the recursion
-through ``lfilter``, which calls scipy's compiled ``_linear_filter``.  It is
-taken where there is no compiler, the build or the load fails, or the loop's
-output on a fixed probe differs from the scipy route's by a bit.  The loop's
-own draw is used only where it also passes a probe of its own against
-``standard_normal`` followed by the scipy route, bits and generator state
-after; otherwise PCG64 draws take the compiled route.  ``ar1_route`` names
-the route, which is decided once per process.
+loop is built once per machine into the user's cache directory
+(``$XDG_CACHE_HOME/oufar``, default ``~/.cache/oufar``) with the platform
+``cc`` and loaded with ctypes on the first ``_ar1`` call, never on import,
+and used only where it passes a probe against ``standard_normal`` followed
+by the scipy route, bits and generator state after.  The scipy route draws
+the normals with ``standard_normal`` into the thread's ``scratch`` buffer,
+scales and shifts them with numpy and runs the recursion through
+``lfilter``, which calls scipy's compiled ``_linear_filter``.  It is taken
+for every other generator, and for all of them where there is no compiler,
+the build or the load fails, or the loop fails its probe.  ``ar1_route``
+names the route of PCG64 draws, which is decided once per process.
 
 The scipy code this package runs comes in by one cached lookup,
 ``_scipy(extension, name, public)``, made on first use: it takes the
@@ -166,11 +164,11 @@ def lfilter(b, a, x) -> np.ndarray:
     """``scipy.signal.lfilter(b, a, x)`` from a zero state, for 1-D x and len(a) >= 2.
 
     The AR(1) recursion of the scipy route (``_scipy_ar1``), and so the
-    reference that the probes hold the C loop to; the compiled and fused
-    routes do not call it.  It calls scipy's ``_linear_filter`` with the
-    arrays ``scipy.signal.lfilter`` passes it for a denominator of two or more
-    taps and no initial state; the public ``scipy.signal.lfilter`` takes the
-    same positional arguments where the extension is missing.
+    reference that the probe holds the C loop to; the fused route does not
+    call it.  It calls scipy's ``_linear_filter`` with the arrays
+    ``scipy.signal.lfilter`` passes it for a denominator of two or more taps
+    and no initial state; the public ``scipy.signal.lfilter`` takes the same
+    positional arguments where the extension is missing.
     """
     linear_filter = _scipy(_SIGTOOLS, "_linear_filter", "scipy.signal.lfilter")
     return linear_filter(np.atleast_1d(b), np.atleast_1d(a), np.asarray(x), -1)
@@ -181,7 +179,7 @@ def lfilter(b, a, x) -> np.ndarray:
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _CC_LIBS = ("-lm",)
 _kernel_lock = threading.Lock()
-# empty until the first _ar1 call, then [the checked loop or None, whether its draw is used]
+# empty until the first _ar1 call, then [the checked loop or None]
 _kernel: list = []
 
 
@@ -268,21 +266,9 @@ def _loop_array(v: np.ndarray) -> tuple:
     """The address and size of v, which the C loop rewrites in place; ValueError unless it can."""
     if not (v.dtype == np.float64 and v.ndim == 1 and v.size and v.flags.c_contiguous
             and v.flags.writeable):
-        raise ValueError("the AR(1) loop needs x0 and the normals in a writable contiguous "
-                         "1-D float64 array")
+        raise ValueError("the AR(1) loop needs x0 and room for the path in a writable "
+                         "contiguous 1-D float64 array")
     return v.ctypes.data, v.size
-
-
-def _compiled_ar1(loop, v: np.ndarray, a: float, scales: tuple[float, ...],
-                  shift: float) -> np.ndarray:
-    """The path from v = [x0, Z_1, ..., Z_n] by one call of the C ``loop``, in place in v.
-
-    It scales, shifts and recurses as ``_scipy_ar1`` does, with its bits.  A
-    missing second factor is 1.0, by which multiplying is exact.
-    """
-    s1, s2 = (*scales, 1.0)[:2]
-    loop(a, s1, s2, shift, *_loop_array(v), None)
-    return v
 
 
 _U64 = (1 << 64) - 1
@@ -292,14 +278,15 @@ def _fused_ar1(loop, v: np.ndarray, a: float, scales: tuple[float, ...], shift: 
                bit_generator: np.random.PCG64) -> tuple[int, int]:
     """The path from x0 = v[0], in place in v, by the C ``loop`` drawing from ``bit_generator``.
 
-    v[1:] are not read.  Where the loop passes ``_fused_probe_passes``, v and
-    the generator end as ``bit_generator``'s ``standard_normal(out=v[1:])``
-    followed by ``_compiled_ar1`` leave them.  The 128-bit state and
-    increment go in and the advanced state comes back through the
-    ``state`` dict, so ``has_uint32`` and ``uinteger`` are kept, and no
-    numpy struct layout is relied on; the generator's ``lock`` is held
-    across the read, the call and the write, as numpy's own fill holds it.
-    Returns how often the ziggurat entered its wedge and its tail.
+    v[1:] are not read.  Where the loop passes ``_probe_passes``, v and the
+    generator end as ``bit_generator``'s ``standard_normal(out=v[1:])``
+    followed by ``_scipy_ar1`` leave them; a missing second factor is 1.0,
+    by which multiplying is exact.  The 128-bit state and increment go in
+    and the advanced state comes back through the ``state`` dict, so
+    ``has_uint32`` and ``uinteger`` are kept, and no numpy struct layout is
+    relied on; the generator's ``lock`` is held across the read, the call
+    and the write, as numpy's own fill holds it.  Returns how often the
+    ziggurat entered its wedge and its tail.
     """
     data, size = _loop_array(v)
     s1, s2 = (*scales, 1.0)[:2]
@@ -314,39 +301,25 @@ def _fused_ar1(loop, v: np.ndarray, a: float, scales: tuple[float, ...], shift: 
     return int(words[4]), int(words[5])
 
 
-# (a, scales, shift, x0) of both probes: both schemes' factors, signed zero shifts and
-# starts, zero and negative a
+# (seed, a, scales, shift, x0) of the probe: both schemes' factors, signed zero shifts
+# and starts, zero and negative a, and factors whose product underflows, so that every
+# innovation is a zero of either sign; that case runs at seed 6, as seed 5 draws no
+# normal from the ziggurat's tail
 _PROBE_CASES = [
-    (1.0 - 0.7 * 0.02, (math.sqrt(0.02), 1.3), 0.0, 0.0),
-    (math.exp(-0.02), (0.14,), -0.0, -0.0),
-    (-0.0, (1.0,), -0.0, 1e6),
-    (0.0, (0.5, 2.0), 0.25, -0.0),
-    (-1.3, (1e-3, 3.0), -0.0, -2.5),
+    (0, 1.0 - 0.7 * 0.02, (math.sqrt(0.02), 1.3), 0.0, 0.0),
+    (1, math.exp(-0.02), (0.14,), -0.0, -0.0),
+    (2, -0.0, (1.0,), -0.0, 1e6),
+    (3, 0.0, (0.5, 2.0), 0.25, -0.0),
+    (4, -1.3, (1e-3, 3.0), -0.0, -2.5),
+    (6, -0.0, (1e-200, 1e-200), -0.0, -0.0),
 ]
+
+# 2^13 steps a case, 49152 normals in all: at these seeds the ziggurat enters its wedge
+# 697 times and its tail 13 times, each case both
+_PROBE_STEPS = 1 << 13
 
 
 def _probe_passes(loop) -> bool:
-    """Whether ``loop`` gives the scipy route's bits on a fixed probe of 4097-value paths.
-
-    The probe's normals hold zeros of both signs.
-    """
-    z = np.random.default_rng(0).standard_normal(4097)
-    z[::5] = -0.0
-    z[::7] = 0.0
-    for a, scales, shift, x0 in _PROBE_CASES:
-        z[0] = x0
-        compiled = _compiled_ar1(loop, z.copy(), a, scales, shift)
-        if compiled.tobytes() != _scipy_ar1(z.copy(), a, scales, shift).tobytes():
-            return False
-    return True
-
-
-# 2^13 steps a case, 40960 normals in all: at these seeds the ziggurat enters its wedge
-# 572 times and its tail 12 times, each case both
-_FUSED_PROBE_STEPS = 1 << 13
-
-
-def _fused_probe_passes(loop) -> bool:
     """Whether ``loop``'s draw leaves the bits and state of ``standard_normal``, ``_scipy_ar1``.
 
     Each case of ``_PROBE_CASES`` draws one path from a fixed seed with
@@ -357,12 +330,12 @@ def _fused_probe_passes(loop) -> bool:
     draws entered the ziggurat's wedge and its tail.
     """
     slow = np.zeros(2, dtype=np.int64)
-    for seed, (a, scales, shift, x0) in enumerate(_PROBE_CASES):
+    for seed, a, scales, shift, x0 in _PROBE_CASES:
         fused, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
         if seed == 1:
             fused.integers(10, dtype=np.uint32)
             numpy.integers(10, dtype=np.uint32)
-        v = np.empty(_FUSED_PROBE_STEPS + 1)
+        v = np.empty(_PROBE_STEPS + 1)
         v[0] = x0
         slow += _fused_ar1(loop, v, a, scales, shift, fused.bit_generator)
         w = np.empty_like(v)
@@ -374,13 +347,13 @@ def _fused_probe_passes(loop) -> bool:
     return bool(slow.all())
 
 
-def _ar1_kernel() -> tuple:
-    """(the C loop of ``_ar1.c`` or None, whether ``_ar1`` uses its own draw).
+def _ar1_kernel():
+    """The C loop of ``_ar1.c`` that ``_ar1`` draws PCG64 paths with, or None.
 
-    The loop is there where it is built, loads and passes ``_probe_passes``;
-    its draw is used where it also passes ``_fused_probe_passes``.  Decided
-    on the first call in a process and kept; a missing compiler, a failed
-    build, an unwritable cache or a load error gives (None, False).
+    The loop is there where it is built, loads and passes ``_probe_passes``.
+    Decided on the first call in a process and kept; a missing compiler, a
+    failed build, an unwritable cache, a load error or a failed probe gives
+    None.
     """
     with _kernel_lock:
         if not _kernel:
@@ -388,20 +361,17 @@ def _ar1_kernel() -> tuple:
                 loop = _load_ar1()
             except (OSError, AttributeError, ImportError):  # ImportError: no fcntl
                 loop = None
-            if loop is not None and not _probe_passes(loop):
-                loop = None
-            _kernel.extend((loop, loop is not None and _fused_probe_passes(loop)))
-    return _kernel[0], _kernel[1]
+            _kernel.append(loop if loop is not None and _probe_passes(loop) else None)
+    return _kernel[0]
 
 
 def ar1_route() -> str:
-    """The route this process's AR(1) paths take: ``"fused"``, ``"compiled"`` or ``"scipy"``.
+    """The route of this process's AR(1) paths: ``"fused"`` or ``"scipy"``.
 
-    ``"fused"`` is the route of paths drawn from a PCG64 ``Generator``; paths
-    from any other generator then take the compiled route.
+    It is the route of paths drawn from a PCG64 ``Generator``; paths from any
+    other generator take the scipy route either way.
     """
-    loop, fused = _ar1_kernel()
-    return "fused" if fused else "scipy" if loop is None else "compiled"
+    return "scipy" if _ar1_kernel() is None else "fused"
 
 
 def positive_finite(x: float) -> bool:
@@ -591,26 +561,26 @@ def _ar1(n: int, x0: float, a: float, scales: tuple[float, ...], shift: float,
     """Values of xi_0 = x0, xi_i = a xi_{i-1} + u_i, with u_i = Z_i * scales + shift.
 
     The one kernel of both samplers.  The n standard normals Z_i are drawn
-    in one block from ``rng``, after x0, and the route of ``ar1_route`` turns
-    them into the path: the fused loop draws them itself, from a
-    ``np.random.Generator`` on ``np.random.PCG64`` only, and recurses in a
-    new path array; for other generators the compiled loop recurses in
-    place in the path array that ``standard_normal`` filled, or
-    ``_scipy_ar1`` works from this thread's ``scratch`` into a new array.
-    Every way the path and the generator's state after have the bits of
+    in one block from ``rng``, after x0, by one of two routes: on the fused
+    route (``ar1_route``), for a ``np.random.Generator`` on
+    ``np.random.PCG64`` only, the C loop draws them itself and recurses in
+    a new path array; otherwise ``standard_normal`` fills this thread's
+    ``scratch`` and ``_scipy_ar1`` works from there into a new array.
+    Either way the path and the generator's state after have the bits of
     ``standard_normal`` followed by ``_scipy_ar1``, xi_0 = x0 included
     (-0.0 stays -0.0), and the path is a new array.
     """
-    loop, fused = _ar1_kernel()
-    v = scratch(n + 1) if loop is None else np.empty(n + 1)
-    v[0] = x0
-    if fused and type(rng) is np.random.Generator and type(rng.bit_generator) is np.random.PCG64:
+    loop = _ar1_kernel()
+    if (loop is not None and type(rng) is np.random.Generator
+            and type(rng.bit_generator) is np.random.PCG64):
+        v = np.empty(n + 1)
+        v[0] = x0
         _fused_ar1(loop, v, a, scales, shift, rng.bit_generator)
         return v
+    v = scratch(n + 1)
+    v[0] = x0
     rng.standard_normal(out=v[1:])
-    if loop is None:
-        return _scipy_ar1(v, a, scales, shift)
-    return _compiled_ar1(loop, v, a, scales, shift)
+    return _scipy_ar1(v, a, scales, shift)
 
 
 def sample_euler(

@@ -179,8 +179,8 @@ def write_report(
     The z table of a normality report is also written as
     ``standardized_errors.csv``.  Returns the paths written.  The run file
     records wall time, worker count and the route of this process's AR(1)
-    paths (``ou_process.ar1_route``: fused, compiled or scipy, the same bits
-    every way), and is the only file allowed to differ between reruns.
+    paths (``ou_process.ar1_route``: fused or scipy, the same bits either
+    way), and is the only file allowed to differ between reruns.
     """
     out_dir = Path(out_dir)
     paths = {"run": out_dir / f"{report.kind}.run.json"}

@@ -603,11 +603,11 @@ class TestGoldenBytes:
         assert list(tmp_path.iterdir()) == []
 
     @pytest.mark.parametrize("scheme", ["euler", "exact"])
-    def test_report_sha256_on_the_compiled_route(self, monkeypatch, scheme):
-        # the loop's own draw refused: numpy draws the normals, the C loop recurses
+    def test_report_sha256_with_the_probe_failed(self, monkeypatch, scheme):
+        # the built loop refused by its probe: numpy draws the normals, lfilter recurses
         if shutil.which("cc") is None:
             pytest.skip("no C compiler cc on PATH")
-        monkeypatch.setattr(ou_process, "_fused_probe_passes", lambda loop: False)
+        monkeypatch.setattr(ou_process, "_probe_passes", lambda loop: False)
         monkeypatch.setattr(ou_process, "_kernel", [])
         self.test_report_sha256(scheme)
-        assert ou_process.ar1_route() == "compiled"
+        assert ou_process.ar1_route() == "scipy"

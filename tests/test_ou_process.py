@@ -579,26 +579,29 @@ class TestScratch:
         assert len(seen) == 1 and not np.shares_memory(seen[0], self._buffer())
 
 
-def _compiled_loop():
+def _fused_loop():
     """This process's checked C loop of ``_ar1.c``; the caller is skipped only where no cc exists."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
-    loop = ou_process._ar1_kernel()[0]
-    assert loop is not None, "cc is on PATH, but the compiled AR(1) loop was not taken"
+    loop = ou_process._ar1_kernel()
+    assert loop is not None, "cc is on PATH, but the C loop failed its build, load or probe"
     return loop
 
 
 @st.composite
 def _route_cases(draw):
-    n = draw(st.sampled_from([1, 2, 127, 2**16]))
+    n = draw(st.one_of(st.sampled_from([1, 2, 2**16]), st.integers(1, 2**16)))
     x0 = draw(st.one_of(st.sampled_from([0.0, -0.0, 1e6, -1e6]), st.floats(-10.0, 10.0)))
     a = draw(st.one_of(st.sampled_from([0.0, -0.0]),
                        st.floats(-1.5, 1.5, exclude_min=True, exclude_max=True)))
     dt = draw(st.floats(1e-4, 1.0))
-    if draw(st.booleans()):
-        scales = (math.sqrt(dt), draw(st.floats(0.1, 5.0)))  # Euler: sqrt(dt), then sigma
-    else:
-        scales = (draw(st.floats(1e-3, 5.0)),)  # exact: sd (the loop's second factor is 1.0)
+    factors = draw(st.sampled_from(["euler", "exact", "underflow"]))
+    if factors == "euler":
+        scales = (math.sqrt(dt), draw(st.floats(0.1, 5.0)))  # sqrt(dt), then sigma
+    elif factors == "exact":
+        scales = (draw(st.floats(1e-3, 5.0)),)  # sd (the loop's second factor is 1.0)
+    else:  # an innovation is the shift or a zero of Z's sign, which lfilter's delay state keeps
+        scales = (1e-200, 1e-200)
     shift = draw(st.one_of(st.sampled_from([0.0, -0.0]), st.floats(-5.0, 5.0)))
     return n, x0, a, scales, shift, draw(st.booleans()), draw(st.integers(0, 2**32 - 1))
 
@@ -615,7 +618,7 @@ _PCG64_MULTIPLIER = 0x2360ED051FC65DA44385DF649FCCF645
 
 
 def _faulty_draw(load, fault):
-    """A ``_load_ar1`` whose loop, when it draws, flips one value's last bit or lags one step."""
+    """A ``_load_ar1`` whose loop flips one value's last bit, lags one step, or (None) is right."""
     import ctypes
 
     def load_wrapped():
@@ -623,11 +626,9 @@ def _faulty_draw(load, fault):
 
         def wrapped(a, s1, s2, shift, data, n, pcg):
             loop(a, s1, s2, shift, data, n, pcg)
-            if pcg is None:
-                return
             if fault == "a flipped bit":
                 ctypes.c_uint64.from_address(data + 8 * (n - 1)).value ^= 1
-            else:  # step back: state = (state - inc) / multiplier mod 2^128
+            elif fault:  # step back: state = (state - inc) / multiplier mod 2^128
                 words = (ctypes.c_uint64 * 4).from_address(pcg)
                 state, inc = words[1] << 64 | words[0], words[3] << 64 | words[2]
                 state = (state - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
@@ -647,20 +648,13 @@ def _reference_draw(seed, n, x0, a, scales, shift, buffered):
     return ou_process._scipy_ar1(v, a, scales, shift), rng
 
 
-def _fused_loop():
-    """This process's C loop, where ``_ar1`` uses its own draw; skipped only where no cc exists."""
-    loop = _compiled_loop()
-    assert ou_process.ar1_route() == "fused", "the compiled loop's draw failed its probe"
-    return loop
-
-
 class TestFusedDraw:
     """The loop's own PCG64 draw leaves the bits and the state of ``standard_normal``."""
 
     @settings(max_examples=200, deadline=None)
-    @given(_route_cases(), st.one_of(st.sampled_from([1, 2, 2**16]), st.integers(1, 2**16)))
-    def test_fused_route_equals_standard_normal_then_the_scipy_route(self, case, n):
-        _, x0, a, scales, shift, buffered, seed = case
+    @given(_route_cases())
+    def test_fused_route_equals_standard_normal_then_the_scipy_route(self, case):
+        n, x0, a, scales, shift, buffered, seed = case
         expected, numpy = _reference_draw(seed, n, x0, a, scales, shift, buffered)
         rng = np.random.default_rng(seed)
         if buffered:
@@ -684,12 +678,12 @@ class TestFusedDraw:
         monkeypatch.setattr(ou_process, "_kernel", [])
         assert ou_process.ar1_route() == "fused"
         assert len(counts) == len(ou_process._PROBE_CASES)
-        for seed, (wedges, tails) in enumerate(counts):
+        for (seed, *_), (wedges, tails) in zip(ou_process._PROBE_CASES, counts):
             # every tail draw, and no other, is at least r = 3.654... from 0
             rng = np.random.default_rng(seed)
             if seed == 1:
                 rng.integers(10, dtype=np.uint32)
-            z = rng.standard_normal(ou_process._FUSED_PROBE_STEPS)
+            z = rng.standard_normal(ou_process._PROBE_STEPS)
             assert wedges > 0 and tails > 0
             assert tails == np.count_nonzero(np.abs(z) >= 3.6541528853610088)
 
@@ -724,56 +718,22 @@ class TestFusedDraw:
 class TestCompiledRecursion:
     """The C loop of ``_ar1.c`` has the scipy route's bits, and is used only where it does."""
 
-    @settings(max_examples=200, deadline=None)
-    @given(_route_cases())
-    def test_compiled_loop_equals_the_scipy_route(self, case):
-        n, x0, a, scales, shift, signed_zeros, seed = case
-        loop = _compiled_loop()
-        v = np.empty(n + 1)
-        v[0] = x0
-        np.random.default_rng(seed).standard_normal(out=v[1:])
-        if signed_zeros:  # lfilter's delay state then carries the previous input's sign
-            v[1::3] = -0.0
-            v[2::5] = 0.0
-        expected = ou_process._scipy_ar1(v.copy(), a, scales, shift)
-        assert ou_process._compiled_ar1(loop, v, a, scales, shift).tobytes() == expected.tobytes()
-
     @pytest.mark.parametrize("v", [np.zeros(0), np.zeros(9, dtype=np.float32), np.zeros(18)[::2],
                                    np.zeros((3, 3))], ids=["empty", "float32", "strided", "2-d"])
     def test_the_loop_takes_only_arrays_it_can_write(self, v):
+        rng = np.random.default_rng(4)
         with pytest.raises(ValueError, match="float64"):
-            ou_process._compiled_ar1(_compiled_loop(), v, 0.5, (1.0,), 0.0)
+            ou_process._fused_ar1(_fused_loop(), v, 0.5, (1.0,), 0.0, rng.bit_generator)
+        assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
 
-    @pytest.mark.parametrize("flip, route", [(True, "scipy"), (False, "fused")])
-    def test_a_loop_that_fails_the_probe_is_not_used(self, monkeypatch, flip, route):
-        import ctypes
-
-        _compiled_loop()
-        load = ou_process._load_ar1
-
-        def load_wrapped():
-            loop = load()
-
-            def wrapped(a, s1, s2, shift, data, n, pcg):
-                loop(a, s1, s2, shift, data, n, pcg)
-                if flip and pcg is None:  # the last bit of the last value
-                    ctypes.c_uint64.from_address(data + 8 * (n - 1)).value ^= 1
-            return wrapped
-
-        monkeypatch.setattr(ou_process, "_load_ar1", load_wrapped)
-        monkeypatch.setattr(ou_process, "_kernel", [])
-        assert ou_process.ar1_route() == route
-        grid = TimeGrid(t_end=2.0, dt=0.02)
-        path = sample_euler(OuParams(theta=0.7, mu=0.3), grid, np.random.default_rng(4), x0=-0.0)
-        expected = _loop_values(OuParams(theta=0.7, mu=0.3), grid, 4, "euler", -0.0, False, False)
-        assert path.values.tobytes() == expected.tobytes()
-
-    @pytest.mark.parametrize("fault", ["a flipped bit", "the state one step behind"])
+    @pytest.mark.parametrize("fault", [None, "a flipped bit", "the state one step behind"],
+                             ids=["no fault", "a flipped bit", "the state one step behind"])
     def test_a_draw_that_fails_its_probe_is_not_used(self, monkeypatch, fault):
-        _compiled_loop()
+        # the wrapped loop with no fault is the control: its draw passes the probe and is used
+        _fused_loop()
         monkeypatch.setattr(ou_process, "_load_ar1", _faulty_draw(ou_process._load_ar1, fault))
         monkeypatch.setattr(ou_process, "_kernel", [])
-        assert ou_process.ar1_route() == "compiled"
+        assert ou_process.ar1_route() == ("fused" if fault is None else "scipy")
         grid = TimeGrid(t_end=2.0, dt=0.02)
         rng = np.random.default_rng(4)
         path = sample_euler(OuParams(theta=0.7, mu=0.3), grid, rng, x0=-0.0)

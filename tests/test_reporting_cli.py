@@ -1014,22 +1014,17 @@ class TestExperimentCommand:
         assert (out / "band_coverage.csv").exists()
         assert (out / "band_coverage.run.json").exists()
 
-    @pytest.mark.parametrize("forced", [None, "compiled", "scipy"])
+    @pytest.mark.parametrize("forced", [None, "scipy"])
     def test_run_record_names_the_recursion_route(self, monkeypatch, tmp_path, forced):
-        if forced == "compiled":
-            loop = ou_process._ar1_kernel()[0]
-            if loop is None:
-                pytest.skip("no compiled AR(1) loop on this machine")
-            monkeypatch.setattr(ou_process, "_kernel", [loop, False])
-        elif forced:
-            monkeypatch.setattr(ou_process, "_kernel", [None, False])
+        if forced:
+            monkeypatch.setattr(ou_process, "_kernel", [None])
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps(SMALL))
         out = tmp_path / "results"
         assert main(["experiment", "normality", "--config", str(cfg), "--out", str(out)]) == 0
         routes = {json.loads(f.read_text())["recursion"] for f in out.glob("*.run.json")}
         assert routes == {forced or ou_process.ar1_route()}
-        assert routes <= {"fused", "compiled", "scipy"}
+        assert routes <= {"fused", "scipy"}
 
     def test_thread_count_byte_identical(self, tmp_path):
         cfg = tmp_path / "cfg.json"

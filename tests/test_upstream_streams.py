@@ -4,12 +4,12 @@ The desk pins (CI step "Desk report pins", perfbench) were taken with numpy
 2.4.6 and scipy 1.17.1.  They depend on numpy's PCG64 seeding and
 ``Generator.standard_normal`` stream, which numpy does not promise to keep
 across feature releases (NEP 19), and on the arithmetic of scipy's
-``_linear_filter``, which oufar's compiled AR(1) loop reproduces bit for bit.
-The loop's own PCG64 ziggurat draw (the fused route) is a copy of numpy's
-stream, so it is pinned to the same sha256.  When a pin fails and these tests
-pass, oufar moved; when one of these fails too, the named upstream stream
-moved: numpy's, if its normal stream fails and the copy's passes, and the
-copy, if only the copy's fails.
+``_linear_filter``.  oufar's fused route copies both in one C loop: it draws
+numpy's stream itself and recurses with the filter's bits.  When a pin fails
+and these tests pass, oufar moved; when one of these fails too, it names
+what moved: numpy's stream, if its normal stream test fails; scipy's
+arithmetic, if the linear filter test fails; the copy, if only the fused
+route's tests fail.
 """
 
 import hashlib
@@ -33,10 +33,10 @@ def _first_desk_replicate_rng():
     return np.random.default_rng(derive_replicate_seed(20260810, 0, 0, 0))
 
 
-def _compiled_loop():
+def _fused_loop():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
-    loop = ou_process._ar1_kernel()[0]
+    loop = ou_process._ar1_kernel()
     assert loop is not None
     return loop
 
@@ -48,7 +48,7 @@ def test_normal_stream_of_the_first_desk_replicate():
 def test_fused_draw_copies_the_normal_stream():
     # a = 0, unit scales, no shift: each path value is its normal, a nonzero one exactly
     v = np.zeros(2**16 + 1)
-    ou_process._fused_ar1(_compiled_loop(), v, 0.0, (1.0,), 0.0,
+    ou_process._fused_ar1(_fused_loop(), v, 0.0, (1.0,), 0.0,
                           _first_desk_replicate_rng().bit_generator)
     assert _sha256(v[1:]) == _NORMAL_SHA256
 
@@ -62,7 +62,12 @@ def test_linear_filter_arithmetic():
     assert _sha256(ou_process.lfilter([1.0], [1.0, -0.986], _FILTER_INPUT)) == _FILTER_SHA256
 
 
-def test_compiled_loop_has_the_linear_filter_arithmetic():
-    # the C loop of oufar's own _ar1.c, with unit scales and no shift, over the same input
-    path = ou_process._compiled_ar1(_compiled_loop(), _FILTER_INPUT.copy(), 0.986, (1.0,), 0.0)
-    assert _sha256(path) == _FILTER_SHA256
+def test_fused_route_has_the_linear_filter_arithmetic():
+    # the fused path at a = 0.986, unit scales and no shift, from x0 = 0, against lfilter
+    # over the same generator's numpy normals
+    v = np.zeros(2**16 + 1)
+    ou_process._fused_ar1(_fused_loop(), v, 0.986, (1.0,), 0.0,
+                          _first_desk_replicate_rng().bit_generator)
+    w = np.zeros(2**16 + 1)
+    _first_desk_replicate_rng().standard_normal(out=w[1:])
+    assert v.tobytes() == ou_process.lfilter([1.0], [1.0, -0.986], w).tobytes()
