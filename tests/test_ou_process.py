@@ -687,6 +687,24 @@ class TestFusedDraw:
             assert wedges > 0 and tails > 0
             assert tails == np.count_nonzero(np.abs(z) >= 3.6541528853610088)
 
+    def test_underflowing_factors_keep_the_zero_signs(self):
+        # the probe's last case: every innovation is a zero of Z's sign, every value a zero
+        seed, a, scales, shift, x0 = ou_process._PROBE_CASES[-1]
+        assert scales == (1e-200, 1e-200)
+        rng = np.random.default_rng(seed)
+        v = np.empty(ou_process._PROBE_STEPS + 1)
+        v[0] = x0
+        ou_process._fused_ar1(_fused_loop(), v, a, scales, shift, rng.bit_generator)
+        expected, _ = _reference_draw(seed, ou_process._PROBE_STEPS, x0, a, scales, shift, False)
+        assert v.tobytes() == expected.tobytes()
+        assert not v.any()
+        assert np.count_nonzero(np.signbit(v)) == 1341  # and 6852 of +0.0
+        y, plain = x0, [x0]  # y = a y + u without lfilter's delay state: a zero's sign moves
+        for z in np.random.default_rng(seed).standard_normal(ou_process._PROBE_STEPS):
+            y = a * y + (z * scales[0] * scales[1] + shift)
+            plain.append(y)
+        assert np.array(plain).tobytes() != v.tobytes()
+
     @pytest.mark.parametrize("kind", ["MT19937", "PCG64DXSM", "ZeroNoise", "NegatedNoise"])
     def test_other_generators_keep_numpy_draw(self, monkeypatch, kind):
         _fused_loop()
@@ -725,6 +743,36 @@ class TestCompiledRecursion:
         with pytest.raises(ValueError, match="float64"):
             ou_process._fused_ar1(_fused_loop(), v, 0.5, (1.0,), 0.0, rng.bit_generator)
         assert rng.bit_generator.state == np.random.default_rng(4).bit_generator.state
+
+    @pytest.mark.parametrize("flip, route", [(True, "scipy"), (False, "fused")])
+    def test_a_loop_that_fails_the_probe_is_not_used(self, monkeypatch, flip, route):
+        # a recursion that gets a zero's sign wrong: only the probe's signed-zero case sees it
+        import ctypes
+
+        _fused_loop()
+        load = ou_process._load_ar1
+
+        def load_wrapped():
+            loop = load()
+
+            def wrapped(a, s1, s2, shift, data, n, pcg):
+                loop(a, s1, s2, shift, data, n, pcg)
+                if flip:  # the sign of every zero after x0
+                    path = np.ctypeslib.as_array((ctypes.c_double * n).from_address(data))
+                    zeros = path[1:] == 0.0
+                    path[1:][zeros] = -path[1:][zeros]
+            return wrapped
+
+        monkeypatch.setattr(ou_process, "_load_ar1", load_wrapped)
+        monkeypatch.setattr(ou_process, "_kernel", [])
+        assert ou_process.ar1_route() == route
+        assert ou_process._probe_passes(load_wrapped()) == (route == "fused")
+        monkeypatch.setattr(ou_process, "_PROBE_CASES", ou_process._PROBE_CASES[:-1])
+        assert ou_process._probe_passes(load_wrapped())
+        grid = TimeGrid(t_end=2.0, dt=0.02)
+        path = sample_euler(OuParams(theta=0.7, mu=0.3), grid, np.random.default_rng(4), x0=-0.0)
+        expected = _loop_values(OuParams(theta=0.7, mu=0.3), grid, 4, "euler", -0.0, False, False)
+        assert path.values.tobytes() == expected.tobytes()
 
     @pytest.mark.parametrize("fault", [None, "a flipped bit", "the state one step behind"],
                              ids=["no fault", "a flipped bit", "the state one step behind"])
