@@ -16,15 +16,20 @@ the chunk length of ``experiments._stream_path``; the median over
   scipy route's stages.
 * ``fused``: the C loop of ``_ar1.c`` drawing from PCG64 and recursing, in
   one call (``_fused_ar1``); null unless the route is ``fused``.
-* ``ito_sums``: ``theta_ito_from_values`` on the chunk.
+* ``ito_sums``: ``theta_ito_from_values`` on the chunk, whose leaf sums run
+  on the process's route: the C sums of ``_ar1.c`` where the route is
+  ``fused``, numpy's leaf where it is ``scipy``.
+* ``ito_sums_numpy``: numpy's leaf (``ou_process._numpy_ito_sums``) on the
+  chunk, whichever the route; null on trees without it.
 * ``ar1``: one whole ``ou_process._ar1`` call, which draws, scales, shifts
   and recurses by the process's route.
 * ``stream``: one 2^20-step replicate through ``_stream_path``.
 
 ``route`` is ``ou_process.ar1_route()``.  A first chunk runs untimed, so a
 build of the C loop is not counted.  The script also runs on older trees
-(``--src``): on those whose ``_ar1_kernel()`` returns a (loop, fused) pair,
-and on those without the fused draw, which report ``fused`` null.
+(``--src``): on those whose ``_ar1_kernel()`` returns a (loop, fused) pair
+or the bare loop, and on those without the fused draw, which report ``fused``
+null.
 """
 
 from __future__ import annotations
@@ -65,7 +70,8 @@ def measure(chunks: int) -> dict:
     ou_process._ar1(N, 0.0, a, scales, shift, rng)  # untimed: builds or loads the loop
     route = ou_process.ar1_route()
     kernel = ou_process._ar1_kernel() if route == "fused" else None
-    loop = kernel[0] if isinstance(kernel, tuple) else kernel  # an older tree's (loop, fused)
+    loop = kernel[0] if isinstance(kernel, tuple) else kernel  # (loop, sums) or (loop, fused)
+    numpy_leaf = getattr(ou_process, "_numpy_ito_sums", None)
     v = np.empty(N + 1)
     v[0] = 0.0
 
@@ -97,6 +103,8 @@ def measure(chunks: int) -> dict:
             lambda: ou_process.lfilter([1.0], [1.0, -a], innovations), chunks),
         "fused": _median_ns_per_step(fused, chunks) if route == "fused" else None,
         "ito_sums": _median_ns_per_step(lambda: theta_ito_from_values(path, dt), chunks),
+        "ito_sums_numpy": (_median_ns_per_step(lambda: numpy_leaf(path), chunks)
+                           if numpy_leaf is not None else None),
         "ar1": _median_ns_per_step(lambda: ou_process._ar1(N, 0.0, a, scales, shift, rng), chunks),
         "stream": _median_ns_per_step(
             lambda: _stream_path(config, ou_process.OuParams(theta), 16 * N, 0, stream_rng),

@@ -1,5 +1,6 @@
-/* The AR(1) loop of oufar's samplers (ou_process._ar1), in place on v[0..n-1].
+/* The C code of oufar's samplers and of the Ito sums that estimate theta from them.
  *
+ * oufar_ar1 is the AR(1) loop of the samplers (ou_process._ar1), in place on v[0..n-1].
  * v[0] is x0.  The loop draws standard normals z_1, z_2, ... and writes the
  * path value y_i = a y_{i-1} + u_i to v[i], with u_i = (z_i s1) s2 + shift,
  * one rounding per operation in this order, from y_0 = 0.0 + x0; v[1..] are
@@ -9,6 +10,11 @@
  * takes the sign of w_{i-1} 0.  Adding w_{i-1} 0 to u_i instead gives every
  * sum the same bits and keeps it off the multiply-add chain on y.  Build with
  * -ffp-contract=off: a fused multiply-add rounds once.
+ *
+ * oufar_ito_sums is the leaf of mle.theta_ito_from_values: the two sums of a path's
+ * Ito estimate in one pass, with the bits of np.sum over the products that numpy's
+ * passes form (see below).  The flag matters there too: a product fused into its
+ * accumulator's add would round once.
  *
  * The z_i are drawn as numpy's Generator.standard_normal draws them from a
  * PCG64 bit generator.  pcg[0..3] hold the 128-bit state and increment as low
@@ -404,4 +410,61 @@ void oufar_ar1(double a, double s1, double s2, double shift, double *v, ptrdiff_
     pcg[1] = (uint64_t)(state >> 64);
     pcg[4] += g.wedges;
     pcg[5] += g.tails;
+}
+
+/* The two sums of n terms t_i = v[i] (v[i+1] - v[i]) and q_i = v[i] v[i], i < n, each
+ * in numpy's pairwise order (DOUBLE_pairwise_sum of numpy/_core/src/umath/loops_utils.h.src):
+ * fewer than 8 terms in sequence from -0.0, up to 128 in 8 accumulators, combined as
+ * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in sequence; longer
+ * runs split at n/2 - (n/2) % 8.  Each accumulator is its own chain of roundings, so the
+ * compiler may keep the eight in vector lanes without changing a bit. */
+struct sums {
+    double ito, sq;
+};
+
+static struct sums pairwise_sums(const double *v, ptrdiff_t n)
+{
+    struct sums s = {-0.0, -0.0};
+    if (n < 8) {
+        for (ptrdiff_t i = 0; i < n; i++) {
+            s.ito += v[i] * (v[i + 1] - v[i]);
+            s.sq += v[i] * v[i];
+        }
+    } else if (n <= 128) {
+        double r[8], q[8];
+        ptrdiff_t i;
+        for (int j = 0; j < 8; j++) {
+            r[j] = v[j] * (v[j + 1] - v[j]);
+            q[j] = v[j] * v[j];
+        }
+        for (i = 8; i < n - n % 8; i += 8) {
+            for (int j = 0; j < 8; j++) {
+                r[j] += v[i + j] * (v[i + j + 1] - v[i + j]);
+                q[j] += v[i + j] * v[i + j];
+            }
+        }
+        s.ito = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
+        s.sq = ((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7]));
+        for (; i < n; i++) {
+            s.ito += v[i] * (v[i + 1] - v[i]);
+            s.sq += v[i] * v[i];
+        }
+    } else {
+        ptrdiff_t half = n / 2 - (n / 2) % 8;
+        struct sums first = pairwise_sums(v, half), second = pairwise_sums(v + half, n - half);
+        s.ito = first.ito + second.ito;
+        s.sq = first.sq + second.sq;
+    }
+    return s;
+}
+
+/* The Ito sums of the path v[0..n]: out[0] = sum v[i] (v[i+1] - v[i]) and out[1] =
+ * sum v[i]^2 over i < n, with the bits of np.sum over numpy's products (np.subtract,
+ * then np.multiply): np.add.reduce seeds its accumulator with +0.0, the identity of add,
+ * and adds the pairwise sum to it, so a sum of zeros is +0.0 whatever their signs. */
+void oufar_ito_sums(const double *v, ptrdiff_t n, double *out)
+{
+    struct sums s = pairwise_sums(v, n);
+    out[0] = 0.0 + s.ito;
+    out[1] = 0.0 + s.sq;
 }

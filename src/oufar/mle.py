@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ZeroDenominator
-from .ou_process import SCRATCH_VALUES, SamplePath, check_positive, scratch
+from .ou_process import SCRATCH_VALUES, SamplePath, check_positive, ito_sums_leaf
 
 
 @dataclass(frozen=True)
@@ -56,9 +56,10 @@ def _pairwise(n: int, leaf: Callable[[int], tuple[float, float]], cap: int) -> t
     numpy sums a float64 array pairwise: a run longer than 128 terms is split
     at n2 = n//2 - (n//2) % 8 and the sums of its two halves are added.  This
     walks the same tree down to runs of at most ``cap`` (>= 128) terms, the
-    leaves, whose np.sum follows the tree below them; adding the leaf sums
-    back up the tree gives the one-shot sums bit for bit.  The one
-    implementation of the tree, for ``theta_ito_from_values`` and the Monte
+    leaves, whose sums follow the tree below them (np.sum's, or the C sums
+    of ``_ar1.c``, which follow the same order); adding the leaf sums back
+    up the tree gives the one-shot sums bit for bit.  The one implementation
+    of the tree above the leaves, for ``theta_ito_from_values`` and the Monte
     Carlo harness's chunked paths.
     """
     if n <= cap:
@@ -73,24 +74,25 @@ def _pairwise(n: int, leaf: Callable[[int], tuple[float, float]], cap: int) -> t
 def theta_ito_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
     """Ito-sum estimate from raw grid values (left-endpoint convention).
 
-    The sums are reduced leaf by leaf over numpy's pairwise tree: a leaf's
-    products live in the thread's ``scratch`` buffer, so no temporary grows
-    with the path, and the sums equal those of one np.sum over all products.
+    The sums are reduced leaf by leaf over numpy's pairwise tree and equal
+    those of one np.sum over all products.  A leaf's sums are
+    taken by ``ou_process.ito_sums_leaf()``: one pass of the C sums of
+    ``_ar1.c`` where they passed the AR(1) kernel's probe, else numpy's
+    passes in the thread's ``scratch`` buffer; on either route no
+    temporary grows with the path.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise DomainError("need at least two path values")
-    start = 0
+    sums, start = ito_sums_leaf(), 0
 
     def leaf(m: int) -> tuple[float, float]:
         nonlocal start
-        left = values[start:start + m]
-        d = np.subtract(values[start + 1:start + m + 1], left, out=scratch(m))
+        piece = values[start:start + m + 1]
         start += m
-        ito_sum = float(np.sum(np.multiply(left, d, out=d)))
-        return ito_sum, float(np.sum(np.multiply(left, left, out=d)))
+        return sums(piece)
 
-    # a leaf's m products fill at most the scratch buffer
+    # a leaf's m products, or its m + 1 values copied for the C sums, fit the scratch buffer
     ito_sum, sum_sq = _pairwise(values.size - 1, leaf, SCRATCH_VALUES - 1)
     return theta_ito_from_sums(-ito_sum, sum_sq, values.size - 1, dt)
 

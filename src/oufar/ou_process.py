@@ -26,9 +26,12 @@ does, and recurses as it goes; it is taken for a ``np.random.Generator`` on
 an ``np.random.PCG64`` bit generator (the harness's ``default_rng``).  The
 loop is built once per machine into the user's cache directory
 (``$XDG_CACHE_HOME/oufar``, default ``~/.cache/oufar``) with the platform
-``cc`` and loaded with ctypes on the first ``_ar1`` call, never on import,
-and used only where it passes a probe against ``standard_normal`` followed
-by the scipy route, bits and generator state after.  The scipy route draws
+``cc`` and loaded with ctypes on the first ``_ar1`` or Ito-sum call, never
+on import, and used only where it passes a probe against
+``standard_normal`` followed by the scipy route, bits and generator state
+after.  The same file holds the Ito sums of ``mle.theta_ito_from_values``
+(``ito_sums_leaf``), which the same probe holds to numpy's leaf, so one
+decision gives both their route.  The scipy route draws
 the normals with ``standard_normal`` into the thread's ``scratch`` buffer,
 scales and shifts them with numpy and runs the recursion through
 ``lfilter``, which calls scipy's compiled ``_linear_filter``.  It is taken
@@ -68,6 +71,7 @@ import os
 import sys
 import threading
 from dataclasses import dataclass, field
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -179,8 +183,15 @@ def lfilter(b, a, x) -> np.ndarray:
 _CC_FLAGS = ("-O2", "-ffp-contract=off", "-fPIC", "-shared")
 _CC_LIBS = ("-lm",)
 _kernel_lock = threading.Lock()
-# empty until the first _ar1 call, then [the checked loop or None]
+# empty until the first _ar1_kernel call, then [the checked _Kernel or None]
 _kernel: list = []
+
+
+class _Kernel(NamedTuple):
+    """The C functions of the built ``_ar1.c``: the AR(1) loop and the Ito sums."""
+
+    ar1: Callable
+    ito_sums: Callable
 
 
 def _build_ar1() -> str:
@@ -230,14 +241,16 @@ def _build_ar1() -> str:
     return target
 
 
-def _load_ar1():
-    """The C function ``oufar_ar1`` of the built ``_ar1.c``, loaded with ctypes (unchecked)."""
+def _load_ar1() -> _Kernel:
+    """``oufar_ar1`` and ``oufar_ito_sums`` of the built ``_ar1.c``, loaded by ctypes, unchecked."""
     import ctypes
 
-    loop = ctypes.CDLL(_build_ar1()).oufar_ar1
+    library = ctypes.CDLL(_build_ar1())
+    loop, sums = library.oufar_ar1, library.oufar_ito_sums
     loop.argtypes = (ctypes.c_double,) * 4 + (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
-    loop.restype = None
-    return loop
+    sums.argtypes = (ctypes.c_void_p, ctypes.c_ssize_t, ctypes.c_void_p)
+    loop.restype = sums.restype = None
+    return _Kernel(loop, sums)
 
 
 def _scipy_ar1(v: np.ndarray, a: float, scales: tuple[float, ...], shift: float) -> np.ndarray:
@@ -301,6 +314,47 @@ def _fused_ar1(loop, v: np.ndarray, a: float, scales: tuple[float, ...], shift: 
     return int(words[4]), int(words[5])
 
 
+def _numpy_ito_sums(v: np.ndarray) -> tuple[float, float]:
+    """(sum v_i (v_{i+1} - v_i), sum v_i^2) over i < n for v = v[0..n]: numpy's leaf.
+
+    The differences and then the products are formed in ``scratch(n)`` and
+    summed with np.sum.
+    """
+    left = v[:-1]
+    d = np.subtract(v[1:], left, out=scratch(left.size))
+    ito_sum = float(np.sum(np.multiply(left, d, out=d)))
+    return ito_sum, float(np.sum(np.multiply(left, left, out=d)))
+
+
+def _c_ito_sums(sums, v: np.ndarray) -> tuple[float, float]:
+    """``_numpy_ito_sums(v)`` by the C ``sums``, where it passes ``_probe_passes``.
+
+    One pass over v, which is only read: a view that is not contiguous or
+    not aligned is first copied into this thread's ``scratch``.  ValueError
+    unless v is 1-D float64, as numpy's leaf raises on a 2-D array.
+    """
+    if v.dtype != np.float64 or v.ndim != 1:
+        raise ValueError("the Ito sums need a 1-D float64 array")
+    if not (v.flags.c_contiguous and v.flags.aligned):
+        piece = scratch(v.size)
+        piece[...] = v
+        v = piece
+    out = np.empty(2)
+    sums(v.ctypes.data, v.size - 1, out.ctypes.data)
+    return float(out[0]), float(out[1])
+
+
+def ito_sums_leaf() -> Callable[[np.ndarray], tuple[float, float]]:
+    """The function that takes a path piece's two Ito sums on this process's route.
+
+    ``_c_ito_sums`` with the checked kernel's ``oufar_ito_sums`` where
+    ``_ar1_kernel`` has one, else ``_numpy_ito_sums``; either gives the bits
+    of numpy's leaf.  Decided with the AR(1) route, once per process.
+    """
+    kernel = _ar1_kernel()
+    return _numpy_ito_sums if kernel is None else functools.partial(_c_ito_sums, kernel.ito_sums)
+
+
 # (seed, a, scales, shift, x0) of the probe: both schemes' factors, signed zero shifts
 # and starts, zero and negative a, and factors whose product underflows, so that every
 # innovation is a zero of either sign; that case runs at seed 6, as seed 5 draws no
@@ -318,16 +372,31 @@ _PROBE_CASES = [
 # 697 times and its tail 13 times, each case both
 _PROBE_STEPS = 1 << 13
 
+# the term counts of the Ito sums' probe, each cut from the start of every probe path: a
+# run of fewer than 8 terms, a run of 8-128 with a remainder after its 8 accumulators,
+# runs whose n/2 is not a multiple of 8 (1000 and the odd 8189), and the whole path
+_PROBE_SUM_TERMS = (5, 100, 1000, 8189, _PROBE_STEPS)
 
-def _probe_passes(loop) -> bool:
-    """Whether ``loop``'s draw leaves the bits and state of ``standard_normal``, ``_scipy_ar1``.
+
+def _sums_agree(kernel: _Kernel, v: np.ndarray) -> bool:
+    """Whether ``kernel``'s Ito sums of v have the bits of numpy's leaf."""
+    with np.errstate(all="ignore"):  # a probe path at a = -1.3 overflows to +-inf
+        numpy_sums = _numpy_ito_sums(v)
+    return np.array(_c_ito_sums(kernel.ito_sums, v)).tobytes() == np.array(numpy_sums).tobytes()
+
+
+def _probe_passes(kernel: _Kernel) -> bool:
+    """Whether ``kernel`` draws as ``standard_normal``, ``_scipy_ar1`` and sums as numpy's leaf.
 
     Each case of ``_PROBE_CASES`` draws one path from a fixed seed with
     ``_fused_ar1``, and the same seed's ``standard_normal`` followed by
     ``_scipy_ar1`` must give the same bytes and leave the same generator
     state; one generator first draws a 32-bit integer, so its
     state holds a buffered half word.  The probe also requires that its
-    draws entered the ziggurat's wedge and its tail.
+    draws entered the ziggurat's wedge and its tail.  On the first
+    ``_PROBE_SUM_TERMS`` terms of each path, the last one all zeros of either
+    sign, and on a constant negative path, whose every term is -0.0 and whose
+    sums are +0.0, ``_c_ito_sums`` must have the bits of ``_numpy_ito_sums``.
     """
     slow = np.zeros(2, dtype=np.int64)
     for seed, a, scales, shift, x0 in _PROBE_CASES:
@@ -337,31 +406,34 @@ def _probe_passes(loop) -> bool:
             numpy.integers(10, dtype=np.uint32)
         v = np.empty(_PROBE_STEPS + 1)
         v[0] = x0
-        slow += _fused_ar1(loop, v, a, scales, shift, fused.bit_generator)
+        slow += _fused_ar1(kernel.ar1, v, a, scales, shift, fused.bit_generator)
         w = np.empty_like(v)
         w[0] = x0
         numpy.standard_normal(out=w[1:])
         if (v.tobytes() != _scipy_ar1(w, a, scales, shift).tobytes()
                 or fused.bit_generator.state != numpy.bit_generator.state):
             return False
-    return bool(slow.all())
+        if not all(_sums_agree(kernel, v[:n + 1]) for n in _PROBE_SUM_TERMS):
+            return False
+    return bool(slow.all()) and _sums_agree(kernel, np.full(9, -1.0))
 
 
-def _ar1_kernel():
-    """The C loop of ``_ar1.c`` that ``_ar1`` draws PCG64 paths with, or None.
+def _ar1_kernel() -> _Kernel | None:
+    """The C functions of ``_ar1.c`` that draw PCG64 paths and take Ito sums, or None.
 
-    The loop is there where it is built, loads and passes ``_probe_passes``.
-    Decided on the first call in a process and kept; a missing compiler, a
-    failed build, an unwritable cache, a load error or a failed probe gives
-    None.
+    They are there where ``_ar1.c`` is built, loads and passes
+    ``_probe_passes``.  Decided on the first call in a process and kept; a
+    missing compiler, a failed build, an unwritable cache, a load error or a
+    failed probe gives None, and then ``_ar1`` takes the scipy route and the
+    Ito sums numpy's leaf.
     """
     with _kernel_lock:
         if not _kernel:
             try:
-                loop = _load_ar1()
+                kernel = _load_ar1()
             except (OSError, AttributeError, ImportError):  # ImportError: no fcntl
-                loop = None
-            _kernel.append(loop if loop is not None and _probe_passes(loop) else None)
+                kernel = None
+            _kernel.append(kernel if kernel is not None and _probe_passes(kernel) else None)
     return _kernel[0]
 
 
@@ -369,7 +441,8 @@ def ar1_route() -> str:
     """The route of this process's AR(1) paths: ``"fused"`` or ``"scipy"``.
 
     It is the route of paths drawn from a PCG64 ``Generator``; paths from any
-    other generator take the scipy route either way.
+    other generator take the scipy route either way.  It is also the route
+    of every Ito sum: the C sums on ``"fused"``, numpy's leaf on ``"scipy"``.
     """
     return "scipy" if _ar1_kernel() is None else "fused"
 
@@ -570,12 +643,12 @@ def _ar1(n: int, x0: float, a: float, scales: tuple[float, ...], shift: float,
     ``standard_normal`` followed by ``_scipy_ar1``, xi_0 = x0 included
     (-0.0 stays -0.0), and the path is a new array.
     """
-    loop = _ar1_kernel()
-    if (loop is not None and type(rng) is np.random.Generator
+    kernel = _ar1_kernel()
+    if (kernel is not None and type(rng) is np.random.Generator
             and type(rng.bit_generator) is np.random.PCG64):
         v = np.empty(n + 1)
         v[0] = x0
-        _fused_ar1(loop, v, a, scales, shift, rng.bit_generator)
+        _fused_ar1(kernel.ar1, v, a, scales, shift, rng.bit_generator)
         return v
     v = scratch(n + 1)
     v[0] = x0

@@ -18,7 +18,8 @@ def test_prints_every_stage_and_the_route():
     assert proc.returncode == 0, proc.stderr
     doc = json.loads(proc.stdout)
     assert doc["route"] in ("fused", "scipy")
-    stages = ("draw", "scale_shift", "recursion", "fused", "ito_sums", "ar1", "stream")
+    stages = ("draw", "scale_shift", "recursion", "fused", "ito_sums", "ito_sums_numpy", "ar1",
+              "stream")
     assert sorted(doc) == sorted(("route", *stages))
     assert all(doc[s] > 0.0 for s in stages if s != "fused")
     assert (doc["fused"] is None) == (doc["route"] != "fused")

@@ -495,6 +495,35 @@ class TestStreamingOracle:
         # NaN (a failed estimate, e.g. n = 1 from xi_0 = 0) must match NaN
         assert np.array_equal(got, expected, equal_nan=True)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_stream_cases())
+    def test_both_sums_routes_give_equal_estimates(self, case):
+        # the C sums of the kernel and numpy's leaf, on the streamed and the one-shot path
+        if shutil.which("cc") is None:
+            pytest.skip("no C compiler cc on PATH")
+        kernel = ou_process._ar1_kernel()
+        assert kernel is not None
+        cap, n, boundary, theta, scheme, seed = case
+        dt = 0.02
+        config = ExperimentConfig(thetas=(theta,), horizons=(n * dt,), dt=dt, h=dt, scheme=scheme)
+        params, grid = OuParams(theta=theta), TimeGrid(t_end=n * dt, dt=dt)
+        results = []
+        for slot in (kernel, None):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(ou_process, "_kernel", [slot])
+                mp.setattr(exp, "_CHUNK_STEPS", cap)
+                streamed = _stream_path(config, params, n, boundary, np.random.default_rng(seed))
+                if scheme == "euler":
+                    path = sample_euler(params, grid, np.random.default_rng(seed))
+                else:
+                    path = sample_exact(params, grid, np.random.default_rng(seed), stationary=True)
+                try:
+                    est = theta_ito_from_values(path.values, dt)
+                except ZeroDenominator:
+                    est = None
+                results.append((np.array(streamed).tobytes(), est))
+        assert results[0] == results[1]
+
     @pytest.mark.parametrize("scheme", ["euler", "exact"])
     @pytest.mark.parametrize("h", [1.0, 12.0])  # h = T puts the last boundary at index 0
     def test_replicate_matches_one_shot(self, monkeypatch, scheme, h):

@@ -579,13 +579,18 @@ class TestScratch:
         assert len(seen) == 1 and not np.shares_memory(seen[0], self._buffer())
 
 
-def _fused_loop():
-    """This process's checked C loop of ``_ar1.c``; the caller is skipped only where no cc exists."""
+def _fused_kernel():
+    """This process's checked C functions of ``_ar1.c``; the caller is skipped only where no cc exists."""
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
-    loop = ou_process._ar1_kernel()
-    assert loop is not None, "cc is on PATH, but the C loop failed its build, load or probe"
-    return loop
+    kernel = ou_process._ar1_kernel()
+    assert kernel is not None, "cc is on PATH, but _ar1.c failed its build, load or probe"
+    return kernel
+
+
+def _fused_loop():
+    """This process's checked C loop of ``_ar1.c`` (see ``_fused_kernel``)."""
+    return _fused_kernel().ar1
 
 
 @st.composite
@@ -622,10 +627,10 @@ def _faulty_draw(load, fault):
     import ctypes
 
     def load_wrapped():
-        loop = load()
+        kernel = load()
 
         def wrapped(a, s1, s2, shift, data, n, pcg):
-            loop(a, s1, s2, shift, data, n, pcg)
+            kernel.ar1(a, s1, s2, shift, data, n, pcg)
             if fault == "a flipped bit":
                 ctypes.c_uint64.from_address(data + 8 * (n - 1)).value ^= 1
             elif fault:  # step back: state = (state - inc) / multiplier mod 2^128
@@ -633,8 +638,78 @@ def _faulty_draw(load, fault):
                 state, inc = words[1] << 64 | words[0], words[3] << 64 | words[2]
                 state = (state - inc) * pow(_PCG64_MULTIPLIER, -1, 1 << 128) % (1 << 128)
                 words[0], words[1] = state & (1 << 64) - 1, state >> 64
-        return wrapped
+        return kernel._replace(ar1=wrapped)
     return load_wrapped
+
+
+def _model_sum(terms, lanes=8, mod8=True):
+    """float64 np.add.reduce's pairwise order over the list ``terms``, or a variant of it.
+
+    ``lanes`` is the accumulator count of a run of 8-128 terms; ``mod8=False`` splits a
+    longer run at n/2 instead of n/2 - (n/2) % 8.
+    """
+    n = len(terms)
+    if n < 8:
+        total = -0.0
+        for t in terms:
+            total += t
+        return total
+    if n <= 128:
+        r, i = list(terms[:lanes]), lanes
+        while i < n - n % lanes:
+            for j in range(lanes):
+                r[j] += terms[i + j]
+            i += lanes
+        while len(r) > 1:  # ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7))
+            r = [r[k] + r[k + 1] for k in range(0, len(r), 2)]
+        total = r[0]
+        for t in terms[i:]:
+            total += t
+        return total
+    half = n // 2 - (n // 2) % 8 if mod8 else n // 2
+    return _model_sum(terms[:half], lanes, mod8) + _model_sum(terms[half:], lanes, mod8)
+
+
+def _sequential_sum(terms):
+    total = 0.0
+    for t in terms:
+        total += t
+    return total
+
+
+# np.sum's order and seed (None), and four wrong ones
+_SUM_FAULTS = {
+    None: lambda terms: 0.0 + _model_sum(terms),
+    "a split at n/2": lambda terms: 0.0 + _model_sum(terms, mod8=False),
+    "4 accumulators": lambda terms: 0.0 + _model_sum(terms, lanes=4),
+    "a sequential sum": _sequential_sum,
+    "a -0.0 seed": lambda terms: -0.0 + _model_sum(terms),
+}
+
+
+def _python_sums(fault):
+    """An ``oufar_ito_sums`` in Python that sums as np.sum does (fault None) or wrongly."""
+    import ctypes
+
+    def sums(data, n, out):
+        v = np.ctypeslib.as_array((ctypes.c_double * (n + 1)).from_address(data))
+        left = v[:-1]
+        with np.errstate(all="ignore"):
+            terms = (left * (v[1:] - left)).tolist(), (left * left).tolist()
+        result = (ctypes.c_double * 2).from_address(out)
+        result[0], result[1] = (_SUM_FAULTS[fault](t) for t in terms)
+    return sums
+
+
+def _bits(*xs) -> bytes:
+    return np.array(xs, dtype=np.float64).tobytes()
+
+
+def _numpy_estimate_bits(values) -> bytes:
+    """The Ito numerator and sum of squares of one np.sum over numpy's products."""
+    left = values[:-1]
+    with np.errstate(all="ignore"):
+        return _bits(-np.sum(left * (values[1:] - left)), np.sum(left * left))
 
 
 def _reference_draw(seed, n, x0, a, scales, shift, buffered):
@@ -753,15 +828,15 @@ class TestCompiledRecursion:
         load = ou_process._load_ar1
 
         def load_wrapped():
-            loop = load()
+            kernel = load()
 
             def wrapped(a, s1, s2, shift, data, n, pcg):
-                loop(a, s1, s2, shift, data, n, pcg)
+                kernel.ar1(a, s1, s2, shift, data, n, pcg)
                 if flip:  # the sign of every zero after x0
                     path = np.ctypeslib.as_array((ctypes.c_double * n).from_address(data))
                     zeros = path[1:] == 0.0
                     path[1:][zeros] = -path[1:][zeros]
-            return wrapped
+            return kernel._replace(ar1=wrapped)
 
         monkeypatch.setattr(ou_process, "_load_ar1", load_wrapped)
         monkeypatch.setattr(ou_process, "_kernel", [])
@@ -790,6 +865,26 @@ class TestCompiledRecursion:
         twin = np.random.default_rng(4)
         twin.standard_normal(grid.n_steps)
         assert rng.bit_generator.state == twin.bit_generator.state
+
+    @pytest.mark.parametrize("fault", list(_SUM_FAULTS), ids=["no fault", *list(_SUM_FAULTS)[1:]])
+    def test_sums_that_fail_the_probe_are_not_used(self, monkeypatch, fault):
+        # numpy's order written in Python is the control: it passes the probe and is used
+        _fused_loop()
+        load = ou_process._load_ar1
+        monkeypatch.setattr(ou_process, "_load_ar1",
+                            lambda: load()._replace(ito_sums=_python_sums(fault)))
+        monkeypatch.setattr(ou_process, "_kernel", [])
+        assert ou_process.ar1_route() == ("fused" if fault is None else "scipy")
+        values = np.cumsum(np.random.default_rng(8).standard_normal(1001))  # splits at 496
+        est = oufar.theta_ito_from_values(values, 0.02)
+        assert _bits(est.numerator, est.sum_sq) == _numpy_estimate_bits(values)
+        if fault == "a split at n/2":  # n/2 of a power of two is a multiple of 8 down to 128
+            monkeypatch.setattr(ou_process, "_PROBE_SUM_TERMS", (ou_process._PROBE_STEPS,))
+            assert ou_process._probe_passes(ou_process._load_ar1())
+        if fault == "a -0.0 seed":  # only the constant negative path's -0.0 terms see it
+            kernel = ou_process._load_ar1()
+            assert not ou_process._sums_agree(kernel, np.full(9, -1.0))
+            assert all(ou_process._sums_agree(kernel, values[:n + 1]) for n in (5, 100, 1000))
 
     @pytest.mark.parametrize("failure", ["no compiler", "failing compiler", "unloadable output",
                                          "unwritable cache"])
@@ -874,7 +969,7 @@ class TestCompiledRecursion:
         assert log.read_text() == "build\n"
         assert sorted(p.suffix for p in (tmp_path / "cache" / "oufar").iterdir()) == [".lock", ".so"]
 
-    def test_commands_that_draw_no_path_never_run_the_loader(self, tmp_path):
+    def test_only_commands_that_draw_or_estimate_run_the_loader(self, tmp_path):
         csv = tmp_path / "p.csv"
         csv.write_text("t,xi\n0,0\n0.5,0.25\n1,0.5\n1.5,0.125\n2,-0.25\n")
         argvs = [
@@ -900,5 +995,74 @@ for argv in {argvs!r}:
 print(json.dumps([undecided, codes]))
 """)
         assert codes == [0] * len(argvs)
-        # simulate, the one command here that draws, decides the route
-        assert undecided == [True, True, True, True, True, False]
+        # estimate, whose Ito sums take the kernel's route, decides it; simulate finds it decided
+        assert undecided == [True, True, True, True, False, False]
+
+
+@st.composite
+def _sum_cases(draw):
+    """(n, seed, exponents, share of zeros) of a path of n + 1 values for the Ito sums."""
+    n = draw(st.one_of(st.sampled_from([1, 7, 8, 9, 127, 128, 129, 1000, 2**16]),
+                       st.integers(1, 2**16)))
+    # 1e-170 squared is subnormal, 1e160 and 1e200 squared overflow to inf
+    exponents = draw(st.lists(st.sampled_from([0, -170, 160, 200]), min_size=1, max_size=3))
+    zeros = draw(st.sampled_from([0.0, 0.25, 1.0]))
+    return n, draw(st.integers(0, 2**32 - 1)), exponents, zeros
+
+
+def _sum_values(n, seed, exponents, zeros):
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal(n + 1) * 10.0 ** rng.choice(exponents, n + 1)
+    signed_zeros = np.where(rng.random(n + 1) < 0.5, -0.0, 0.0)
+    return np.where(rng.random(n + 1) < zeros, signed_zeros, v)
+
+
+class TestItoSums:
+    """The C sums of ``_ar1.c`` have the bits of np.sum over numpy's products."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(_sum_cases())
+    def test_c_sums_equal_np_sum(self, case):
+        v = _sum_values(*case)
+        left = v[:-1]
+        with np.errstate(all="ignore"):
+            expected = _bits(np.sum(left * (v[1:] - left)), np.sum(left * left))
+            assert _bits(*ou_process._numpy_ito_sums(v)) == expected
+        assert _bits(*ou_process._c_ito_sums(_fused_kernel().ito_sums, v)) == expected
+
+    def test_sums_of_zeros_are_positive_zeros(self):
+        # np.add.reduce adds its pairwise sum to +0.0, the identity of add
+        for n in (1, 5, 8, 100, 1000):
+            v = np.full(n + 1, -0.0)
+            assert _bits(*ou_process._c_ito_sums(_fused_kernel().ito_sums, v)) == _bits(0.0, 0.0)
+
+    @pytest.mark.parametrize("route", ["C sums", "numpy's leaf"])
+    def test_a_2d_array_is_refused(self, monkeypatch, route):
+        if route == "C sums":
+            _fused_kernel()
+        else:
+            monkeypatch.setattr(ou_process, "_kernel", [None])
+        with pytest.raises(ValueError):
+            oufar.theta_ito_from_values(np.arange(6.0).reshape(3, 2), 0.1)
+
+    @pytest.mark.parametrize("layout", ["read-only", "strided", "unaligned"])
+    def test_every_layout_gives_numpys_bits(self, monkeypatch, layout):
+        _fused_kernel()
+        base = np.cumsum(np.random.default_rng(3).standard_normal(2 * 70001))
+        if layout == "read-only":
+            values = base[:70001]
+            values.flags.writeable = False
+        elif layout == "strided":
+            values = base[::2]
+        else:
+            values = np.frombuffer(b"\0" + base[:70001].tobytes(), offset=1)
+            assert not values.flags.aligned
+        calls = []
+        c_ito_sums = ou_process._c_ito_sums
+        monkeypatch.setattr(ou_process, "_c_ito_sums", lambda *a: calls.append(1) or c_ito_sums(*a))
+        est = oufar.theta_ito_from_values(values, 0.02)
+        assert len(calls) == 2  # two leaves, on the C sums
+        assert _bits(est.numerator, est.sum_sq) == _numpy_estimate_bits(values)
+        monkeypatch.setattr(ou_process, "_kernel", [None])
+        assert oufar.theta_ito_from_values(values, 0.02) == est
+        assert len(calls) == 2

@@ -36,9 +36,9 @@ def _first_desk_replicate_rng():
 def _fused_loop():
     if shutil.which("cc") is None:
         pytest.skip("no C compiler cc on PATH")
-    loop = ou_process._ar1_kernel()
-    assert loop is not None
-    return loop
+    kernel = ou_process._ar1_kernel()
+    assert kernel is not None
+    return kernel.ar1
 
 
 def test_normal_stream_of_the_first_desk_replicate():
