@@ -24,6 +24,11 @@ the chunk length of ``experiments._stream_path``; the median over
 * ``ar1``: one whole ``ou_process._ar1`` call, which draws, scales, shifts
   and recurses by the process's route.
 * ``stream``: one 2^20-step replicate through ``_stream_path``.
+* ``desk`` and ``desk_s``: the four distinct grids of the desk profile
+  (``profile_config(kind, "desk")`` over the experiment kinds), each run
+  once through ``collect_cells`` on one worker: ns per simulated step, and
+  seconds in all.  One worker keeps the number free of how many CPUs the
+  host lends the process at the time.  Null on trees without these names.
 
 ``route`` is ``ou_process.ar1_route()``.  A first chunk runs untimed, so a
 build of the C loop is not counted.  The script also runs on older trees
@@ -55,6 +60,21 @@ def _median_ns_per_step(run, chunks: int, steps: int = N, setup=None) -> float:
         run()
         times.append(time.perf_counter_ns() - start)
     return statistics.median(times) / steps
+
+
+def desk() -> tuple:
+    """(ns per simulated step, seconds) of one run of the desk grids on one worker, or Nones."""
+    try:
+        from oufar.experiments import EXPERIMENTS, collect_cells
+        from oufar.reporting import estimated_steps, profile_config
+    except ImportError:
+        return None, None
+    grids = dict.fromkeys(profile_config(kind, "desk") for kind in EXPERIMENTS)
+    start = time.perf_counter_ns()
+    for config in grids:
+        collect_cells(config, n_workers=1)
+    elapsed = time.perf_counter_ns() - start
+    return elapsed / sum(map(estimated_steps, grids)), elapsed / 1e9
 
 
 def measure(chunks: int) -> dict:
@@ -94,7 +114,7 @@ def measure(chunks: int) -> dict:
     path = ou_process.lfilter([1.0], [1.0, -a], innovations)
     config = ExperimentConfig(thetas=(theta,), horizons=(16 * N * dt,), dt=dt)
     stream_rng = np.random.default_rng(1)
-    return {
+    stages = {
         "route": route,
         "draw": _median_ns_per_step(draw, chunks),
         "scale_shift": _median_ns_per_step(
@@ -110,6 +130,8 @@ def measure(chunks: int) -> dict:
             lambda: _stream_path(config, ou_process.OuParams(theta), 16 * N, 0, stream_rng),
             max(chunks // 16, 3), 16 * N),
     }
+    stages["desk"], stages["desk_s"] = desk()
+    return stages
 
 
 def main(argv=None) -> int:

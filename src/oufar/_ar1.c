@@ -14,7 +14,11 @@
  * oufar_ito_sums is the leaf of mle.theta_ito_from_values: the two sums of a path's
  * Ito estimate in one pass, with the bits of np.sum over the products that numpy's
  * passes form (see below).  The flag matters there too: a product fused into its
- * accumulator's add would round once.
+ * accumulator's add would round once.  numpy's 8 accumulators live in four 2-lane
+ * vectors of GCC's vector extension, r[2k + j] in lane j of vector k, so they stay in
+ * registers; each lane is the same chain of roundings as numpy's.  No -march flag is
+ * needed or used: 2-lane doubles are SSE2, part of every x86-64, and GCC and Clang
+ * lower the vectors to what a target has, so there is one compiled path.
  *
  * The z_i are drawn as numpy's Generator.standard_normal draws them from a
  * PCG64 bit generator.  pcg[0..3] hold the 128-bit state and increment as low
@@ -23,6 +27,19 @@
  * recursion above.  pcg[4] and pcg[5] are incremented once per entry into the
  * ziggurat's wedge and tail, the two slow paths.  Link with -lm for log1p and
  * exp.
+ *
+ * Each PCG64 word waits on the 128-bit multiply-add of the word before it, so the
+ * loop steps two chains at once: head0 and head1 hold the states of words i and
+ * i + 1, and each takes two steps at a time, s <- M^2 s + (M + 1) inc mod 2^128
+ * (pcg_mult2 and jump), which is exactly two steps s <- M s + inc (F. B. Brown,
+ * "Random number generation with arbitrary strides", Trans. Am. Nucl. Soc. 71,
+ * 1994); the words, and so every bit after them, are the stream's own.  A slow
+ * path draws more words from the stream, so a pair in which either word takes one
+ * is drawn in sequence from the first word's state (slow_pair), and both heads are
+ * rebuilt from the state it leaves.  An odd count draws its last word alone from
+ * head0.  The state handed back is that of the last word drawn: after an odd last
+ * word head0's, or where its slow path ends; else the step before head0,
+ * (head0 - inc) M^-1, exact as M is odd.
  *
  * The generator is PCG64, XSL-RR 128/64 (M. E. O'Neill, "PCG: A family of
  * simple fast space-efficient statistically good algorithms for random
@@ -323,13 +340,24 @@ static const double nor_inv_r = 0.27366123732975827;  /* 1 / nor_r */
 
 typedef unsigned __int128 u128;
 
+/* PCG64's multiplier M, its square (two steps at once) and its inverse mod 2^128 (M is odd) */
+static const u128 pcg_mult = ((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL;
+static const u128 pcg_mult2 = ((u128)0x17BCE35BDF69743CULL << 64) | 0x529ED9EB20E0AE99ULL;
+static const u128 pcg_mult_inv = ((u128)0x07DDA22B93979860ULL << 64) | 0x98ABC8B0716EAC8DULL;
+
+/* PCG64's output of the state that the step to a word left */
+static inline uint64_t pcg_output(u128 state)
+{
+    uint64_t x = (uint64_t)(state >> 64) ^ (uint64_t)state;
+    unsigned rot = (unsigned)(state >> 122);
+    return (x >> rot) | (x << ((-rot) & 63));
+}
+
 /* PCG64's step and output, on a state held in the caller's registers */
 static inline uint64_t next_uint64(u128 *state, u128 inc)
 {
-    *state = *state * (((u128)0x2360ED051FC65DA4ULL << 64) | 0x4385DF649FCCF645ULL) + inc;
-    uint64_t x = (uint64_t)(*state >> 64) ^ (uint64_t)*state;
-    unsigned rot = (unsigned)(*state >> 122);
-    return (x >> rot) | (x << ((-rot) & 63));
+    *state = *state * pcg_mult + inc;
+    return pcg_output(*state);
 }
 
 /* the ziggurat's layer of a word r (bits 0-7), and its candidate |x| in units of
@@ -385,29 +413,71 @@ static __attribute__((noinline)) double ziggurat(struct pcg64 *g, uint64_t r)
     }
 }
 
+/* whether the ziggurat takes the word r on its fast path, as candidate(r) */
+static inline int fast(uint64_t r) { return rabs_of(r) < ki[layer(r)]; }
+
+/* the recursion's factors and its last value y and innovation prev */
+struct recursion {
+    double a, s1, s2, shift, y, prev;
+};
+
+/* the next path value from the normal z: a y + (prev 0 + u) with u = (z s1) s2 + shift */
+static inline double recur(struct recursion *w, double z)
+{
+    double u = z * w->s1 * w->s2 + w->shift;
+    w->y = w->a * w->y + (w->prev * 0.0 + u);
+    w->prev = u;
+    return w->y;
+}
+
+/* the normals of the word whose state g holds and of the word after it, in sequence, for
+ * a pair in which a slow path draws more words; g is left at the last word drawn */
+static __attribute__((noinline)) void slow_pair(struct pcg64 *g, double *z)
+{
+    uint64_t r = pcg_output(g->state);
+    z[0] = fast(r) ? candidate(r) : ziggurat(g, r);
+    r = next_uint64(&g->state, g->inc);
+    z[1] = fast(r) ? candidate(r) : ziggurat(g, r);
+}
+
 void oufar_ar1(double a, double s1, double s2, double shift, double *v, ptrdiff_t n,
                uint64_t *pcg)
 {
     struct pcg64 g = {((u128)pcg[1] << 64) | pcg[0], ((u128)pcg[3] << 64) | pcg[2], 0, 0};
-    u128 state = g.state;
-    double y = 0.0 + v[0], prev = v[0];
-    for (ptrdiff_t i = 1; i < n; i++) {
-        double z;
-        uint64_t r = next_uint64(&state, g.inc);
-        if (__builtin_expect(rabs_of(r) < ki[layer(r)], 1)) {
-            z = candidate(r);
+    struct recursion w = {a, s1, s2, shift, 0.0 + v[0], v[0]};
+    const u128 inc = g.inc, jump = (pcg_mult + 1) * inc;
+    /* the states of the next two words; two steps of each are one of M^2 s + (M + 1) inc */
+    u128 head0 = g.state * pcg_mult + inc, head1 = head0 * pcg_mult + inc;
+    ptrdiff_t i = 1;
+    for (; i + 1 < n; i += 2) {
+        uint64_t r0 = pcg_output(head0), r1 = pcg_output(head1);
+        double z[2];
+        if (__builtin_expect(fast(r0) & fast(r1), 1)) {
+            z[0] = candidate(r0);
+            z[1] = candidate(r1);
+            head0 = head0 * pcg_mult2 + jump;
+            head1 = head1 * pcg_mult2 + jump;
         } else {
-            g.state = state;
-            z = ziggurat(&g, r);
-            state = g.state;
+            /* a slow path draws more words: both heads follow the last of them */
+            g.state = head0;
+            slow_pair(&g, z);
+            head0 = g.state * pcg_mult + inc;
+            head1 = head0 * pcg_mult + inc;
         }
-        double u = z * s1 * s2 + shift;
-        y = a * y + (prev * 0.0 + u);
-        prev = u;
-        v[i] = y;
+        v[i] = recur(&w, z[0]);
+        v[i + 1] = recur(&w, z[1]);
     }
-    pcg[0] = (uint64_t)state;
-    pcg[1] = (uint64_t)(state >> 64);
+    if (i < n) {
+        /* an odd count: the last normal from head0 alone */
+        uint64_t r = pcg_output(head0);
+        g.state = head0;
+        v[i] = recur(&w, fast(r) ? candidate(r) : ziggurat(&g, r));
+    } else {
+        /* the last word drawn is the one before head0's */
+        g.state = (head0 - inc) * pcg_mult_inv;
+    }
+    pcg[0] = (uint64_t)g.state;
+    pcg[1] = (uint64_t)(g.state >> 64);
     pcg[4] += g.wedges;
     pcg[5] += g.tails;
 }
@@ -416,11 +486,41 @@ void oufar_ar1(double a, double s1, double s2, double shift, double *v, ptrdiff_
  * in numpy's pairwise order (DOUBLE_pairwise_sum of numpy/_core/src/umath/loops_utils.h.src):
  * fewer than 8 terms in sequence from -0.0, up to 128 in 8 accumulators, combined as
  * ((r0 + r1) + (r2 + r3)) + ((r4 + r5) + (r6 + r7)), then the rest in sequence; longer
- * runs split at n/2 - (n/2) % 8.  Each accumulator is its own chain of roundings, so the
- * compiler may keep the eight in vector lanes without changing a bit. */
+ * runs split at n/2 - (n/2) % 8.  Each accumulator is its own chain of roundings, so
+ * they are held as four 2-lane vectors, r[2k + j] in lane j of vector k, whose
+ * lane-wise adds round as the eight scalar adds do. */
 struct sums {
     double ito, sq;
 };
+
+typedef double lanes __attribute__((vector_size(2 * sizeof(double))));
+
+/* v[i] and v[i + 1], at any alignment */
+static inline lanes load(const double *v)
+{
+    lanes x;
+    memcpy(&x, v, sizeof x);
+    return x;
+}
+
+/* the terms t_i and t_{i+1} */
+static inline lanes ito_terms(const double *v)
+{
+    lanes x = load(v);
+    return x * (load(v + 1) - x);
+}
+
+static inline lanes sq_terms(const double *v)
+{
+    lanes x = load(v);
+    return x * x;
+}
+
+/* ((x0[0] + x0[1]) + (x1[0] + x1[1])) + ((x2[0] + x2[1]) + (x3[0] + x3[1])) */
+static inline double combine(lanes x0, lanes x1, lanes x2, lanes x3)
+{
+    return ((x0[0] + x0[1]) + (x1[0] + x1[1])) + ((x2[0] + x2[1]) + (x3[0] + x3[1]));
+}
 
 static struct sums pairwise_sums(const double *v, ptrdiff_t n)
 {
@@ -431,20 +531,22 @@ static struct sums pairwise_sums(const double *v, ptrdiff_t n)
             s.sq += v[i] * v[i];
         }
     } else if (n <= 128) {
-        double r[8], q[8];
+        lanes r0 = ito_terms(v), r1 = ito_terms(v + 2), r2 = ito_terms(v + 4),
+              r3 = ito_terms(v + 6);
+        lanes q0 = sq_terms(v), q1 = sq_terms(v + 2), q2 = sq_terms(v + 4), q3 = sq_terms(v + 6);
         ptrdiff_t i;
-        for (int j = 0; j < 8; j++) {
-            r[j] = v[j] * (v[j + 1] - v[j]);
-            q[j] = v[j] * v[j];
-        }
         for (i = 8; i < n - n % 8; i += 8) {
-            for (int j = 0; j < 8; j++) {
-                r[j] += v[i + j] * (v[i + j + 1] - v[i + j]);
-                q[j] += v[i + j] * v[i + j];
-            }
+            r0 += ito_terms(v + i);
+            r1 += ito_terms(v + i + 2);
+            r2 += ito_terms(v + i + 4);
+            r3 += ito_terms(v + i + 6);
+            q0 += sq_terms(v + i);
+            q1 += sq_terms(v + i + 2);
+            q2 += sq_terms(v + i + 4);
+            q3 += sq_terms(v + i + 6);
         }
-        s.ito = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]));
-        s.sq = ((q[0] + q[1]) + (q[2] + q[3])) + ((q[4] + q[5]) + (q[6] + q[7]));
+        s.ito = combine(r0, r1, r2, r3);
+        s.sq = combine(q0, q1, q2, q3);
         for (; i < n; i++) {
             s.ito += v[i] * (v[i + 1] - v[i]);
             s.sq += v[i] * v[i];

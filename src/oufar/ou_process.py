@@ -24,7 +24,10 @@ The fused route is one pass of the C loop in ``_ar1.c`` that draws the normals
 itself from the generator's PCG64 state, as ``Generator.standard_normal``
 does, and recurses as it goes; it is taken for a ``np.random.Generator`` on
 an ``np.random.PCG64`` bit generator (the harness's ``default_rng``).  The
-loop is built once per machine into the user's cache directory
+loop draws the normals in pairs from two PCG64 states, each stepped two
+words at a time so that neither waits on the other's 128-bit multiply; the
+words are the stream's own, so the bits are too (the header of ``_ar1.c``
+says how).  The loop is built once per machine into the user's cache directory
 (``$XDG_CACHE_HOME/oufar``, default ``~/.cache/oufar``) with the platform
 ``cc`` and loaded with ctypes on the first ``_ar1`` or Ito-sum call, never
 on import, and used only where it passes a probe against
@@ -355,26 +358,29 @@ def ito_sums_leaf() -> Callable[[np.ndarray], tuple[float, float]]:
     return _numpy_ito_sums if kernel is None else functools.partial(_c_ito_sums, kernel.ito_sums)
 
 
-# (seed, a, scales, shift, x0) of the probe: both schemes' factors, signed zero shifts
-# and starts, zero and negative a, and factors whose product underflows, so that every
-# innovation is a zero of either sign; that case runs at seed 6, as seed 5 draws no
-# normal from the ziggurat's tail
-_PROBE_CASES = [
-    (0, 1.0 - 0.7 * 0.02, (math.sqrt(0.02), 1.3), 0.0, 0.0),
-    (1, math.exp(-0.02), (0.14,), -0.0, -0.0),
-    (2, -0.0, (1.0,), -0.0, 1e6),
-    (3, 0.0, (0.5, 2.0), 0.25, -0.0),
-    (4, -1.3, (1e-3, 3.0), -0.0, -2.5),
-    (6, -0.0, (1e-200, 1e-200), -0.0, -0.0),
-]
-
-# 2^13 steps a case, 49152 normals in all: at these seeds the ziggurat enters its wedge
-# 697 times and its tail 13 times, each case both
+# 2^13 steps a path of the probe, but for one odd count
 _PROBE_STEPS = 1 << 13
+
+# (seed, steps, a, scales, shift, x0) of the probe: both schemes' factors, signed zero
+# shifts and starts, zero and negative a, and factors whose product underflows, so that
+# every innovation is a zero of either sign; that case runs at seed 6, as seed 5 draws no
+# normal from the ziggurat's tail.  The C loop draws its normals in pairs: seed 2's odd
+# count leaves it a last normal alone, whose word at these steps enters the wedge
+_PROBE_CASES = [
+    (0, _PROBE_STEPS, 1.0 - 0.7 * 0.02, (math.sqrt(0.02), 1.3), 0.0, 0.0),
+    (1, _PROBE_STEPS, math.exp(-0.02), (0.14,), -0.0, -0.0),
+    (2, 8111, -0.0, (1.0,), -0.0, 1e6),
+    (3, _PROBE_STEPS, 0.0, (0.5, 2.0), 0.25, -0.0),
+    (4, _PROBE_STEPS, -1.3, (1e-3, 3.0), -0.0, -2.5),
+    (6, _PROBE_STEPS, -0.0, (1e-200, 1e-200), -0.0, -0.0),
+]
+# 49071 normals in all: at these seeds the ziggurat enters its wedge 697 times and its
+# tail 13 times, each case both, the tail at odd and at even steps
 
 # the term counts of the Ito sums' probe, each cut from the start of every probe path: a
 # run of fewer than 8 terms, a run of 8-128 with a remainder after its 8 accumulators,
-# runs whose n/2 is not a multiple of 8 (1000 and the odd 8189), and the whole path
+# runs whose n/2 is not a multiple of 8 (1000 and the odd 8189), and the whole path (seed
+# 2's 8111 steps are cut whole by 8189 too)
 _PROBE_SUM_TERMS = (5, 100, 1000, 8189, _PROBE_STEPS)
 
 
@@ -392,19 +398,20 @@ def _probe_passes(kernel: _Kernel) -> bool:
     ``_fused_ar1``, and the same seed's ``standard_normal`` followed by
     ``_scipy_ar1`` must give the same bytes and leave the same generator
     state; one generator first draws a 32-bit integer, so its
-    state holds a buffered half word.  The probe also requires that its
-    draws entered the ziggurat's wedge and its tail.  On the first
-    ``_PROBE_SUM_TERMS`` terms of each path, the last one all zeros of either
+    state holds a buffered half word, and one path has an odd step count, so
+    the loop draws its last normal alone, not in a pair.  The probe also
+    requires that its draws entered the ziggurat's wedge and its tail.  On
+    the first ``_PROBE_SUM_TERMS`` terms of each path, the last one all zeros of either
     sign, and on a constant negative path, whose every term is -0.0 and whose
     sums are +0.0, ``_c_ito_sums`` must have the bits of ``_numpy_ito_sums``.
     """
     slow = np.zeros(2, dtype=np.int64)
-    for seed, a, scales, shift, x0 in _PROBE_CASES:
+    for seed, steps, a, scales, shift, x0 in _PROBE_CASES:
         fused, numpy = np.random.default_rng(seed), np.random.default_rng(seed)
         if seed == 1:
             fused.integers(10, dtype=np.uint32)
             numpy.integers(10, dtype=np.uint32)
-        v = np.empty(_PROBE_STEPS + 1)
+        v = np.empty(steps + 1)
         v[0] = x0
         slow += _fused_ar1(kernel.ar1, v, a, scales, shift, fused.bit_generator)
         w = np.empty_like(v)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import os
@@ -712,6 +713,18 @@ def _numpy_estimate_bits(values) -> bytes:
         return _bits(-np.sum(left * (values[1:] - left)), np.sum(left * left))
 
 
+# the ziggurat's tail starts at r: a normal at least this far from 0 came from the tail
+_TAIL_START = 3.6541528853610088
+
+
+def _probe_generator(seed):
+    """The generator of the probe's case at ``seed``: seed 1's holds a buffered half word."""
+    rng = np.random.default_rng(seed)
+    if seed == 1:
+        rng.integers(10, dtype=np.uint32)
+    return rng
+
+
 def _reference_draw(seed, n, x0, a, scales, shift, buffered):
     """(path, generator) of ``standard_normal(out=)``, ``_scipy_ar1``: the fused route's reference."""
     rng = np.random.default_rng(seed)
@@ -753,29 +766,64 @@ class TestFusedDraw:
         monkeypatch.setattr(ou_process, "_kernel", [])
         assert ou_process.ar1_route() == "fused"
         assert len(counts) == len(ou_process._PROBE_CASES)
-        for (seed, *_), (wedges, tails) in zip(ou_process._PROBE_CASES, counts):
+        for (seed, steps, *_), (wedges, tails) in zip(ou_process._PROBE_CASES, counts):
             # every tail draw, and no other, is at least r = 3.654... from 0
-            rng = np.random.default_rng(seed)
-            if seed == 1:
-                rng.integers(10, dtype=np.uint32)
-            z = rng.standard_normal(ou_process._PROBE_STEPS)
+            z = _probe_generator(seed).standard_normal(steps)
             assert wedges > 0 and tails > 0
-            assert tails == np.count_nonzero(np.abs(z) >= 3.6541528853610088)
+            assert tails == np.count_nonzero(np.abs(z) >= _TAIL_START)
+
+    def test_the_probe_draws_both_words_of_a_pair_slow_and_a_last_word_alone(self):
+        # the loop draws steps 1-2, 3-4, ... as pairs: a slow path at an odd step moves the
+        # second word of its pair, one at an even step the next pair; an odd count leaves
+        # the last step alone
+        tail_steps = []
+        for seed, steps, *_ in ou_process._PROBE_CASES:
+            z = _probe_generator(seed).standard_normal(steps)
+            tail_steps.extend(np.flatnonzero(np.abs(z) >= _TAIL_START) + 1)
+        assert {step % 2 for step in tail_steps} == {0, 1}
+        odd = [case for case in ou_process._PROBE_CASES if case[1] % 2]
+        assert len(odd) == 1
+        seed, steps, a, scales, shift, x0 = odd[0]
+
+        def slow_paths(n):
+            v = np.empty(n + 1)
+            v[0] = x0
+            rng = _probe_generator(seed)
+            return sum(ou_process._fused_ar1(_fused_loop(), v, a, scales, shift, rng.bit_generator))
+
+        assert slow_paths(steps) == slow_paths(steps - 1) + 1  # the last word alone is slow
+
+    @pytest.mark.parametrize("tail_step", [1, 2])
+    def test_tiny_paths_that_start_in_the_tail(self, tail_step):
+        # the first seed whose normal at tail_step comes from the tail, then 1, 2 and 3 steps:
+        # a last word alone, a pair, a pair and a last word
+        seed = next(s for s in itertools.count()
+                    if abs(np.random.default_rng(s).standard_normal(tail_step)[-1]) >= _TAIL_START)
+        for n in (1, 2, 3):
+            expected, numpy = _reference_draw(seed, n, -0.0, 0.5, (1.3,), 0.0, False)
+            rng = np.random.default_rng(seed)
+            v = np.full(n + 1, np.nan)
+            v[0] = -0.0
+            _, tails = ou_process._fused_ar1(_fused_loop(), v, 0.5, (1.3,), 0.0, rng.bit_generator)
+            assert v.tobytes() == expected.tobytes()
+            assert rng.bit_generator.state == numpy.bit_generator.state
+            z = np.random.default_rng(seed).standard_normal(n)
+            assert tails == np.count_nonzero(np.abs(z) >= _TAIL_START) >= (n >= tail_step)
 
     def test_underflowing_factors_keep_the_zero_signs(self):
         # the probe's last case: every innovation is a zero of Z's sign, every value a zero
-        seed, a, scales, shift, x0 = ou_process._PROBE_CASES[-1]
-        assert scales == (1e-200, 1e-200)
+        seed, steps, a, scales, shift, x0 = ou_process._PROBE_CASES[-1]
+        assert scales == (1e-200, 1e-200) and steps == ou_process._PROBE_STEPS
         rng = np.random.default_rng(seed)
-        v = np.empty(ou_process._PROBE_STEPS + 1)
+        v = np.empty(steps + 1)
         v[0] = x0
         ou_process._fused_ar1(_fused_loop(), v, a, scales, shift, rng.bit_generator)
-        expected, _ = _reference_draw(seed, ou_process._PROBE_STEPS, x0, a, scales, shift, False)
+        expected, _ = _reference_draw(seed, steps, x0, a, scales, shift, False)
         assert v.tobytes() == expected.tobytes()
         assert not v.any()
         assert np.count_nonzero(np.signbit(v)) == 1341  # and 6852 of +0.0
         y, plain = x0, [x0]  # y = a y + u without lfilter's delay state: a zero's sign moves
-        for z in np.random.default_rng(seed).standard_normal(ou_process._PROBE_STEPS):
+        for z in np.random.default_rng(seed).standard_normal(steps):
             y = a * y + (z * scales[0] * scales[1] + shift)
             plain.append(y)
         assert np.array(plain).tobytes() != v.tobytes()
@@ -880,6 +928,8 @@ class TestCompiledRecursion:
         assert _bits(est.numerator, est.sum_sq) == _numpy_estimate_bits(values)
         if fault == "a split at n/2":  # n/2 of a power of two is a multiple of 8 down to 128
             monkeypatch.setattr(ou_process, "_PROBE_SUM_TERMS", (ou_process._PROBE_STEPS,))
+            monkeypatch.setattr(ou_process, "_PROBE_CASES", [
+                case for case in ou_process._PROBE_CASES if case[1] == ou_process._PROBE_STEPS])
             assert ou_process._probe_passes(ou_process._load_ar1())
         if fault == "a -0.0 seed":  # only the constant negative path's -0.0 terms see it
             kernel = ou_process._load_ar1()
