@@ -20,7 +20,7 @@ the chunk length of ``experiments._stream_path``; the median over
   on the process's route: the C sums of ``_ar1.c`` where the route is
   ``fused``, numpy's leaf where it is ``scipy``.
 * ``ito_sums_numpy``: numpy's leaf (``ou_process._numpy_ito_sums``) on the
-  chunk, whichever the route; null on trees without it.
+  chunk, whichever the route.
 * ``ar1``: one whole ``ou_process._ar1`` call, which draws, scales, shifts
   and recurses by the process's route.
 * ``stream``: one 2^20-step replicate through ``_stream_path``.
@@ -28,13 +28,12 @@ the chunk length of ``experiments._stream_path``; the median over
   (``profile_config(kind, "desk")`` over the experiment kinds), each run
   once through ``collect_cells`` on one worker: ns per simulated step, and
   seconds in all.  One worker keeps the number free of how many CPUs the
-  host lends the process at the time.  Null on trees without these names.
+  host lends the process at the time.
 
 ``route`` is ``ou_process.ar1_route()``.  A first chunk runs untimed, so a
-build of the C loop is not counted.  The script also runs on older trees
-(``--src``): on those whose ``_ar1_kernel()`` returns a (loop, fused) pair
-or the bare loop, and on those without the fused draw, which report ``fused``
-null.
+build of the C loop is not counted.  ``--src`` needs a tree with the names
+used here: one whose ``_ar1_kernel()`` returns the ``_Kernel`` of the AR(1)
+loop and the Ito sums.
 """
 
 from __future__ import annotations
@@ -63,12 +62,10 @@ def _median_ns_per_step(run, chunks: int, steps: int = N, setup=None) -> float:
 
 
 def desk() -> tuple:
-    """(ns per simulated step, seconds) of one run of the desk grids on one worker, or Nones."""
-    try:
-        from oufar.experiments import EXPERIMENTS, collect_cells
-        from oufar.reporting import estimated_steps, profile_config
-    except ImportError:
-        return None, None
+    """(ns per simulated step, seconds) of one run of the desk grids on one worker."""
+    from oufar.experiments import EXPERIMENTS, collect_cells
+    from oufar.reporting import estimated_steps, profile_config
+
     grids = dict.fromkeys(profile_config(kind, "desk") for kind in EXPERIMENTS)
     start = time.perf_counter_ns()
     for config in grids:
@@ -89,9 +86,7 @@ def measure(chunks: int) -> dict:
     rng = np.random.default_rng(20260810)
     ou_process._ar1(N, 0.0, a, scales, shift, rng)  # untimed: builds or loads the loop
     route = ou_process.ar1_route()
-    kernel = ou_process._ar1_kernel() if route == "fused" else None
-    loop = kernel[0] if isinstance(kernel, tuple) else kernel  # (loop, sums) or (loop, fused)
-    numpy_leaf = getattr(ou_process, "_numpy_ito_sums", None)
+    kernel = ou_process._ar1_kernel()
     v = np.empty(N + 1)
     v[0] = 0.0
 
@@ -104,7 +99,7 @@ def measure(chunks: int) -> dict:
         np.add(v[1:], shift, out=v[1:])
 
     def fused():
-        ou_process._fused_ar1(loop, v, a, scales, shift, rng.bit_generator)
+        ou_process._fused_ar1(kernel.ar1, v, a, scales, shift, rng.bit_generator)
 
     # scale_shift, in place, starts from the same normals each time
     draw()
@@ -123,8 +118,7 @@ def measure(chunks: int) -> dict:
             lambda: ou_process.lfilter([1.0], [1.0, -a], innovations), chunks),
         "fused": _median_ns_per_step(fused, chunks) if route == "fused" else None,
         "ito_sums": _median_ns_per_step(lambda: theta_ito_from_values(path, dt), chunks),
-        "ito_sums_numpy": (_median_ns_per_step(lambda: numpy_leaf(path), chunks)
-                           if numpy_leaf is not None else None),
+        "ito_sums_numpy": _median_ns_per_step(lambda: ou_process._numpy_ito_sums(path), chunks),
         "ar1": _median_ns_per_step(lambda: ou_process._ar1(N, 0.0, a, scales, shift, rng), chunks),
         "stream": _median_ns_per_step(
             lambda: _stream_path(config, ou_process.OuParams(theta), 16 * N, 0, stream_rng),

@@ -47,9 +47,6 @@ from .errors import DomainError, GridMismatch, ZeroDenominator
 from .experiments import (
     EXPERIMENTS,
     PROFILES,
-    # unused here: perfbench/run.py wraps cli.lil_coverage, and experiments keeps
-    # lil_coverage only for that wrap (ROADMAP item 1 removes both)
-    lil_coverage,  # noqa: F401
     run_experiment,
 )
 from .functional import k0, operator_distance_b, operator_distance_h, rho_norm_b, rho_norm_h
@@ -327,6 +324,7 @@ def _cmd_norms(args) -> None:
 
 # every report of a kind, reduced from one simulation of its grid
 _RUNNERS = {kind: functools.partial(run_experiment, kind) for kind in EXPERIMENTS}
+lil_coverage = _RUNNERS["normality"]  # only perfbench wraps it; ROADMAP item 1 drops both
 
 
 def _cmd_experiment(args) -> None:

@@ -238,19 +238,21 @@ def _stream_path(
 ) -> tuple[float, float]:
     """(theta_hat, path value at step ``boundary``) of one path drawn chunk by chunk.
 
-    Each chunk starts from the last value of the one before; chunked normal
-    draws and the chained AR(1) recursion equal the one-shot path, and the
-    chunks' Ito sums merge in numpy's own order, so the result equals
-    sampling the whole path and calling ``theta_ito_from_values`` on it.
+    The chunks are the leaves of ``mle._pairwise``, which hands each its
+    first step and calls them left to right, so each chunk starts from the
+    last value of the one before; chunked normal draws and the chained AR(1)
+    recursion equal the one-shot path, and the chunks' Ito sums merge in
+    numpy's own order, so the result equals sampling the whole path and
+    calling ``theta_ito_from_values`` on it.
     theta_hat is NaN when a chunk's estimate has a vanishing denominator,
     which needs every squared value of the chunk (about 2^15 steps or more
     unless the whole path is shorter) to be zero.
     """
     dt = config.dt
-    start, last, x_boundary = 0, 0.0, math.nan
+    last, x_boundary = 0.0, math.nan
 
-    def leaf(m: int) -> tuple[float, float]:
-        nonlocal start, last, x_boundary
+    def leaf(start: int, m: int) -> tuple[float, float]:
+        nonlocal last, x_boundary
         grid = TimeGrid(t_end=m * dt, dt=dt)
         if config.scheme == "euler":
             path = sample_euler(params, grid, rng, x0=last)
@@ -259,7 +261,6 @@ def _stream_path(
         values = path.values
         if start <= boundary <= start + m:
             x_boundary = float(values[boundary - start])
-        start += m
         last = float(values[-1])
         try:
             est = theta_ito_from_values(values, dt)
@@ -576,12 +577,3 @@ def run_experiment(kind: str, config: ExperimentConfig, n_workers: int = 1,
         done.append(ExperimentReport(name, config, cells, failures, end - start, n_workers))
         start = end
     return done
-
-
-def lil_coverage(config: ExperimentConfig, n_workers: int = 1) -> ExperimentReport:
-    """``run_experiment("normality", config, n_workers)[1]``, kept for one caller.
-
-    The benchmark (perfbench/run.py) wraps ``oufar.cli.lil_coverage``; this
-    function exists only for that wrap.
-    """
-    return run_experiment("normality", config, n_workers)[1]

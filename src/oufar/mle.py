@@ -21,7 +21,7 @@ from typing import Callable
 import numpy as np
 
 from .errors import DomainError, ZeroDenominator
-from .ou_process import SCRATCH_VALUES, SamplePath, check_positive, ito_sums_leaf
+from .ou_process import SCRATCH_VALUES, SamplePath, check_positive, ito_sums
 
 
 @dataclass(frozen=True)
@@ -50,24 +50,28 @@ class ThetaEstimate:
         return bool(self.theta_hat <= 0.0)
 
 
-def _pairwise(n: int, leaf: Callable[[int], tuple[float, float]], cap: int) -> tuple[float, float]:
-    """Two sums of n terms in numpy's pairwise order; ``leaf(m)`` sums the next m terms.
+def _pairwise(n: int, leaf: Callable[[int, int], tuple[float, float]], cap: int,
+              start: int = 0) -> tuple[float, float]:
+    """Two sums of the n terms from index ``start`` in numpy's pairwise order.
 
     numpy sums a float64 array pairwise: a run longer than 128 terms is split
     at n2 = n//2 - (n//2) % 8 and the sums of its two halves are added.  This
     walks the same tree down to runs of at most ``cap`` (>= 128) terms, the
-    leaves, whose sums follow the tree below them (np.sum's, or the C sums
-    of ``_ar1.c``, which follow the same order); adding the leaf sums back
-    up the tree gives the one-shot sums bit for bit.  The one implementation
-    of the tree above the leaves, for ``theta_ito_from_values`` and the Monte
-    Carlo harness's chunked paths.
+    leaves: ``leaf(i, m)`` returns the sums of the m terms from index i,
+    which follow the tree below them (np.sum's, or the C sums of ``_ar1.c``,
+    which follow the same order); adding the leaf sums back up the tree
+    gives the one-shot sums bit for bit.  The leaves are called left to
+    right: a leaf that draws its chunk of a path (``experiments._stream_path``)
+    relies on that order.  The one implementation of the tree above the
+    leaves, for ``theta_ito_from_values`` and the Monte Carlo harness's
+    chunked paths.
     """
     if n <= cap:
-        return leaf(n)
+        return leaf(start, n)
     half = n // 2
     half -= half % 8
-    first = _pairwise(half, leaf, cap)
-    second = _pairwise(n - half, leaf, cap)
+    first = _pairwise(half, leaf, cap, start)
+    second = _pairwise(n - half, leaf, cap, start + half)
     return first[0] + second[0], first[1] + second[1]
 
 
@@ -75,25 +79,18 @@ def theta_ito_from_values(values: np.ndarray, dt: float) -> ThetaEstimate:
     """Ito-sum estimate from raw grid values (left-endpoint convention).
 
     The sums are reduced leaf by leaf over numpy's pairwise tree and equal
-    those of one np.sum over all products.  A leaf's sums are
-    taken by ``ou_process.ito_sums_leaf()``: one pass of the C sums of
-    ``_ar1.c`` where they passed the AR(1) kernel's probe, else numpy's
-    passes in the thread's ``scratch`` buffer; on either route no
-    temporary grows with the path.
+    those of one np.sum over all products.  A leaf's sums are taken by
+    ``ou_process.ito_sums``: one pass of the C sums of ``_ar1.c`` where
+    they passed the AR(1) kernel's probe, else numpy's passes in the
+    thread's ``scratch`` buffer; on either route no temporary grows with
+    the path.
     """
     values = np.asarray(values, dtype=float)
     if values.size < 2:
         raise DomainError("need at least two path values")
-    sums, start = ito_sums_leaf(), 0
-
-    def leaf(m: int) -> tuple[float, float]:
-        nonlocal start
-        piece = values[start:start + m + 1]
-        start += m
-        return sums(piece)
-
     # a leaf's m products, or its m + 1 values copied for the C sums, fit the scratch buffer
-    ito_sum, sum_sq = _pairwise(values.size - 1, leaf, SCRATCH_VALUES - 1)
+    ito_sum, sum_sq = _pairwise(values.size - 1, lambda i, m: ito_sums(values[i:i + m + 1]),
+                                SCRATCH_VALUES - 1)
     return theta_ito_from_sums(-ito_sum, sum_sq, values.size - 1, dt)
 
 

@@ -32,9 +32,9 @@ says how).  The loop is built once per machine into the user's cache directory
 ``cc`` and loaded with ctypes on the first ``_ar1`` or Ito-sum call, never
 on import, and used only where it passes a probe against
 ``standard_normal`` followed by the scipy route, bits and generator state
-after.  The same file holds the Ito sums of ``mle.theta_ito_from_values``
-(``ito_sums_leaf``), which the same probe holds to numpy's leaf, so one
-decision gives both their route.  The scipy route draws
+after.  The same file holds the Ito sums of a path piece (``ito_sums``, the
+leaf of ``mle.theta_ito_from_values``), which the same probe holds to
+numpy's leaf, so one decision gives both their route.  The scipy route draws
 the normals with ``standard_normal`` into the thread's ``scratch`` buffer,
 scales and shifts them with numpy and runs the recursion through
 ``lfilter``, which calls scipy's compiled ``_linear_filter``.  It is taken
@@ -347,15 +347,15 @@ def _c_ito_sums(sums, v: np.ndarray) -> tuple[float, float]:
     return float(out[0]), float(out[1])
 
 
-def ito_sums_leaf() -> Callable[[np.ndarray], tuple[float, float]]:
-    """The function that takes a path piece's two Ito sums on this process's route.
+def ito_sums(v: np.ndarray) -> tuple[float, float]:
+    """(sum v_i (v_{i+1} - v_i), sum v_i^2) over i < n for v = v[0..n], on this process's route.
 
     ``_c_ito_sums`` with the checked kernel's ``oufar_ito_sums`` where
     ``_ar1_kernel`` has one, else ``_numpy_ito_sums``; either gives the bits
     of numpy's leaf.  Decided with the AR(1) route, once per process.
     """
     kernel = _ar1_kernel()
-    return _numpy_ito_sums if kernel is None else functools.partial(_c_ito_sums, kernel.ito_sums)
+    return _numpy_ito_sums(v) if kernel is None else _c_ito_sums(kernel.ito_sums, v)
 
 
 # 2^13 steps a path of the probe, but for one odd count

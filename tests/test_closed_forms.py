@@ -198,7 +198,10 @@ def _bits(value):
 def _block_grid(h: float, m: int) -> TimeGrid:
     """TimeGrid(t_end=h, dt=h / m), or a rejected example where no such grid exists.
 
-    That is where h / m underflows to 0, or to a subnormal too coarse for m steps to make h.
+    That is where h / m underflows to 0, or to a subnormal that no whole number of steps
+    makes h.  At a subnormal h the grid's step count may differ from m: h / m rounds, and
+    TimeGrid(1.5e-323, 1.5e-323 / 4) has 3 steps of 5e-324.  So a block on it needs
+    ``grid.n_steps + 1`` values, not m + 1.
     """
     try:
         return TimeGrid(t_end=h, dt=h / m)
@@ -375,11 +378,12 @@ class TestFormerBodies:
            end=_ENDPOINTS, inner=_FINITE)
     @example(theta=0.7, k=1, h=1.0, m=4, end=-0.0, inner=1.0)
     @example(theta=0.7, k=3, h=1.0, m=4, end=0.0, inner=-1.0)
+    @example(theta=0.7, k=2, h=1.5e-323, m=4, end=-0.0, inner=1.0)
     def test_apply_rho_power(self, theta, k, h, m, end, inner):
         # where theta (k - 1) overflows, the former body's decay is 0.0 and wrong
         assume(theta * (k - 1) < math.inf)
         grid = _block_grid(h, m)
-        values = np.full(m + 1, inner)
+        values = np.full(grid.n_steps + 1, inner)
         values[-1] = end
         x = FunctionalSegment(grid, values)
         with np.errstate(all="ignore"):
@@ -390,10 +394,11 @@ class TestFormerBodies:
     @settings(max_examples=300)
     @given(theta_hat=_RATES, h=_RATES, m=st.integers(1, 40), end=_ENDPOINTS, inner=_FINITE)
     @example(theta_hat=0.7, h=1.0, m=4, end=-0.0, inner=1.0)
+    @example(theta_hat=0.7, h=1.5e-323, m=4, end=-0.0, inner=1.0)
     def test_plug_in_predict(self, theta_hat, h, m, end, inner):
         # the former body applied rho_theta_hat once through apply_rho_power at k = 1
         grid = _block_grid(h, m)
-        values = np.full(m + 1, inner)
+        values = np.full(grid.n_steps + 1, inner)
         values[-1] = end
         x = FunctionalSegment(grid, values)
         with np.errstate(all="ignore"):
